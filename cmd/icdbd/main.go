@@ -106,7 +106,7 @@ func runServer(args []string, ready func(addr string), stop <-chan struct{}) err
 	maxCmds := fs.Int("maxcmds", 0, "max commands per session; 0 = unlimited")
 	maxRows := fs.Int("maxrows", 0, "max streamed rows per session; 0 = unlimited")
 	idle := fs.Duration("idle", 10*time.Minute, "idle session timeout; 0 = none")
-	wtimeout := fs.Duration("wtimeout", 30*time.Second, "per-frame write timeout (unsticks stalled readers); 0 = none")
+	wtimeout := fs.Duration("wtimeout", 30*time.Second, "timeout of each socket write, one per burst of reply frames (unsticks stalled readers); 0 = none")
 	handshake := fs.Duration("handshake", 10*time.Second, "handshake deadline (rejects stalled or partial preambles); 0 = none")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown grace period for in-flight sessions to unwind")
 	verbose := fs.Bool("v", false, "log per-connection lifecycle events")

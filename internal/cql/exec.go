@@ -81,6 +81,10 @@ type Env struct {
 	width  int
 	wArea  *float64
 	wDelay *float64
+
+	// row is the buffer the per-row renderers (render.go) reuse from one
+	// row to the next, for the Env's lifetime.
+	row []byte
 }
 
 // Exec parses and executes one CQL command line. Results stream to
@@ -150,9 +154,7 @@ func (env *Env) execFind(f *FindStmt) error {
 		// Area/Delay are the query-evaluated estimates: the scalars on a
 		// plain find, the estimator values at the width of an "at width"
 		// find.
-		_, werr = fmt.Fprintf(env.Out, "%d. %-12s %-18s width %d..%d area %g delay %g cost %g\n",
-			n, c.Impl.Name, c.Impl.Component, c.Impl.WidthMin, c.Impl.WidthMax,
-			c.Area, c.Delay, c.Cost)
+		werr = env.writeRow(appendFindRow(env.row, n, &c))
 		return werr == nil
 	})
 	if err != nil {
@@ -217,15 +219,10 @@ func (env *Env) execPareto(f *ParetoStmt) error {
 			return false
 		}
 		n++
-		if p.Dominated {
-			_, werr = fmt.Fprintf(env.Out, "   %-24s %-18s width %3d area %g delay %g cost %g  dominated by %s (Δarea %g, Δdelay %g)\n",
-				p.PointID(), p.Component, p.Width, p.Area, p.Delay, p.Cost,
-				p.DominatedBy, p.DArea, p.DDelay)
-		} else {
+		if !p.Dominated {
 			frontier++
-			_, werr = fmt.Fprintf(env.Out, "%d. %-24s %-18s width %3d area %g delay %g cost %g\n",
-				frontier, p.PointID(), p.Component, p.Width, p.Area, p.Delay, p.Cost)
 		}
+		werr = env.writeRow(appendParetoRow(env.row, frontier, &p))
 		return werr == nil
 	})
 	if err != nil {
@@ -260,19 +257,8 @@ func (env *Env) execExplore(s *ExploreStmt) error {
 	if err != nil {
 		return errf(s.RangeCol, "%v", err)
 	}
-	for _, pt := range pts {
-		if pt.Impl != "" {
-			verb := "registered"
-			if pt.Reused {
-				verb = "reused"
-			}
-			_, err = fmt.Fprintf(env.Out, "width %3d: area %g delay %g cost %g  %s %s\n",
-				pt.Width, pt.Area, pt.Delay, pt.Cost, verb, pt.Impl)
-		} else {
-			_, err = fmt.Fprintf(env.Out, "width %3d: area %g delay %g cost %g\n",
-				pt.Width, pt.Area, pt.Delay, pt.Cost)
-		}
-		if err != nil {
+	for i := range pts {
+		if err := env.writeRow(appendExploreRow(env.row, &pts[i])); err != nil {
 			return err
 		}
 	}
@@ -345,17 +331,15 @@ func (env *Env) execShow(s *ShowStmt) error {
 		}
 		return env.ServerInfo(env.Out)
 	case "impls":
-		impls, err := env.DB.Impls()
+		var werr error
+		err := env.DB.ImplsScan(func(im *icdb.Impl) bool {
+			werr = env.writeRow(appendImplRow(env.row, im))
+			return werr == nil
+		})
 		if err != nil {
 			return err
 		}
-		for _, im := range impls {
-			if _, err := fmt.Fprintf(env.Out, "%-12s %-18s %-12s width %d..%d area %g delay %g  %s\n",
-				im.Name, im.Component, im.Style, im.WidthMin, im.WidthMax,
-				im.Area, im.Delay, genus.FunctionSetKey(im.Functions)); err != nil {
-				return err
-			}
-		}
+		return werr
 	case "components":
 		for _, ct := range genus.AllComponentTypes() {
 			fns, err := env.DB.ComponentFunctions(ct)
@@ -387,9 +371,8 @@ func (env *Env) execShow(s *ShowStmt) error {
 			fmt.Fprintln(env.Out, "no recorded explorations (run 'explore', 'generate', or 'estimate')")
 			return nil
 		}
-		for _, e := range xs {
-			if _, err := fmt.Fprintf(env.Out, "%-24s %-18s width %3d area %g delay %g\n",
-				e.PointID(), e.Component, e.Width, e.Area, e.Delay); err != nil {
+		for i := range xs {
+			if err := env.writeRow(appendExplorationRow(env.row, &xs[i])); err != nil {
 				return err
 			}
 		}

@@ -450,3 +450,21 @@ func FunctionSetKey(fns []Function) string {
 	sort.Strings(ss)
 	return strings.Join(ss, ",")
 }
+
+// AppendFunctionSetKey appends FunctionSetKey(fns) to b. A set already in
+// canonical form (upper case, sorted — what every stored implementation
+// row decodes to) is appended without allocating.
+func AppendFunctionSetKey(b []byte, fns []Function) []byte {
+	for i, f := range fns {
+		if strings.ToUpper(string(f)) != string(f) || (i > 0 && fns[i-1] > f) {
+			return append(b, FunctionSetKey(fns)...)
+		}
+	}
+	for i, f := range fns {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, f...)
+	}
+	return b
+}

@@ -10,6 +10,8 @@ package icdb
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -227,6 +229,9 @@ type DB struct {
 	// without an explicit hook (see scopedExplorations in pareto.go).
 	pmu  sync.Mutex
 	expl *explCache
+
+	// rmu serializes RegisterImpl's store write with its cache update.
+	rmu sync.Mutex
 }
 
 // derived is one immutable-once-shared snapshot of the DB's derived
@@ -241,17 +246,32 @@ type DB struct {
 // exclusive, so the flag is always seen by a would-be writer before the
 // maps are touched.
 type derived struct {
-	impls  map[string]*Impl                         // name -> decoded implementation
-	byFn   map[genus.Function]map[string]*Impl      // function -> posting map
-	byCt   map[genus.ComponentType]map[string]*Impl // component type -> posting map
+	impls map[string]*Impl                         // name -> decoded implementation
+	byFn  map[genus.Function]map[string]*Impl      // function -> posting map
+	byCt  map[genus.ComponentType]map[string]*Impl // component type -> posting map
+	// order lists the cached implementations in the implementations
+	// relation's insertion order (a re-registered name keeps its place,
+	// like the row it upserts), so whole-catalog walks need neither the
+	// store's rows nor a sort.
+	order  []*Impl
 	shared atomic.Bool
 }
 
-// clone deep-copies the snapshot's map spines — outer maps and posting
-// maps — sharing the *Impl values, which are immutable. The clone
-// starts unshared: the writer owns it until the next reader pins it.
+func newDerived() *derived {
+	return &derived{
+		impls: make(map[string]*Impl),
+		byFn:  make(map[genus.Function]map[string]*Impl),
+		byCt:  make(map[genus.ComponentType]map[string]*Impl),
+	}
+}
+
+// clone deep-copies the snapshot's spines — outer maps, posting maps
+// and the order slice — sharing the *Impl values, which are immutable.
+// The clone starts unshared: the writer owns it until the next reader
+// pins it.
 func (d *derived) clone() *derived {
 	nd := &derived{
+		order: slices.Clone(d.order),
 		impls: make(map[string]*Impl, len(d.impls)),
 		byFn:  make(map[genus.Function]map[string]*Impl, len(d.byFn)),
 		byCt:  make(map[genus.ComponentType]map[string]*Impl, len(d.byCt)),
@@ -404,14 +424,18 @@ func Open(store *relstore.Store) (*DB, error) {
 			return nil, fmt.Errorf("icdb: seed builtin %q: %w", im.Name, err)
 		}
 	}
-	for name, exprs := range builtinEstimators() {
+	// Seed in sorted (impl, attr) order, never map order: two fresh
+	// stores must hold the same rows in the same order, so that their
+	// snapshots are byte-identical.
+	ests := builtinEstimators()
+	for _, name := range slices.Sorted(maps.Keys(ests)) {
 		// Same survival rule per implementation: any existing estimator
 		// rows mean the catalog was tuned; leave them alone.
 		if have, err := db.Estimators(name); err != nil || len(have) > 0 {
 			continue
 		}
-		for attr, expr := range exprs {
-			if err := db.RegisterEstimator(name, attr, expr); err != nil {
+		for _, attr := range slices.Sorted(maps.Keys(ests[name])) {
+			if err := db.RegisterEstimator(name, attr, ests[name][attr]); err != nil {
 				return nil, fmt.Errorf("icdb: seed estimator %s(%s): %w", attr, name, err)
 			}
 		}
@@ -463,14 +487,10 @@ func (db *DB) ensureIndexes() error {
 	if db.der != nil {
 		return nil
 	}
-	d := &derived{
-		impls: make(map[string]*Impl),
-		byFn:  make(map[genus.Function]map[string]*Impl),
-		byCt:  make(map[genus.ComponentType]map[string]*Impl),
-	}
+	d := newDerived()
 	err := db.store.Scan(TableImplementations, nil, func(r relstore.Row) bool {
 		im := rowImpl(r)
-		indexImpl(d.impls, d.byFn, d.byCt, &im)
+		d.index(&im)
 		return true
 	})
 	if err != nil {
@@ -546,43 +566,48 @@ func (db *DB) noteEstimator(impl, attr string, e iif.Expr) {
 	setEstimator(db.writableEsts().ests, impl, attr, e)
 }
 
-// indexImpl files im under its name, functions, and component type,
-// unfiling any previous implementation of the same name first.
-func indexImpl(impls map[string]*Impl, byFn map[genus.Function]map[string]*Impl, byCt map[genus.ComponentType]map[string]*Impl, im *Impl) {
-	if old, ok := impls[im.Name]; ok {
-		unindexImpl(impls, byFn, byCt, old)
+// index files im under its name, functions, and component type. An
+// implementation replacing one of the same name takes over its place in
+// order; a new name goes to the end.
+func (d *derived) index(im *Impl) {
+	if old, ok := d.impls[im.Name]; ok {
+		d.unindex(old)
+		d.order[slices.Index(d.order, old)] = im
+	} else {
+		d.order = append(d.order, im)
 	}
-	impls[im.Name] = im
+	d.impls[im.Name] = im
 	for _, f := range im.Functions {
-		post := byFn[f]
+		post := d.byFn[f]
 		if post == nil {
 			post = make(map[string]*Impl)
-			byFn[f] = post
+			d.byFn[f] = post
 		}
 		post[im.Name] = im
 	}
-	post := byCt[im.Component]
+	post := d.byCt[im.Component]
 	if post == nil {
 		post = make(map[string]*Impl)
-		byCt[im.Component] = post
+		d.byCt[im.Component] = post
 	}
 	post[im.Name] = im
 }
 
-func unindexImpl(impls map[string]*Impl, byFn map[genus.Function]map[string]*Impl, byCt map[genus.ComponentType]map[string]*Impl, im *Impl) {
-	delete(impls, im.Name)
+// unindex drops im's posting-list entries (its order slot is index's to
+// reassign).
+func (d *derived) unindex(im *Impl) {
 	for _, f := range im.Functions {
-		if post := byFn[f]; post != nil {
+		if post := d.byFn[f]; post != nil {
 			delete(post, im.Name)
 			if len(post) == 0 {
-				delete(byFn, f)
+				delete(d.byFn, f)
 			}
 		}
 	}
-	if post := byCt[im.Component]; post != nil {
+	if post := d.byCt[im.Component]; post != nil {
 		delete(post, im.Name)
 		if len(post) == 0 {
-			delete(byCt, im.Component)
+			delete(d.byCt, im.Component)
 		}
 	}
 }
@@ -596,8 +621,7 @@ func (db *DB) noteImpl(im Impl) {
 	if db.der == nil {
 		return
 	}
-	d := db.writableDerived()
-	indexImpl(d.impls, d.byFn, d.byCt, &im)
+	db.writableDerived().index(&im)
 }
 
 // RegisterImpl validates and upserts an implementation row. The IIF
@@ -638,12 +662,21 @@ func (db *DB) RegisterImpl(im Impl) error {
 		return fmt.Errorf("icdb: %s: PARAMETER list %v does not match declared params %v", im.Name, d.Params, im.Params)
 	}
 	im.Component = ct
-	if err := db.store.Upsert(TableImplementations, implRow(im)); err != nil {
+	row := implRow(im)
+	// The store write and the cache update are one step with respect to
+	// other registrations, so the cache's order slice matches the
+	// relation's insertion order however writers interleave.
+	db.rmu.Lock()
+	defer db.rmu.Unlock()
+	if err := db.store.Upsert(TableImplementations, row); err != nil {
 		return err
 	}
 	// Keep the derived indexes current: the registered implementation
-	// replaces any previous posting-list entries under its name.
-	db.noteImpl(im.Clone())
+	// replaces any previous posting-list entries under its name. It is
+	// cached as decoded from the row just stored (function set in
+	// canonical order, caller-independent slices), exactly what a cache
+	// rebuilt from the relation would hold.
+	db.noteImpl(rowImpl(row))
 	return nil
 }
 
@@ -770,7 +803,9 @@ func (db *DB) ImplByName(name string) (Impl, error) {
 
 // Impls returns every registered implementation in insertion order. It
 // decodes straight off the store's row cursor: rowImpl copies every
-// value out, so no defensive row clone is needed.
+// value out, so no defensive row clone is needed. Callers that only
+// read each implementation once should stream with ImplsScan instead,
+// which decodes and allocates nothing.
 func (db *DB) Impls() ([]Impl, error) {
 	var out []Impl
 	for r, err := range db.store.Rows(TableImplementations, nil) {
@@ -780,6 +815,23 @@ func (db *DB) Impls() ([]Impl, error) {
 		out = append(out, rowImpl(r))
 	}
 	return out, nil
+}
+
+// ImplsScan streams every registered implementation to visit in
+// insertion order — the order Impls returns — straight from the
+// decoded-implementation cache: no row is re-decoded and nothing is
+// allocated per implementation. visit returning false stops the stream.
+// The visitor contract is QueryByFunctionScan's: the *Impl is the
+// cache's own value (read-only; Clone to retain), the stream runs over
+// a pinned copy-on-write snapshot without holding a lock, and visit may
+// call back into the DB — a registration made meanwhile lands in a
+// fresh snapshot and is not seen by the stream in flight.
+func (db *DB) ImplsScan(visit func(*Impl) bool) error {
+	d, err := db.derivedSnap()
+	if err != nil {
+		return err
+	}
+	return forEachImpl(d, visit)
 }
 
 // ComponentFunctions reads the components relation: the function set

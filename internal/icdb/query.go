@@ -534,9 +534,10 @@ func forEachByComponent(d *derived, ct genus.ComponentType, visit func(*Impl) bo
 	return nil
 }
 
-// forEachImpl streams the whole decoded-implementation cache.
+// forEachImpl streams the whole decoded-implementation cache in
+// insertion order.
 func forEachImpl(d *derived, visit func(*Impl) bool) error {
-	for _, im := range d.impls {
+	for _, im := range d.order {
 		if !visit(im) {
 			return nil
 		}

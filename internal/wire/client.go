@@ -23,6 +23,9 @@ type Client struct {
 	bw      *bufio.Writer
 	version uint32
 	wmu     sync.Mutex // serializes frame writes (Exec vs Cancel)
+	// rbuf is the payload buffer every reply frame is read into; a row
+	// costs one allocation, the string handed to onRow.
+	rbuf []byte
 }
 
 // RemoteError is a command failure reported by the server (an Error
@@ -157,7 +160,9 @@ func NewClientOptions(conn net.Conn, o Options) (*Client, error) {
 	if ver < 2 && o.Secret != "" {
 		return nil, fmt.Errorf("wire: protocol v%d has no auth exchange; a secret needs v2", ver)
 	}
-	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	// The reader matches the server's output buffer, so a coalesced burst
+	// of reply frames is taken off the socket in one read.
+	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, flushBufSize), bw: bufio.NewWriter(conn)}
 	if err := writePreamble(c.bw, ver); err != nil {
 		return nil, err
 	}
@@ -265,7 +270,8 @@ func (c *Client) ExecContext(ctx context.Context, cmd string, onRow func(line st
 		}()
 	}
 	for {
-		t, payload, err := ReadFrame(c.br)
+		t, payload, err := readFrameInto(c.br, c.rbuf)
+		c.rbuf = payload[:0]
 		if err != nil {
 			if ctx.Err() != nil {
 				return rows, fmt.Errorf("wire: command abandoned: %w", ctx.Err())

@@ -9,9 +9,13 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"icdb/internal/genus"
+	"icdb/internal/icdb"
 )
 
 // TestExploreAndParetoOverWire drives a sweep and a frontier query
@@ -84,10 +88,23 @@ func TestParetoRowQuotaOverWire(t *testing.T) {
 
 // TestParetoCancelMidStreamOverWire: context cancellation aborts an
 // in-flight pareto stream with CodeCancelled and the session survives.
+// The space is imported point by point (a generator sweep stops at 128
+// widths) and sized so the dominated listing spans four output buffers,
+// which pins the stream mid-flight on the synchronous pipe.
 func TestParetoCancelMidStreamOverWire(t *testing.T) {
 	db := openDB(t)
-	if _, err := db.Explore("gen_cnt", 1, 128, 1, nil, false); err != nil {
-		t.Fatal(err)
+	// A dominated row is at least the 5-byte header, "   ", the point ID
+	// padded to 24, the component padded to 18 and 50 bytes of labels
+	// and numbers.
+	n := spanRows(4, 5+3+24+1+18+50)
+	for i := 0; i < n; i++ {
+		if err := db.RecordExploration(icdb.Exploration{
+			Generator: "imported", Bindings: fmt.Sprintf("size=%d", i+1),
+			Component: genus.CompCounter, Width: i%128 + 1,
+			Area: float64(i + 1), Delay: float64(i + 1), // point 1 dominates the rest
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv, ln := startPipeServerOpts(t, db, nil)
 	c, err := NewClient(ln.dial(t))
@@ -99,7 +116,7 @@ func TestParetoCancelMidStreamOverWire(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rows := 0
-	_, err = c.ExecContext(ctx, "find pareto of generator gen_cnt dominated", func(string) {
+	_, err = c.ExecContext(ctx, "find pareto of generator imported dominated", func(string) {
 		rows++
 		if rows == 1 {
 			// As in TestFaultExecContextCancel: hold the read loop on
@@ -115,10 +132,10 @@ func TestParetoCancelMidStreamOverWire(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != CodeCancelled {
 		t.Fatalf("cancelled exec: err = %v, want RemoteError %s", err, CodeCancelled)
 	}
-	if rows >= 128 {
+	if rows >= n {
 		t.Fatalf("cancel did not stop the stream (%d rows delivered)", rows)
 	}
-	if got := execLines(t, c, "show explorations"); len(got) != 128 {
-		t.Fatalf("session dead or space corrupted after cancel: %d rows", len(got))
+	if got := execLines(t, c, "show explorations"); len(got) != n {
+		t.Fatalf("session dead or space corrupted after cancel: %d rows, want %d", len(got), n)
 	}
 }

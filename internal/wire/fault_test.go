@@ -269,7 +269,7 @@ func TestFaultCorruptLengthPrefix(t *testing.T) {
 // SAME session then runs another command normally.
 func TestFaultCancelMidStreamSessionSurvives(t *testing.T) {
 	db := openDB(t)
-	addImpls(t, db, 200)
+	addImplsSpanning(t, db)
 	srv, ln := startPipeServerOpts(t, db, nil)
 	conn := ln.dial(t)
 	defer conn.Close()
@@ -327,7 +327,7 @@ func TestFaultCancelVsDoneRace(t *testing.T) {
 // session stays usable.
 func TestFaultExecContextCancel(t *testing.T) {
 	db := openDB(t)
-	addImpls(t, db, 300)
+	n := addImplsSpanning(t, db)
 	srv, ln := startPipeServerOpts(t, db, nil)
 	c, err := NewClient(ln.dial(t))
 	if err != nil {
@@ -355,7 +355,7 @@ func TestFaultExecContextCancel(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != CodeCancelled {
 		t.Fatalf("cancelled exec: err = %v, want RemoteError %s", err, CodeCancelled)
 	}
-	if rows >= 300 {
+	if rows >= n {
 		t.Fatalf("cancel did not stop the stream (%d rows delivered)", rows)
 	}
 	if got := execLines(t, c, "show session"); len(got) == 0 {
@@ -447,30 +447,62 @@ func TestFaultIdleTimeout(t *testing.T) {
 }
 
 // TestFaultWriteTimeoutUnsticksStalledClient: a client that stops
-// reading mid-stream cannot park the serving goroutine — the write
-// deadline expires, the session unwinds, and the server keeps serving.
+// reading cannot park the serving goroutine — the write deadline
+// expires, the timeout is counted and logged, the session unwinds, and
+// the server keeps serving. The deadline can trip in either of the two
+// places a reply reaches the socket: a buffer-full flush in the middle
+// of a wide stream, or the flush that carries Done (where every reply
+// smaller than the output buffer ends up).
 func TestFaultWriteTimeoutUnsticksStalledClient(t *testing.T) {
-	db := openDB(t)
-	addImpls(t, db, 200)
-	srv, ln := startPipeServerOpts(t, db, func(s *Server) {
-		s.Limits.WriteTimeout = 80 * time.Millisecond
-	})
-	stalled := stallingClient(t, ln, "find component executing STORAGE")
-	defer stalled.Close()
+	for _, tc := range []struct {
+		name, cmd string
+		atDone    bool
+	}{
+		{"mid-stream", "find component executing STORAGE", false},
+		{"flush at Done", "find component executing STORAGE limit 20", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openDB(t)
+			n := addImplsSpanning(t, db)
+			logs := &logRecorder{}
+			srv, ln := startPipeServerOpts(t, db, func(s *Server) {
+				s.Limits.WriteTimeout = 80 * time.Millisecond
+				s.Logf = logs.logf
+			})
+			stalled := stallingClient(t, ln, tc.cmd)
+			defer stalled.Close()
 
-	eventually(t, 5*time.Second, "write timeout", func() bool {
-		return srv.Stats().Timeouts >= 1
-	})
-	eventually(t, 5*time.Second, "stalled session teardown", func() bool {
-		return srv.Stats().SessionsActive == 0
-	})
-	c, err := NewClient(ln.dial(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := execLines(t, c, "show impls"); len(got) == 0 {
-		t.Fatal("server unusable after unsticking a stalled client")
+			eventually(t, 5*time.Second, "write timeout", func() bool {
+				return srv.Stats().Timeouts >= 1
+			})
+			eventually(t, 5*time.Second, "stalled session teardown", func() bool {
+				return srv.Stats().SessionsActive == 0
+			})
+			if got := srv.Stats().Timeouts; got != 1 {
+				t.Errorf("timeouts = %d, want 1", got)
+			}
+			if !logs.contains("write:") {
+				t.Error("write timeout was not logged")
+			}
+			// Rows tallies at the end of each command: the small reply
+			// was rendered whole and lost in its closing flush, the wide
+			// one was cut short of the catalog.
+			rows := int(srv.Stats().Rows)
+			if tc.atDone && rows != 20 {
+				t.Errorf("rows = %d, want 20 (timeout should have hit the flush carrying Done)", rows)
+			}
+			if !tc.atDone && (rows == 0 || rows >= n) {
+				t.Errorf("rows = %d, want a strict part of %d (timeout should have hit mid-stream)", rows, n)
+			}
+			c, err := NewClient(ln.dial(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if got := execLines(t, c, "show impls"); len(got) == 0 {
+				t.Fatal("server unusable after unsticking a stalled client")
+			}
+		})
 	}
 }
 
@@ -479,7 +511,7 @@ func TestFaultWriteTimeoutUnsticksStalledClient(t *testing.T) {
 // CodeProtocol, including the command mid-stream.
 func TestFaultPipelineOverflow(t *testing.T) {
 	db := openDB(t)
-	addImpls(t, db, 200)
+	addImplsSpanning(t, db)
 	_, ln := startPipeServerOpts(t, db, nil)
 	conn := ln.dial(t)
 	defer conn.Close()
@@ -683,11 +715,11 @@ func TestFaultNoRetryOnRemoteError(t *testing.T) {
 // client sees a decodable CodeShutdown Error, not a raw TCP reset.
 func TestFaultShutdownGraceful(t *testing.T) {
 	db := openDB(t)
-	addImpls(t, db, 300)
+	addImplsSpanning(t, db)
 	// The pipe transport keeps the streamed find pinned mid-flight
-	// (the server is blocked in a row flush) so the shutdown
-	// deterministically aborts it; TCP buffers would let the command
-	// finish first.
+	// (the server is blocked writing its first full buffer) so the
+	// shutdown deterministically aborts it; TCP buffers would let the
+	// command finish first.
 	srv, ln := startPipeServerOpts(t, db, nil)
 
 	idle := ln.dial(t)

@@ -144,10 +144,22 @@ func (c ErrCode) String() string {
 	return fmt.Sprintf("ErrCode(%d)", uint8(c))
 }
 
+func frameTooBig(t FrameType, n int) error {
+	return fmt.Errorf("wire: %s frame payload %d bytes exceeds limit %d", t, n, MaxFrame)
+}
+
+// appendFrame appends one frame to b: u32 payload length, u8 type,
+// payload.
+func appendFrame(b []byte, t FrameType, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, byte(t))
+	return append(b, payload...)
+}
+
 // WriteFrame writes one frame: u32 payload length, u8 type, payload.
 func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: %s frame payload %d bytes exceeds limit %d", t, len(payload), MaxFrame)
+		return frameTooBig(t, len(payload))
 	}
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
@@ -170,7 +182,18 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 // cleanly between frames (a client hanging up), io.ErrUnexpectedEOF
 // mid-frame.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [5]byte
+	return readFrameInto(r, nil)
+}
+
+// readFrameInto is ReadFrame reading into buf's backing array — header
+// first, then the payload over it — and allocating only when buf is too
+// small. The returned payload is valid until buf is next used; hand
+// payload[:0] back in to keep a buffer that grew.
+func readFrameInto(r io.Reader, buf []byte) (FrameType, []byte, error) {
+	if cap(buf) < 5 {
+		buf = make([]byte, 5)
+	}
+	hdr := buf[:5]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, err // clean EOF between frames stays io.EOF
 	}
@@ -185,7 +208,10 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: %s frame declares %d payload bytes, limit %d", t, n, MaxFrame)
 	}
-	payload := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

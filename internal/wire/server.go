@@ -44,10 +44,11 @@ type Limits struct {
 	// is idle-waiting for the frame to complete). Expiry answers
 	// Error CodeTimeout and closes the session.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds every frame write, so a client that stops
-	// reading mid-stream cannot park the serving goroutine forever:
-	// the next flush fails and the command unwinds through the
-	// engine's sink-error path.
+	// WriteTimeout bounds every socket write (one per coalesced burst
+	// of reply frames, see session), so a client that stops reading
+	// mid-stream cannot park the serving goroutine forever: the flush
+	// fails and the command unwinds through the engine's sink-error
+	// path.
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds the whole preamble/Hello/auth exchange;
 	// a client that trickles half a magic and stalls is logged and
@@ -56,7 +57,10 @@ type Limits struct {
 }
 
 // Stats is a snapshot of the server's operation counters, exposed to
-// operators through the CQL "show server" verb.
+// operators through the CQL "show server" verb. Rows counts the Row
+// frames of finished commands: each command adds its rows once, as its
+// Done or Error is written, so the figure is exact at command
+// boundaries and leaves out commands still streaming.
 type Stats struct {
 	SessionsActive   int64
 	SessionsTotal    int64
@@ -118,6 +122,10 @@ type Server struct {
 	// closedFlag mirrors closed for the per-row abort check in
 	// lineWriter, which must not take the server mutex.
 	closedFlag atomic.Bool
+
+	// now, when non-nil, replaces the monotonic clock the flush interval
+	// is measured on (tests).
+	now func() time.Duration
 
 	stats struct {
 		sessionsActive   atomic.Int64
@@ -292,14 +300,48 @@ type sessionErr struct {
 
 func (e *sessionErr) Error() string { return e.msg }
 
+// The reply path coalesces: a session's reply frames collect in one
+// fixed-size buffer and leave in one socket write per burst, not one
+// per row. The buffer goes out when it is full, when a row is emitted
+// more than flushInterval after the command started or last wrote to
+// the socket, and always with the Done or Error that ends a reply. So a
+// small reply costs one write, a wide one about bytes/flushBufSize, and
+// a producer slower than the interval still streams row by row. The
+// byte stream is the same in every case: one Row frame per line.
+const (
+	// flushBufSize is each session's output buffer, and the size of the
+	// reader a Client puts in front of its socket to take a burst in one
+	// read.
+	flushBufSize = 32 << 10
+	// flushInterval bounds how long a buffered row waits for company:
+	// the first row emitted this long after the last socket write takes
+	// the buffer with it.
+	flushInterval = time.Millisecond
+)
+
+var clockBase = time.Now()
+
+// clock reads the monotonic clock flushInterval is measured on.
+func (s *Server) clock() time.Duration {
+	if s.now != nil {
+		return s.now()
+	}
+	return time.Since(clockBase)
+}
+
 // session is the per-connection state shared between the handler
 // goroutine (which executes commands) and the reader goroutine (which
 // keeps draining frames mid-command so Cancel can land).
 type session struct {
 	srv     *Server
 	conn    net.Conn
-	bw      *bufio.Writer
 	version uint32
+
+	// out buffers reply frames ahead of the socket; flushed is the clock
+	// reading when the in-flight command started or out last reached the
+	// socket, whichever is later (handler goroutine only).
+	out     *bufio.Writer
+	flushed time.Duration
 
 	// gen is the generation of the in-flight command, 0 when idle.
 	// A Cancel frame targets the generation in flight when it is
@@ -318,6 +360,18 @@ type session struct {
 	cmds int // session total of commands (handler goroutine only)
 }
 
+func newSession(srv *Server, conn net.Conn, version uint32) *session {
+	s := &session{
+		srv:       srv,
+		conn:      conn,
+		version:   version,
+		inbox:     make(chan string, 1),
+		readerErr: make(chan error, 1),
+	}
+	s.out = bufio.NewWriterSize(sockWriter{s}, flushBufSize)
+	return s
+}
+
 // aborted reports the sessionErr the in-flight command (generation gen)
 // must unwind with, or nil. Called from lineWriter on every write, so
 // it is lock-free: two atomic loads and a flag.
@@ -334,12 +388,54 @@ func (s *session) aborted(gen int64) *sessionErr {
 	return nil
 }
 
-// armWrite applies the server's write deadline ahead of a frame write,
-// so a client that stops reading cannot park the handler forever.
-func (s *session) armWrite() {
+// sockWriter is the only way reply bytes reach a session's socket: it
+// arms the server's write deadline ahead of every socket write — once
+// per burst, never per row — so a client that stops reading cannot park
+// the handler forever.
+type sockWriter struct{ s *session }
+
+func (w sockWriter) Write(p []byte) (int, error) {
+	s := w.s
 	if d := s.srv.Limits.WriteTimeout; d > 0 {
 		s.conn.SetWriteDeadline(time.Now().Add(d))
 	}
+	n, err := s.conn.Write(p)
+	s.flushed = s.srv.clock()
+	return n, err
+}
+
+// frame adds one frame to the output buffer, in place when it fits
+// (bufio's AvailableBuffer idiom: no header allocation, no second
+// copy). A full buffer spills to the socket as it goes.
+func (s *session) frame(t FrameType, payload []byte) error {
+	if len(payload) > MaxFrame {
+		return frameTooBig(t, len(payload))
+	}
+	_, err := s.out.Write(appendFrame(s.out.AvailableBuffer(), t, payload))
+	return err
+}
+
+// reply ends a reply: the closing frame joins the rows still buffered
+// and the burst goes out in one socket write. A failure is counted and
+// logged; the session is over.
+func (s *session) reply(t FrameType, payload []byte) bool {
+	err := s.frame(t, payload)
+	if err == nil {
+		err = s.out.Flush()
+	}
+	if err != nil {
+		s.writeFailed(err)
+	}
+	return err == nil
+}
+
+// writeFailed accounts for a reply the socket refused: the client is
+// gone, or stopped reading for longer than the write deadline.
+func (s *session) writeFailed(err error) {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		s.srv.stats.timeouts.Add(1)
+	}
+	s.srv.logf("wire: %s: write: %v", s.conn.RemoteAddr(), err)
 }
 
 // readLoop drains frames off the connection for the session's
@@ -477,14 +573,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	conn.SetDeadline(time.Time{})
 	s.logf("wire: %s: session open (v%d)", conn.RemoteAddr(), v)
 
-	sess := &session{
-		srv:       s,
-		conn:      conn,
-		bw:        bw,
-		version:   v,
-		inbox:     make(chan string, 1),
-		readerErr: make(chan error, 1),
-	}
+	sess := newSession(s, conn, v)
 	// One Env per connection: the session state the set command adjusts
 	// (width, weights) and the expander's template reuse are confined to
 	// this client.
@@ -559,6 +648,7 @@ func (s *Server) runCommand(sess *session, env *cql.Env, lw *lineWriter, cmd str
 	execErr := env.Exec(cmd)
 	sess.gen.Store(0)
 	werr := lw.finish()
+	s.stats.rows.Add(int64(lw.rows))
 	if werr != nil {
 		var se *sessionErr
 		if errors.As(werr, &se) {
@@ -571,45 +661,29 @@ func (s *Server) runCommand(sess *session, env *cql.Env, lw *lineWriter, cmd str
 		}
 		// The client is gone (or stopped reading past the write
 		// deadline) mid-stream; nothing left to tell it.
-		if errors.Is(werr, os.ErrDeadlineExceeded) {
-			s.stats.timeouts.Add(1)
-		}
-		s.logf("wire: %s: write: %v", sess.conn.RemoteAddr(), werr)
+		sess.writeFailed(werr)
 		return false
 	}
 	if execErr != nil {
 		s.stats.errors.Add(1)
 		return s.replyErr(sess, CodeGeneric, execErr.Error())
 	}
-	sess.armWrite()
-	if err := WriteFrame(sess.bw, FrameDone, u32(uint32(lw.rows))); err != nil {
-		return false
-	}
-	if err := sess.bw.Flush(); err != nil {
-		s.logf("wire: %s: write: %v", sess.conn.RemoteAddr(), err)
-		return false
-	}
-	return true
+	return sess.reply(FrameDone, u32(uint32(lw.rows)))
 }
 
-// replyErr writes one Error frame in the session's dialect (coded for
-// v2, plain text for v1), reporting whether the write succeeded.
+// replyErr ends a reply with one Error frame in the session's dialect
+// (coded for v2, plain text for v1), reporting whether it was written.
 func (s *Server) replyErr(sess *session, code ErrCode, msg string) bool {
-	var payload []byte
 	if sess.version >= 2 {
-		payload = codedError(code, msg)
-	} else {
-		payload = []byte(msg)
+		return sess.reply(FrameError, codedError(code, msg))
 	}
-	sess.armWrite()
-	if err := WriteFrame(sess.bw, FrameError, payload); err != nil {
-		return false
-	}
-	return sess.bw.Flush() == nil
+	return sess.reply(FrameError, []byte(msg))
 }
 
 // serverInfo renders the operator view behind the CQL "show server"
-// verb: protocol versions, live counters, auth state, and limits.
+// verb: protocol versions, live counters, auth state, and limits. The
+// "rows:" figure is Stats.Rows: exact at command boundaries, without
+// the rows of commands still streaming (this one included).
 func (s *Server) serverInfo(w io.Writer) error {
 	st := s.Stats()
 	fmt.Fprintf(w, "protocol:     v%d (accepts v%d..v%d)\n", Version, MinVersion, Version)
@@ -662,26 +736,30 @@ func limitD(d time.Duration) string {
 	return d.String()
 }
 
-// lineWriter adapts a frame stream to the io.Writer a cql.Env prints
-// to: every completed output line becomes one Row frame, written (and
-// flushed) as it is produced, so rows reach a streaming client while
-// the command is still running. It is also where server-side aborts
-// land: a socket write error, a Cancel frame, a row quota, or a
-// shutdown surfaces here as the write error that stops a streamed find
-// immediately (the engine's sink-error path).
+// lineWriter adapts a session's frame stream to the io.Writer a cql.Env
+// prints to: every completed output line becomes one Row frame in the
+// session's output buffer, which reaches the socket by the rules above
+// flushBufSize — so rows reach a streaming client while the command is
+// still running, in bursts. It is also where server-side aborts land: a
+// socket write error, a Cancel frame, a row quota, or a shutdown
+// surfaces here as the write error that stops a streamed find
+// immediately (the engine's sink-error path). Those checks run on every
+// row, buffered or not.
 type lineWriter struct {
 	sess *session
-	buf  bytes.Buffer
+	part []byte // an unterminated line's bytes so far
 	rows int
 	gen  int64
 	err  error
 }
 
+// reset starts a command's reply: the flush interval runs from here.
 func (lw *lineWriter) reset(gen int64) {
-	lw.buf.Reset()
+	lw.part = lw.part[:0]
 	lw.rows = 0
 	lw.gen = gen
 	lw.err = nil
+	lw.sess.flushed = lw.sess.srv.clock()
 }
 
 func (lw *lineWriter) Write(p []byte) (int, error) {
@@ -696,50 +774,56 @@ func (lw *lineWriter) Write(p []byte) (int, error) {
 	for {
 		i := bytes.IndexByte(p, '\n')
 		if i < 0 {
-			lw.buf.Write(p)
+			lw.part = append(lw.part, p...)
 			return n, nil
 		}
-		lw.buf.Write(p[:i])
-		if err := lw.emit(); err != nil {
+		// A line that arrives whole — the engine's renderers write one
+		// line per call — is framed from p, with no copy on the way.
+		line := p[:i]
+		if len(lw.part) > 0 {
+			lw.part = append(lw.part, line...)
+			line = lw.part
+		}
+		err := lw.emit(line)
+		lw.part = lw.part[:0]
+		if err != nil {
 			return 0, err
 		}
 		p = p[i+1:]
 	}
 }
 
-// emit sends the buffered line as one Row frame and flushes it out,
-// enforcing the session row quota first.
-func (lw *lineWriter) emit() error {
-	srv := lw.sess.srv
-	if max := srv.Limits.MaxSessionRows; max > 0 && lw.sess.rows >= max {
+// emit frames line as one Row into the session's output buffer,
+// enforcing the session row quota first, and flushes the buffer when
+// the last socket write is more than flushInterval old.
+func (lw *lineWriter) emit(line []byte) error {
+	sess := lw.sess
+	srv := sess.srv
+	if max := srv.Limits.MaxSessionRows; max > 0 && sess.rows >= max {
 		srv.stats.quotaHits.Add(1)
 		lw.err = &sessionErr{code: CodeQuota,
 			msg:   fmt.Sprintf("session row quota (%d) exhausted", max),
 			fatal: true}
-		lw.buf.Reset()
 		return lw.err
 	}
-	lw.sess.armWrite()
-	if err := WriteFrame(lw.sess.bw, FrameRow, lw.buf.Bytes()); err == nil {
-		lw.err = lw.sess.bw.Flush()
-	} else {
-		lw.err = err
+	if lw.err = sess.frame(FrameRow, line); lw.err != nil {
+		return lw.err
 	}
-	lw.buf.Reset()
-	if lw.err == nil {
-		lw.rows++
-		lw.sess.rows++
-		srv.stats.rows.Add(1)
+	lw.rows++
+	sess.rows++
+	if srv.clock()-sess.flushed > flushInterval {
+		lw.err = sess.out.Flush()
 	}
 	return lw.err
 }
 
-// finish flushes a trailing unterminated line (defensive — CQL output
+// finish frames a trailing unterminated line (defensive — CQL output
 // is newline-terminated) and reports any write error seen during the
 // command.
 func (lw *lineWriter) finish() error {
-	if lw.err == nil && lw.buf.Len() > 0 {
-		lw.emit()
+	if lw.err == nil && len(lw.part) > 0 {
+		lw.emit(lw.part)
+		lw.part = lw.part[:0]
 	}
 	return lw.err
 }

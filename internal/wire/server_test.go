@@ -3,8 +3,10 @@ package wire
 // Server liveness tests: a slow or vanished client must never block
 // other sessions or corrupt the store. They run over net.Pipe — a
 // synchronous, unbuffered transport — so "client stops reading" means
-// the server's very next flush blocks, deterministically, without
-// having to outgrow kernel socket buffers.
+// the server's very next socket write blocks, deterministically,
+// without having to outgrow kernel socket buffers. Replies are sized
+// (addImplsSpanning) to overflow the session output buffer several
+// times, so that write happens mid-stream.
 
 import (
 	"fmt"
@@ -77,7 +79,9 @@ func startPipeServer(t *testing.T, db *icdb.DB) *pipeListener {
 
 // stallingClient opens a session and issues cmd, reads the first Row
 // frame, then stops reading — on the synchronous pipe the server is now
-// blocked in a Row flush until the client reads again or disconnects.
+// blocked in the socket write that row arrived in (the first full
+// buffer of a spanning reply, or a small reply's only write) until the
+// client reads again or disconnects.
 func stallingClient(t *testing.T, ln *pipeListener, cmd string) net.Conn {
 	t.Helper()
 	conn := ln.dial(t)
@@ -97,7 +101,7 @@ func stallingClient(t *testing.T, ln *pipeListener, cmd string) net.Conn {
 // complete a write (generate) and a find of its own.
 func TestSlowClientDoesNotBlockOtherSessions(t *testing.T) {
 	db := openDB(t)
-	addImpls(t, db, 200)
+	addImplsSpanning(t, db)
 	ln := startPipeServer(t, db)
 
 	stalled := stallingClient(t, ln, "find component executing STORAGE")
@@ -139,7 +143,7 @@ func TestSlowClientDoesNotBlockOtherSessions(t *testing.T) {
 // store still answers queries with the same catalog as before.
 func TestMidStreamDisconnectLeavesStoreConsistent(t *testing.T) {
 	db := openDB(t)
-	addImpls(t, db, 200)
+	addImplsSpanning(t, db)
 	ln := startPipeServer(t, db)
 
 	probe, err := NewClient(ln.dial(t))

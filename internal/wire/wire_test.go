@@ -45,6 +45,30 @@ func addImpls(t *testing.T, db *icdb.DB, n int) {
 	}
 }
 
+// minFindRow is a lower bound on the framed size of one row of an
+// unbounded find over addImpls' catalog: the 5-byte frame header plus
+// "N. " (3), the name padded to 12, a space, the component type padded
+// to 18, " width 1..64" (12), " area N" (7), " delay N" (8) and
+// " cost N" (7).
+const minFindRow = 5 + 3 + 12 + 1 + 18 + 12 + 7 + 8 + 7
+
+// spanRows is how many rows of at least minRow framed bytes it takes
+// for a reply to overflow the session output buffer `buffers` times.
+func spanRows(buffers, minRow int) int { return buffers*flushBufSize/minRow + 1 }
+
+// addImplsSpanning bulks the catalog so that the reply to
+// "find component executing STORAGE" provably spans four output
+// buffers: on the synchronous net.Pipe transport a client that reads
+// one row and stops therefore holds the find mid-stream, blocked in its
+// first socket write with most of the rows still unproduced. It returns
+// the number of implementations added.
+func addImplsSpanning(t *testing.T, db *icdb.DB) int {
+	t.Helper()
+	n := spanRows(4, minFindRow)
+	addImpls(t, db, n)
+	return n
+}
+
 // startServer serves db on a loopback TCP listener, closing everything
 // at test end.
 func startServer(t *testing.T, db *icdb.DB) (*Server, string) {
