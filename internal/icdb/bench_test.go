@@ -260,3 +260,101 @@ func BenchmarkLoad(b *testing.B) {
 		})
 	}
 }
+
+// explBenchDB records an n-point exploration cloud (two axes spread by
+// fixed mixers, so the frontier is a curve rather than one corner) into
+// a fresh database and warms the frontier cache's whole-relation,
+// component and generator scopes. The closing write takes the one-off
+// copy-on-write clone of the relation that the warming scans provoke,
+// so the timed loops measure the steady state.
+func explBenchDB(b *testing.B, n int) *icdb.DB {
+	b.Helper()
+	db, err := icdb.Open(relstore.New())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := db.RecordExploration(explBenchPoint(i, 0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, q := range []icdb.ParetoQuery{{}, {Component: genus.CompCounter}, {Generator: "gen_cloud"}} {
+		if _, err := db.ParetoFrontier(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.RecordExploration(explBenchPoint(n, 0)); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// explBenchPoint is point i of the cloud at re-record round r: a new
+// round moves the point in sweep order.
+func explBenchPoint(i, r int) icdb.Exploration {
+	return icdb.Exploration{
+		Generator: "gen_cloud",
+		Bindings:  fmt.Sprintf("p=%d", i),
+		Component: genus.CompCounter,
+		Width:     1 + (i*5)%128,
+		Area:      float64(1 + (i*13+r*31+4567)%9973),
+		Delay:     float64(1 + (i*7+r*17+389)%997),
+	}
+}
+
+// BenchmarkParetoAfterWrite is the record-then-ask loop: every
+// iteration writes one design point and then asks for the first ten
+// frontier points, the query a write used to turn into a full rebuild.
+// "move" re-records a known point with new values (the old value leaves
+// its place, so the query folds the scope); "add" records a point never
+// seen before, which the frontier-only query absorbs without folding.
+func BenchmarkParetoAfterWrite(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		for _, mode := range []string{"move", "add"} {
+			paretoAfterWrite(b, n, mode)
+		}
+	}
+}
+
+func paretoAfterWrite(b *testing.B, n int, mode string) {
+	b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
+		db := explBenchDB(b, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pt := explBenchPoint(i%n, 1+i/n)
+			if mode == "add" {
+				pt = explBenchPoint(n+1+i, 0)
+			}
+			if err := db.RecordExploration(pt); err != nil {
+				b.Fatal(err)
+			}
+			rows := 0
+			err := db.Pareto(icdb.ParetoQuery{}, func(icdb.ParetoPoint) bool {
+				rows++
+				return rows < 10
+			})
+			if err != nil || rows == 0 {
+				b.Fatal(err, rows)
+			}
+		}
+	})
+}
+
+// BenchmarkRecordExplorationWarmCache is the write alone, against three
+// warm scopes nobody queries meanwhile: the store upsert plus one queued
+// delta per scope, and a fold every explFoldAt writes.
+func BenchmarkRecordExplorationWarmCache(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db := explBenchDB(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := db.RecordExploration(explBenchPoint(i%n, 1+i/n)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

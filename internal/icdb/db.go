@@ -222,13 +222,21 @@ type DB struct {
 	wa, wd float64
 	wOK    bool
 
-	// pmu guards the frontier engine's design-point cache: decoded,
-	// sweep-ordered exploration sets per query scope, stamped with the
-	// store generation they were read at so any effective mutation —
-	// through the DB or directly through Store() — invalidates them
-	// without an explicit hook (see scopedExplorations in pareto.go).
-	pmu  sync.Mutex
-	expl *explCache
+	// pmu guards the frontier engine's design-point cache and its
+	// counters: decoded, sweep-ordered exploration sets per query scope,
+	// stamped with the explorations relation's own generation. Frontier
+	// queries rebuild a scope whose stamp has fallen behind;
+	// RecordExploration advances the stamp together with its own delta;
+	// nobody else writes it, so a mutation made any other way — directly
+	// through Store() included — invalidates the cache without a hook
+	// (the contract is spelled out at explCache in pareto.go). Queries
+	// hold pmu only for pointer swaps, folds and frontier merges, never
+	// across a store call or a visitor; RecordExploration holds it across
+	// its one upsert, so that upsert and delta are one step to everybody
+	// else.
+	pmu      sync.Mutex
+	expl     *explCache
+	explInfo ParetoCacheInfo
 
 	// rmu serializes RegisterImpl's store write with its cache update.
 	rmu sync.Mutex
@@ -460,15 +468,19 @@ func (db *DB) Store() *relstore.Store { return db.store }
 
 // InvalidateCaches drops every piece of derived read-path state (the
 // decoded-implementation cache, the function and component inverted
-// indexes, and the cached ranking weights). It is rebuilt lazily on the
-// next query. Only needed after mutating the store directly; RegisterImpl
-// and SetToolParam keep the caches current themselves.
+// indexes, the cached ranking weights, and the frontier engine's
+// design-point scopes). It is rebuilt lazily on the next query. Only
+// needed after mutating the store directly; RegisterImpl, SetToolParam
+// and RecordExploration keep the caches current themselves.
 func (db *DB) InvalidateCaches() {
 	db.cmu.Lock()
-	defer db.cmu.Unlock()
 	db.der = nil
 	db.est = nil
 	db.wOK = false
+	db.cmu.Unlock()
+	db.pmu.Lock()
+	db.expl = nil
+	db.pmu.Unlock()
 }
 
 // ensureIndexes builds the decoded-implementation cache and the inverted

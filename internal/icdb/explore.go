@@ -64,7 +64,9 @@ func rowExpl(r relstore.Row) Exploration {
 // EstimateImpl, and Explore record their results through it; tools
 // importing externally evaluated design spaces may call it directly.
 // Recording an already-known point with identical values is a no-op
-// (nothing journaled, Store.Generation unchanged).
+// (nothing journaled, no generation moved). An effective record is
+// handed on to the frontier cache as a delta (noteExploration), so the
+// next frontier query does not rebuild its scope.
 func (db *DB) RecordExploration(e Exploration) error {
 	if e.Generator == "" {
 		return fmt.Errorf("icdb: exploration has no generator")
@@ -80,7 +82,18 @@ func (db *DB) RecordExploration(e Exploration) error {
 		return fmt.Errorf("icdb: exploration %s[%s]: unknown component type %q", e.Generator, e.Bindings, e.Component)
 	}
 	e.Component = ct
-	return db.store.Upsert(TableExplorations, explRow(e))
+	// pmu from before the upsert until its delta is noted: the deltas
+	// of concurrent calls reach the cache in the order the store applied
+	// them, and a frontier query that has seen this upsert's generation
+	// finds the stamp already there instead of racing the note to it.
+	db.pmu.Lock()
+	defer db.pmu.Unlock()
+	res, err := db.store.UpsertStamped(TableExplorations, explRow(e))
+	if err != nil || res.Before == res.After {
+		return err
+	}
+	db.noteExploration(res, e)
+	return nil
 }
 
 // Explorations returns every recorded design point, sorted by generator
@@ -112,26 +125,6 @@ func sortExplorations(out []Exploration) {
 			return out[i].Width < out[j].Width
 		}
 		return out[i].Bindings < out[j].Bindings
-	})
-}
-
-// explorationsScan streams the explorations relation to visit, filtered
-// to one component type or one generator when requested — both served
-// from the relation's secondary indexes, not a full scan.
-func (db *DB) explorationsScan(ct genus.ComponentType, gen string, visit func(Exploration) bool) error {
-	var pred relstore.Pred
-	switch {
-	case ct != "":
-		nct, ok := genus.NormalizeComponentType(string(ct))
-		if !ok {
-			return fmt.Errorf("icdb: unknown component type %q", ct)
-		}
-		pred = relstore.Eq("component", string(nct))
-	case gen != "":
-		pred = relstore.Eq("generator", gen)
-	}
-	return db.store.Scan(TableExplorations, pred, func(r relstore.Row) bool {
-		return visit(rowExpl(r))
 	})
 }
 

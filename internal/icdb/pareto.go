@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"icdb/internal/genus"
+	"icdb/internal/relstore"
 )
 
 // ParetoPoint is one design point as the frontier engine reports it.
@@ -76,34 +78,67 @@ type ParetoQuery struct {
 // returning false stops the delivery. With q.Dominated, dominated
 // points stream too, interleaved in the same global order and flagged
 // with an explanation. Dominance needs the whole surviving point set,
-// so the points are materialized and sorted before the first visit; the
-// relation scan underneath runs over a pinned snapshot and holds no
-// lock while visit runs.
+// so the stream runs over one immutable view of the query's scope
+// (scopeView) and holds no lock while visit runs; a query without
+// constraints also reuses the view's cached sweep, and one that wants
+// neither constraints nor dominated points streams the scope's
+// maintained frontier.
 func (db *DB) Pareto(q ParetoQuery, visit func(ParetoPoint) bool) error {
-	pts, err := db.paretoPoints(q)
-	if err != nil {
+	if _, err := evalWidth(q.Constraints); err != nil {
+		// An invalid AtWidth point is a query error, same as on the find
+		// path — not an empty answer.
 		return err
 	}
 	wa, wd := db.queryWeights(q.Constraints)
-	frontier, domBy := paretoFrontier(pts)
+	frontOnly := !q.Dominated && len(q.Constraints) == 0
+	view, frontier, err := db.scopeView(q, frontOnly)
+	if err != nil {
+		return err
+	}
+	if frontOnly {
+		for _, pt := range frontier {
+			if !visit(ParetoPoint{Exploration: *pt, Cost: pt.Area*wa + pt.Delay*wd}) {
+				return nil
+			}
+		}
+		return nil
+	}
+	pts := view.pts
+	var front, domBy []int32
+	if len(q.Constraints) == 0 {
+		front, domBy = view.sweep()
+	} else {
+		// Filtering the sorted scope preserves its order; dominance is
+		// then decided among the survivors alone.
+		if pts, err = paretoFilter(pts, q.Constraints); err != nil {
+			return err
+		}
+		front, domBy = paretoSweep(pts)
+	}
+	n := len(front)
+	if q.Dominated {
+		n = len(pts)
+	}
 	// Distinct dominators number at most the frontier size, far below
 	// the dominated count; memoizing their rendered IDs keeps the
 	// stream at O(frontier) string allocations instead of O(points).
-	var domIDs map[int]string
-	for i, pt := range pts {
-		p := ParetoPoint{Exploration: pt, Cost: pt.Area*wa + pt.Delay*wd}
-		if !frontier[i] {
-			if !q.Dominated {
-				continue
-			}
-			dom := &pts[domBy[i]]
+	var domIDs map[int32]string
+	for k := 0; k < n; k++ {
+		i := k
+		if !q.Dominated {
+			i = int(front[k])
+		}
+		pt := pts[i]
+		p := ParetoPoint{Exploration: *pt, Cost: pt.Area*wa + pt.Delay*wd}
+		if by := domBy[i]; by >= 0 {
+			dom := pts[by]
 			if domIDs == nil {
-				domIDs = make(map[int]string, 8)
+				domIDs = make(map[int32]string, 8)
 			}
-			id, ok := domIDs[domBy[i]]
+			id, ok := domIDs[by]
 			if !ok {
 				id = dom.PointID()
-				domIDs[domBy[i]] = id
+				domIDs[by] = id
 			}
 			p.Dominated = true
 			p.DominatedBy = id
@@ -131,100 +166,384 @@ func (db *DB) ParetoFrontier(q ParetoQuery) ([]ParetoPoint, error) {
 	return out, nil
 }
 
-// explCache holds the frontier engine's decoded design-point sets, one
-// pointLess-sorted slice per query scope ("" for the whole relation,
-// "ct:X" / "gen:X" for the indexed subsets), all read at generation
-// gen. Row decode plus the sweep sort dominate a cold frontier query;
-// caching the sorted slice makes a repeated query — the interactive
-// explore-then-ask loop — a filter over already-ordered points. The
-// cached slices are shared and treated as immutable.
+// The frontier cache.
+//
+// Row decode plus the sweep sort dominate a cold frontier query, so the
+// engine keeps each query scope it has served — the whole relation, one
+// component type's points, one generator's — decoded and pointLess-
+// sorted, and keeps those scopes current across the database's own
+// writes instead of rebuilding them. The contract:
+//
+//   - explCache.gen is the explorations relation's generation
+//     (relstore.Store.TableGeneration) at which every cached scope
+//     equals the relation's contents. Writes to other relations never
+//     move that generation, so they never touch the cache.
+//   - Exactly two parties may set the stamp. A rebuild installs a scope
+//     it scanned together with the generation read off the very snapshot
+//     it scanned (ScanStamped). RecordExploration — the single funnel
+//     for Generate, EstimateImpl and Explore — advances the stamp from
+//     its upsert's Before to its After, and only when the stamp equals
+//     Before: no other mutation lies between the two, so appending the
+//     upsert's own delta to every cached scope the point belongs to
+//     keeps the invariant. It holds pmu from before the upsert until the
+//     delta is in: concurrent calls cannot reach the cache out of
+//     order, and no query can see the new generation with the old stamp.
+//   - Every other write — a direct Store() mutation, a delete, an
+//     update, a deferred journal replay at hydration — leaves the stamp
+//     behind the relation's generation. A query serves a scope only
+//     while the stamp has caught up with the generation it reads first;
+//     otherwise it rebuilds. The cache can therefore be stale
+//     (unusable), never wrong.
+//   - Readers need no lock while streaming: a scope's folded state is an
+//     immutable explView. A delta is appended to the scope's pending
+//     lists (O(1) per write) and folded copy-on-write into a fresh view
+//     by the next query that needs every point of that scope (dominated
+//     points, or constraints), so a stream in flight keeps exactly the
+//     slice it started on.
+//   - A query for the frontier of a whole scope and nothing else — what a
+//     tool asks between two writes — does not even fold: while only adds
+//     are pending, the scope's frontier is the frontier of its last
+//     answer and the adds since (explScope.frontier), a sweep over tens
+//     of points that leaves no scope-sized garbage behind. A pending
+//     delete sends it down the fold path first.
+//
+// Everything below hangs off DB.pmu.
 type explCache struct {
-	gen uint64
-	pts map[string][]Exploration
+	gen    uint64
+	scopes map[scopeKey]*explScope
 }
 
-// scopedExplorations returns the query's scope — the whole relation,
-// one component type's points, or one generator's — decoded and sorted
-// in sweep order, served from the cache while the store generation is
-// unchanged. A cold filtered scope is still built from the relation's
-// secondary index, not a full scan.
-func (db *DB) scopedExplorations(q ParetoQuery) ([]Exploration, error) {
-	var key string
+// scopeKey names one query scope; the zero value is the whole relation.
+// A ParetoQuery sets at most one of the two fields (Component wins).
+type scopeKey struct {
+	ct  genus.ComponentType
+	gen string
+}
+
+// explScope is one cached scope: its last folded view plus the deltas
+// recorded since. adds holds the points that entered the scope, in
+// commit order; dels the old values of the points that left it (a
+// re-record contributes one of each, unless it moved the point between
+// component scopes).
+type explScope struct {
+	view       *explView
+	adds, dels []*Exploration
+	// front is the frontier of view plus adds[:frontAdds], nil until a
+	// query asks for it (frontier). Like a view it is immutable once
+	// handed out: absorbing further adds builds a fresh slice.
+	front     []*Exploration
+	frontAdds int
+}
+
+// explFoldAt bounds a scope's pending deltas: the write that reaches it
+// folds them, so a scope nobody queries again costs O(points/explFoldAt)
+// per write instead of growing without limit.
+const explFoldAt = 1024
+
+// explView is one immutable state of a scope: the points in sweep
+// order, plus the sweep over all of them, computed once by the first
+// unconstrained query that needs it and shared from then on.
+type explView struct {
+	pts       []*Exploration
+	sweepOnce sync.Once
+	front     []int32
+	domBy     []int32
+}
+
+func (v *explView) sweep() (front, domBy []int32) {
+	v.sweepOnce.Do(func() { v.front, v.domBy = paretoSweep(v.pts) })
+	return v.front, v.domBy
+}
+
+// frontier returns the view's non-dominated points, in sweep order.
+func (v *explView) frontier() []*Exploration {
+	front, _ := v.sweep()
+	return pick(v.pts, front)
+}
+
+func pick(pts []*Exploration, idx []int32) []*Exploration {
+	out := make([]*Exploration, len(idx))
+	for k, i := range idx {
+		out[k] = pts[i]
+	}
+	return out
+}
+
+// ParetoCacheInfo counts what the frontier cache did for the queries
+// and writes it saw: the figures behind "show server"'s frontier cache
+// line.
+type ParetoCacheInfo struct {
+	// Hits counts frontier queries served from a cached scope.
+	Hits uint64
+	// Deltas counts RecordExploration writes applied to the cache in
+	// place of a rebuild.
+	Deltas uint64
+	// Rebuilds counts scope builds from a relation scan, by cause: the
+	// scope had not been queried since the cache was last (re)started, or
+	// a write that bypassed RecordExploration moved the relation on.
+	RebuildsCold, RebuildsForeign uint64
+	// Scopes is the number of scopes cached right now.
+	Scopes int
+}
+
+// ParetoCacheInfo snapshots the frontier cache counters.
+func (db *DB) ParetoCacheInfo() ParetoCacheInfo {
+	db.pmu.Lock()
+	defer db.pmu.Unlock()
+	info := db.explInfo
+	if db.expl != nil {
+		info.Scopes = len(db.expl.scopes)
+	}
+	return info
+}
+
+// scopeView returns the current state of q's scope: from the cache while
+// its stamp has caught up with the relation's generation, rebuilt from
+// the relation (through the matching secondary index, for a filtered
+// scope) otherwise. A caller that streams the frontier of the whole
+// scope and nothing else says so with frontOnly and gets the frontier in
+// place of the view: the cache answers that without folding (see
+// explScope.frontier).
+func (db *DB) scopeView(q ParetoQuery, frontOnly bool) (*explView, []*Exploration, error) {
+	var key scopeKey
+	var pred relstore.Pred
 	switch {
 	case q.Component != "":
 		nct, ok := genus.NormalizeComponentType(string(q.Component))
 		if !ok {
-			return nil, fmt.Errorf("icdb: unknown component type %q", q.Component)
+			return nil, nil, fmt.Errorf("icdb: unknown component type %q", q.Component)
 		}
-		q.Component = nct
-		key = "ct:" + string(nct)
+		key.ct = nct
+		pred = relstore.Eq("component", string(nct))
 	case q.Generator != "":
-		key = "gen:" + q.Generator
+		key.gen = q.Generator
+		pred = relstore.Eq("generator", q.Generator)
 	}
-	// The generation is read BEFORE the scan: a write landing mid-scan
-	// may leak into the slice we build, but it also bumps the live
-	// generation past gen, so the mislabeled entry is rebuilt on the
-	// next query instead of being served.
-	gen := db.store.Generation()
+	// Read the generation first: a stamp at or past it proves the cache
+	// holds a state the relation reached no earlier than this query began.
+	gen, err := db.store.TableGeneration(TableExplorations)
+	if err != nil {
+		return nil, nil, err
+	}
 	db.pmu.Lock()
-	if db.expl != nil && db.expl.gen == gen {
-		if pts, ok := db.expl.pts[key]; ok {
-			db.pmu.Unlock()
-			return pts, nil
+	why := &db.explInfo.RebuildsCold
+	switch c := db.expl; {
+	case c == nil:
+	case c.gen < gen:
+		why = &db.explInfo.RebuildsForeign
+	default:
+		if sc := c.scopes[key]; sc != nil {
+			// A point that left the scope may uncover points it used to
+			// dominate: only a folded view can tell.
+			if (frontOnly && len(sc.dels) == 0) || sc.fold() {
+				db.explInfo.Hits++
+				var front []*Exploration
+				if frontOnly {
+					front = sc.frontier()
+				}
+				v := sc.view
+				db.pmu.Unlock()
+				return v, front, nil
+			}
+			// The deltas did not line up with the view (only unordered
+			// values — NaN axes — can do that): rebuild the scope.
+			delete(c.scopes, key)
 		}
 	}
+	*why++
 	db.pmu.Unlock()
 
-	var pts []Exploration
-	err := db.explorationsScan(q.Component, q.Generator, func(e Exploration) bool {
-		pts = append(pts, e)
+	// One contiguous backing array, sorted, then addressed: a cold view
+	// walks memory in sweep order.
+	var vals []Exploration
+	gen, err = db.store.ScanStamped(TableExplorations, pred, func(r relstore.Row) bool {
+		vals = append(vals, rowExpl(r))
 		return true
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	sort.Slice(pts, func(i, j int) bool { return pointLess(&pts[i], &pts[j]) })
+	sort.Slice(vals, func(i, j int) bool { return pointLess(&vals[i], &vals[j]) })
+	v := &explView{pts: make([]*Exploration, len(vals))}
+	for i := range vals {
+		v.pts[i] = &vals[i]
+	}
+	sc := &explScope{view: v}
+	var front []*Exploration
+	if frontOnly {
+		front = sc.frontier()
+	}
 
 	db.pmu.Lock()
-	switch {
-	case db.expl == nil || gen > db.expl.gen:
-		db.expl = &explCache{gen: gen, pts: map[string][]Exploration{key: pts}}
-	case gen == db.expl.gen:
-		db.expl.pts[key] = pts
-		// gen < db.expl.gen: a concurrent rebuild saw a newer store; keep it.
+	switch c := db.expl; {
+	case c == nil || c.gen < gen:
+		// Scopes stamped earlier are unusable from here on; start over.
+		db.expl = &explCache{gen: gen, scopes: map[scopeKey]*explScope{key: sc}}
+	case c.gen == gen:
+		c.scopes[key] = sc
+		// c.gen > gen: the cache moved past this scan; serve it uncached.
 	}
 	db.pmu.Unlock()
-	return pts, nil
+	return v, front, nil
 }
 
-// paretoPoints collects the query's surviving design points, sorted into
-// the sweep order dominance is decided in: area ascending, then delay,
-// then point identity — a total order, so query answers are
-// deterministic regardless of relation iteration order. Filtering the
-// cached scope preserves its sort, so only a cold scope ever pays one.
-func (db *DB) paretoPoints(q ParetoQuery) ([]Exploration, error) {
-	if _, err := evalWidth(q.Constraints); err != nil {
-		// An invalid AtWidth point is a query error, same as on the find
-		// path — not an empty answer.
-		return nil, err
+// noteExploration applies one effective RecordExploration upsert to the
+// frontier cache, when the cache stands exactly where that upsert found
+// the relation. The caller has held pmu since before the upsert.
+func (db *DB) noteExploration(res relstore.UpsertResult, e Exploration) {
+	c := db.expl
+	if c == nil || c.gen != res.Before {
+		// Nothing cached, or some earlier write never reached the cache:
+		// applying ours on top would hide the gap.
+		return
 	}
-	all, err := db.scopedExplorations(q)
-	if err != nil {
-		return nil, err
+	add := &e
+	var del *Exploration
+	if res.Replaced != nil {
+		old := rowExpl(res.Replaced)
+		del = &old
 	}
-	if len(q.Constraints) == 0 {
-		// The cached slice is shared; callers (Pareto) only read it.
-		return all, nil
+	c.note(scopeKey{}, del, add)
+	c.note(scopeKey{gen: add.Generator}, del, add)
+	if del == nil || del.Component == add.Component {
+		c.note(scopeKey{ct: add.Component}, del, add)
+	} else {
+		c.note(scopeKey{ct: del.Component}, del, nil)
+		c.note(scopeKey{ct: add.Component}, nil, add)
 	}
-	var pts []Exploration
+	c.gen = res.After
+	db.explInfo.Deltas++
+}
+
+// note queues one delta on scope key, if that scope is cached: del (the
+// replaced point's old value) leaves the scope, add enters it; either
+// may be nil.
+func (c *explCache) note(key scopeKey, del, add *Exploration) {
+	sc := c.scopes[key]
+	if sc == nil {
+		return
+	}
+	if del != nil {
+		sc.dels = append(sc.dels, del)
+	}
+	if add != nil {
+		sc.adds = append(sc.adds, add)
+	}
+	if len(sc.adds)+len(sc.dels) >= explFoldAt && !sc.fold() {
+		delete(c.scopes, key)
+	}
+}
+
+// fold merges the pending deltas into a fresh view, leaving the old one
+// untouched for the readers still streaming it. It reports false when
+// a delta names a point the view does not hold; the scope is then
+// unusable.
+//
+// One pass in sweep order: each value the deltas name is located in the
+// old slice by binary search and the stretch before it block-copied, so
+// a handful of deltas cost a memmove of the scope, not a walk of it.
+// Equal values (one point re-recorded back to an earlier value inside
+// the batch) are matched oldest first — the view's entry, then the
+// batch's adds in commit order — which is the order the deltas removed
+// them in.
+func (sc *explScope) fold() bool {
+	adds, dels := sc.adds, sc.dels
+	if len(adds)+len(dels) == 0 {
+		return true
+	}
+	sort.SliceStable(adds, func(i, j int) bool { return pointLess(adds[i], adds[j]) })
+	sort.Slice(dels, func(i, j int) bool { return pointLess(dels[i], dels[j]) })
+	base := sc.view.pts
+	out := make([]*Exploration, 0, max(0, len(base)+len(adds)-len(dels)))
+	for len(adds) > 0 || len(dels) > 0 {
+		var v *Exploration
+		switch {
+		case len(dels) == 0 || (len(adds) > 0 && pointLess(adds[0], dels[0])):
+			v = adds[0]
+		default:
+			v = dels[0]
+		}
+		cut := sort.Search(len(base), func(i int) bool { return !pointLess(base[i], v) })
+		out = append(out, base[:cut]...)
+		base = base[cut:]
+		nBase, nAdd, nDel := 0, 0, 0
+		if len(base) > 0 && samePoint(base[0], v) {
+			nBase = 1 // one point per key: at most one entry can equal v
+		}
+		for nAdd < len(adds) && samePoint(adds[nAdd], v) {
+			nAdd++
+		}
+		for nDel < len(dels) && samePoint(dels[nDel], v) {
+			nDel++
+		}
+		if nAdd+nDel == 0 || nDel > nBase+nAdd {
+			return false
+		}
+		skip := nDel
+		if nBase == 1 {
+			if skip > 0 {
+				skip--
+			} else {
+				out = append(out, base[0])
+			}
+			base = base[1:]
+		}
+		out = append(out, adds[skip:nAdd]...)
+		adds, dels = adds[nAdd:], dels[nDel:]
+	}
+	sc.view = &explView{pts: append(out, base...)}
+	clear(sc.adds)
+	clear(sc.dels)
+	sc.adds, sc.dels = sc.adds[:0], sc.dels[:0]
+	sc.front, sc.frontAdds = nil, 0
+	return true
+}
+
+// frontier returns the frontier of the scope's current contents — its
+// view and every pending add — without folding; the caller has checked
+// that no delete is pending. A dominated point stays dominated when
+// points are added, so the frontier of a set and some additions is the
+// frontier of the set's frontier and the additions: the sweep runs over
+// those few points instead of the scope, and each query extends the
+// previous one's answer by the adds recorded since.
+func (sc *explScope) frontier() []*Exploration {
+	if sc.front == nil {
+		sc.front = sc.view.frontier()
+	}
+	if sc.frontAdds == len(sc.adds) {
+		return sc.front
+	}
+	// With no delete pending every add is a point the scope did not hold
+	// (one point per key), so the merge never meets two equal values.
+	fresh := append([]*Exploration(nil), sc.adds[sc.frontAdds:]...)
+	sort.Slice(fresh, func(i, j int) bool { return pointLess(fresh[i], fresh[j]) })
+	merged := make([]*Exploration, 0, len(sc.front)+len(fresh))
+	old := sc.front
+	for len(old) > 0 && len(fresh) > 0 {
+		if pointLess(fresh[0], old[0]) {
+			merged, fresh = append(merged, fresh[0]), fresh[1:]
+		} else {
+			merged, old = append(merged, old[0]), old[1:]
+		}
+	}
+	merged = append(append(merged, old...), fresh...)
+	front, _ := paretoSweep(merged)
+	sc.front, sc.frontAdds = pick(merged, front), len(sc.adds)
+	return sc.front
+}
+
+// paretoFilter returns the points of a sorted scope that survive the
+// query constraints, order preserved.
+func paretoFilter(all []*Exploration, cs []Constraint) ([]*Exploration, error) {
+	var pts []*Exploration
 	var attrs Attrs
-	for i := range all {
-		ok, err := paretoAccept(q.Constraints, &all[i], &attrs)
+	for _, e := range all {
+		ok, err := paretoAccept(cs, e, &attrs)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			pts = append(pts, all[i])
+			pts = append(pts, e)
 		}
 	}
 	return pts, nil
@@ -243,6 +562,12 @@ func pointLess(a, b *Exploration) bool {
 		return a.Generator < b.Generator
 	}
 	return a.Bindings < b.Bindings
+}
+
+// samePoint reports whether a and b sit at the same place in the
+// pointLess order: same identity, same axes.
+func samePoint(a, b *Exploration) bool {
+	return a.Area == b.Area && a.Delay == b.Delay && a.Generator == b.Generator && a.Bindings == b.Bindings
 }
 
 // paretoAccept runs the query constraints over one design point's
@@ -279,23 +604,22 @@ func paretoAccept(cs []Constraint, e *Exploration, attrs *Attrs) (bool, error) {
 	return true, nil
 }
 
-// paretoFrontier partitions sorted points into frontier and dominated in
-// one sweep. pts MUST be sorted by pointLess. frontier[i] reports
-// whether pts[i] is non-dominated; for dominated points, domBy[i] is the
-// index of the frontier point reported as the dominator — the one with
-// the largest area not exceeding pts[i]'s (its nearest frontier
-// neighbor area-wise), which by the sweep invariant holds the minimum
-// delay among all points at or below that area.
+// paretoSweep partitions sorted points into frontier and dominated in
+// one sweep. pts MUST be sorted by pointLess. front lists the indexes of
+// the non-dominated points, ascending; domBy[i] is -1 for those, and
+// for a dominated point the index of the frontier point reported as its
+// dominator — the one with the largest area not exceeding pts[i]'s (its
+// nearest frontier neighbor area-wise), which by the sweep invariant
+// holds the minimum delay among all points at or below that area.
 //
 // The sweep is O(n) after the sort: walking areas in ascending order,
 // a point is on the frontier exactly when its delay is strictly below
 // every smaller-area point's best delay and equal to its own area
 // group's minimum. Exact duplicates share a group minimum and are all
 // frontier — equality dominates nothing.
-func paretoFrontier(pts []Exploration) (frontier []bool, domBy []int) {
+func paretoSweep(pts []*Exploration) (front, domBy []int32) {
 	n := len(pts)
-	frontier = make([]bool, n)
-	domBy = make([]int, n)
+	domBy = make([]int32, n)
 	bestDelay := math.Inf(1)
 	bestIdx := -1
 	for g := 0; g < n; {
@@ -306,29 +630,29 @@ func paretoFrontier(pts []Exploration) (frontier []bool, domBy []int) {
 			end++
 		}
 		groupMin := pts[g].Delay
-		groupLeader := g
 		for i := g; i < end; i++ {
 			switch {
 			case groupMin < bestDelay && pts[i].Delay == groupMin:
 				// Strictly better than every smaller-area point and tied
 				// for best in its own area group: non-dominated.
-				frontier[i] = true
+				domBy[i] = -1
+				front = append(front, int32(i))
 			case groupMin < bestDelay:
 				// Beaten within its own area group: same area, strictly
 				// smaller delay.
-				domBy[i] = groupLeader
+				domBy[i] = int32(g)
 			default:
 				// Some smaller-area point is at least as fast: it
 				// dominates everything in this group.
-				domBy[i] = bestIdx
+				domBy[i] = int32(bestIdx)
 			}
 		}
 		if groupMin < bestDelay {
-			bestDelay, bestIdx = groupMin, groupLeader
+			bestDelay, bestIdx = groupMin, g
 		}
 		g = end
 	}
-	return frontier, domBy
+	return front, domBy
 }
 
 // bruteForceFrontier is the O(n²) dominance reference: a point is on the

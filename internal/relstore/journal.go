@@ -645,8 +645,16 @@ func (d *Durable) run(tick bool, interval time.Duration) {
 		case <-notify:
 			// Best-effort: a failed auto-compaction (disk full, say)
 			// leaves the journal growing but intact; the next threshold
-			// crossing retries, and mutations keep journaling.
-			d.Compact()
+			// crossing retries, and mutations keep journaling. Every
+			// append at or over the threshold signals, the ones made
+			// while a compaction runs included; that compaction folds the
+			// bytes they counted, so a signal found waiting after it is
+			// acted on only if the journal is still over the threshold —
+			// else each crossing would cost a second snapshot rewrite for
+			// a handful of records.
+			if _, _, size := d.w.position(); size >= d.w.compactAt {
+				d.Compact()
+			}
 		case <-tickC:
 			d.w.syncIfDirty()
 		}
@@ -962,7 +970,8 @@ func (s *Store) applyWALRecordLocked(payload []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		return s.upsertLocked(name, row)
+		_, err := s.upsertLocked(name, row)
+		return err
 	case walOpUpdate:
 		name := r.str()
 		n := int(r.u32())
@@ -1060,6 +1069,7 @@ func (s *Store) replayUpdateBatchLocked(name string, oldKeys []string, rows []Ro
 		wd.indexAdd(c.id, c.nr)
 	}
 	wd.keyIndex = newKeys
+	s.touch(wd)
 	return nil
 }
 
@@ -1097,5 +1107,6 @@ func (s *Store) replayDeleteBatchLocked(name string, keys []string) error {
 		}
 	}
 	wd.ids = live
+	s.touch(wd)
 	return nil
 }

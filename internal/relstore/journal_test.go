@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -484,6 +485,84 @@ func TestJournalCompactionThresholdAuto(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(filepath.Join(dir, "cat.snap")); err != nil {
 		t.Errorf("compacted snapshot unreadable: %v", err)
+	}
+}
+
+// gateFS is the OS filesystem with a gate on the first snapshot temp
+// file: Create blocks there until the test lets it through, which holds
+// a compaction between its encode and its write.
+type gateFS struct {
+	osFS
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateFS) Create(path string) (File, error) {
+	if strings.HasSuffix(path, "cat.snap.tmp") {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
+	return g.osFS.Create(path)
+}
+
+// TestJournalAutoCompactionOncePerCrossing: appends made while a
+// compaction runs still see a journal over the threshold and signal the
+// compactor again. Once that compaction has cut the journal back under
+// the threshold the stale signal must not buy a second snapshot rewrite
+// for the few records appended meanwhile.
+func TestJournalAutoCompactionOncePerCrossing(t *testing.T) {
+	dir := t.TempDir()
+	fs := &gateFS{entered: make(chan struct{}), release: make(chan struct{})}
+	d := openDurable(t, dir, DurableOptions{Fsync: FsyncOff, CompactAt: 2048, FS: fs})
+	defer d.Close()
+	if err := d.CreateTable(durableSchema()); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	insert := func() {
+		t.Helper()
+		r := Row{"name": fmt.Sprintf("impl%03d", n), "comp": "alu", "size": n, "area": float64(n), "param": false}
+		if err := d.Insert("impls", r); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for d.Info().JournalBytes < 2048 {
+		insert()
+	}
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("auto-compaction never reached its snapshot write")
+	}
+	for i := 0; i < 3; i++ {
+		insert() // journal still over the threshold: each of these signals
+	}
+	close(fs.release)
+	deadline := time.Now().Add(10 * time.Second)
+	for d.Info().Compactions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held compaction never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond) // room for a second compaction, were one coming
+	if info := d.Info(); info.Compactions != 1 || info.Records != 3 {
+		t.Errorf("after one threshold crossing: %d compaction(s), %d record(s) left in the journal; want 1 and the 3 appended meanwhile",
+			info.Compactions, info.Records)
+	}
+	// The trigger is still armed: the next crossing compacts again.
+	for d.Info().JournalBytes < 2048 {
+		insert()
+	}
+	for d.Info().Compactions < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("second crossing never compacted: %+v", d.Info())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -43,6 +43,18 @@
 //     writes — re-entrancy cannot deadlock, because no lock is held
 //     across the callback.
 //
+// # Generations
+//
+// Generation counts effective mutations store-wide; TableGeneration is
+// the same counter's value at one table's own last effective mutation,
+// carried inside the table's read snapshot. A caller that derives state
+// from one relation stamps it with that relation's generation —
+// ScanStamped returns the stamp of exactly the snapshot it iterated,
+// UpsertStamped the stamps on either side of its write plus the row it
+// replaced — and can then keep the derived state current across its own
+// writes, and detect anyone else's, without being disturbed by writes
+// to other tables.
+//
 // Invariants the index machinery maintains (and tests assert):
 //
 //   - every live rowid appears exactly once in the table's ordered id
@@ -158,6 +170,11 @@ type tableData struct {
 	// keyIndex maps primary-key string to rowid when schema.Key is set.
 	keyIndex map[string]int64
 	indexes  []*secIndex
+	// gen is the table's generation (see Store.TableGeneration): the
+	// store-wide mutation counter's value after the last effective
+	// mutation of this table. It lives here, not on the table, so a
+	// pinned snapshot carries the stamp of exactly the state it holds.
+	gen uint64
 
 	// shared is set (under the store's read lock) when a reader pins this
 	// snapshot. Writers check it under the write lock — mutually exclusive
@@ -175,6 +192,7 @@ func (d *tableData) clone() *tableData {
 	nd := &tableData{
 		rows: make(map[int64]Row, len(d.rows)),
 		ids:  slices.Clone(d.ids),
+		gen:  d.gen,
 	}
 	for id, r := range d.rows {
 		nd.rows[id] = r
@@ -227,7 +245,8 @@ type Store struct {
 	tables map[string]*table
 
 	// gen counts effective mutations (see Generation). It is bumped
-	// under the write lock, after a mutation applies.
+	// under the write lock, after a mutation applies; every bump but
+	// DropTable's also becomes the mutated table's own generation (touch).
 	gen atomic.Uint64
 	// wal, when non-nil, is the write-ahead journal a Durable store
 	// attached (journal.go): every mutator appends its record — under
@@ -254,6 +273,29 @@ type Store struct {
 // unchanged Generation since the last durable point means the on-disk
 // state is already current.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
+
+// TableGeneration returns tableName's own generation: the value
+// Generation reached with the last effective mutation of that table
+// (its creation included). Writes to other tables and value-equal
+// rewrites leave it alone, and because every stamp is a fresh draw from
+// the one store-wide counter, a table dropped and created again under
+// the same name reads strictly higher than its predecessor ever did —
+// so a cache of one relation's contents stamped with this value is
+// current exactly while the value still reads the same. A lazily opened
+// table that nothing has touched reports its stamp without hydrating.
+func (s *Store) TableGeneration(tableName string) (uint64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t, ok := s.tables[tableName]
+	if !ok {
+		return 0, fmt.Errorf("relstore: no table %q", tableName)
+	}
+	return t.data.gen, nil
+}
+
+// touch stamps d — the writable data of the table a mutation just
+// applied to — with a fresh generation. The caller holds the write lock.
+func (s *Store) touch(d *tableData) { d.gen = s.gen.Add(1) }
 
 // rowsEqual reports whether two canonical rows hold identical values.
 // Canonical values are comparable scalars (string, int, float64,
@@ -335,7 +377,7 @@ func (s *Store) createTableLocked(sc Schema) error {
 		return err
 	}
 	s.tables[sc.Table] = t
-	s.gen.Add(1)
+	s.touch(t.data)
 	return nil
 }
 
@@ -455,7 +497,7 @@ func (s *Store) createIndexLocked(tableName string, cols []string) error {
 	}
 	// Record the index in the schema so Save/Load round-trips rebuild it.
 	t.schema.Indexes = append(t.schema.Indexes, Index{Columns: append([]string(nil), cols...)})
-	s.gen.Add(1)
+	s.touch(d)
 	return nil
 }
 
@@ -714,7 +756,7 @@ func (s *Store) insertLocked(tableName string, r Row) error {
 	d.ids = append(d.ids, t.nextID)
 	d.indexAdd(t.nextID, cr)
 	t.nextID++
-	s.gen.Add(1)
+	s.touch(d)
 	return nil
 }
 
@@ -722,52 +764,79 @@ func (s *Store) insertLocked(tableName string, r Row) error {
 // A replaced row keeps its rowid, and so its position in scan order. The
 // table must declare a key.
 func (s *Store) Upsert(tableName string, r Row) error {
+	_, err := s.UpsertStamped(tableName, r)
+	return err
+}
+
+// UpsertResult reports what one Upsert did, as observed inside the
+// critical section that applied it.
+type UpsertResult struct {
+	// Replaced is the row the upsert replaced — for a value-equal no-op,
+	// the identical row already stored — and nil when the key was new. It
+	// is the store's internal row: read-only, like the rows Scan visits.
+	Replaced Row
+	// Before and After are the table's generation (TableGeneration) on
+	// either side of the upsert; they are equal exactly when the upsert
+	// was a no-op. A caller maintaining derived state over the table may
+	// apply this upsert's delta to a copy stamped Before and restamp it
+	// After: no other mutation of the table lies between the two.
+	Before, After uint64
+}
+
+// UpsertStamped is Upsert that also reports the replaced row and the
+// table generations around the write, all read under the same write
+// lock the upsert applied under.
+func (s *Store) UpsertStamped(tableName string, r Row) (UpsertResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.upsertLocked(tableName, r)
 }
 
-func (s *Store) upsertLocked(tableName string, r Row) error {
+func (s *Store) upsertLocked(tableName string, r Row) (UpsertResult, error) {
 	t, err := s.tableLocked(tableName)
 	if err != nil {
-		return err
+		return UpsertResult{}, err
 	}
 	if len(t.schema.Key) == 0 {
-		return fmt.Errorf("relstore: table %q has no key; cannot upsert", tableName)
+		return UpsertResult{}, fmt.Errorf("relstore: table %q has no key; cannot upsert", tableName)
 	}
 	if err := t.checkRow(r); err != nil {
-		return err
+		return UpsertResult{}, err
 	}
 	cr := t.canon(r)
 	k := t.keyOf(cr)
-	// A value-identical replacement is a no-op: nothing to journal, no
-	// generation bump — so re-seeding an unchanged catalog on open
-	// stays journal-silent and save-skippable.
-	if id, exists := t.data.keyIndex[k]; exists && rowsEqual(t.data.rows[id], cr) {
-		return nil
+	res := UpsertResult{Before: t.data.gen, After: t.data.gen}
+	id, exists := t.data.keyIndex[k]
+	if exists {
+		res.Replaced = t.data.rows[id]
+		// A value-identical replacement is a no-op: nothing to journal, no
+		// generation bump — so re-seeding an unchanged catalog on open
+		// stays journal-silent and save-skippable.
+		if rowsEqual(res.Replaced, cr) {
+			return res, nil
+		}
 	}
 	if err := s.logWAL(func(w *snapWriter) {
 		w.u8(walOpUpsert)
 		w.str(tableName)
 		walRow(w, t, cr)
 	}); err != nil {
-		return err
+		return UpsertResult{}, err
 	}
 	d := t.writable()
-	if id, exists := d.keyIndex[k]; exists {
-		d.indexRemove(id, d.rows[id])
-		d.rows[id] = cr
-		d.indexAdd(id, cr)
-		s.gen.Add(1)
-		return nil
+	if exists {
+		d.indexRemove(id, res.Replaced)
+	} else {
+		id = t.nextID
+		t.nextID++
+		d.keyIndex[k] = id
+		d.ids = append(d.ids, id)
 	}
-	d.keyIndex[k] = t.nextID
-	d.rows[t.nextID] = cr
-	d.ids = append(d.ids, t.nextID)
-	d.indexAdd(t.nextID, cr)
-	t.nextID++
-	s.gen.Add(1)
-	return nil
+	d.rows[id] = cr
+	d.indexAdd(id, cr)
+	s.touch(d)
+	res.After = d.gen
+	return res, nil
 }
 
 // Select returns copies of all rows of tableName matching p (nil p matches
@@ -874,20 +943,29 @@ func (s *Store) Get(tableName string, keyVals ...any) (Row, error) {
 // scan is mid-flight, and the scan is isolated from them — it sees
 // exactly the rows that were live when it started.
 func (s *Store) Scan(tableName string, p Pred, visit func(Row) bool) error {
+	_, err := s.ScanStamped(tableName, p, visit)
+	return err
+}
+
+// ScanStamped is Scan that also returns the generation
+// (TableGeneration) of the snapshot it iterated. The stamp is read off
+// the pinned snapshot itself, so it names exactly the state visit saw,
+// whatever writers commit while the scan runs.
+func (s *Store) ScanStamped(tableName string, p Pred, visit func(Row) bool) (uint64, error) {
 	t, d, err := s.snapshot(tableName)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ids, verify := t.plan(d, p)
 	for _, id := range ids {
 		r := d.rows[id]
 		if !verify || p.Match(r) {
 			if !visit(r) {
-				return nil
+				break
 			}
 		}
 	}
-	return nil
+	return d.gen, nil
 }
 
 // Update applies fn to every row matching p (in insertion order) and
@@ -983,7 +1061,7 @@ func (s *Store) updateLocked(tableName string, p Pred, fn func(Row) Row) (int, e
 	if len(t.schema.Key) > 0 {
 		wd.keyIndex = newKeys
 	}
-	s.gen.Add(1)
+	s.touch(wd)
 	return len(changes), nil
 }
 
@@ -1049,7 +1127,7 @@ func (s *Store) deleteLocked(tableName string, p Pred) (int, error) {
 		}
 	}
 	wd.ids = live
-	s.gen.Add(1)
+	s.touch(wd)
 	return len(removed), nil
 }
 

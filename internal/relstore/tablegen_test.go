@@ -1,0 +1,265 @@
+package relstore
+
+// Per-table generation: what moves it, what does not, and that the
+// stamp handed out with a scan or an upsert names exactly the state
+// that scan iterated or that upsert left behind.
+
+import (
+	"fmt"
+	"path/filepath"
+	"sync"
+	"testing"
+)
+
+func tableGen(t *testing.T, s *Store, name string) uint64 {
+	t.Helper()
+	g, err := s.TableGeneration(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable: value-equal
+// Upsert/Update and every kind of write to another table leave the
+// stamp alone; each effective mutation raises it.
+func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
+	s := concStore(t, 4)
+	other := Schema{Table: "o", Columns: []Column{{Name: "k", Type: TString}}, Key: []string{"k"}}
+	if err := s.CreateTable(other); err != nil {
+		t.Fatal(err)
+	}
+	g := tableGen(t, s, "t")
+
+	// Value-equal rewrites.
+	if err := s.Upsert("t", Row{"name": "r0001", "grp": 1, "val": 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Update("t", Eq("grp", 2), func(r Row) Row { return r }); err != nil || n != 1 {
+		t.Fatalf("no-op Update = %d, %v", n, err)
+	}
+	// Another table: insert, upsert, update, delete, index, drop.
+	for _, step := range []func() error{
+		func() error { return s.Insert("o", Row{"k": "a"}) },
+		func() error { return s.Upsert("o", Row{"k": "b"}) },
+		func() error {
+			_, err := s.Update("o", Eq("k", "a"), func(r Row) Row { r["k"] = "c"; return r })
+			return err
+		},
+		func() error { _, err := s.Delete("o", Eq("k", "b")); return err },
+		func() error { return s.CreateIndex("o", "k") },
+		func() error { return s.DropTable("o") },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tableGen(t, s, "t"); got != g {
+		t.Fatalf("generation of t moved %d -> %d without an effective write to t", g, got)
+	}
+	if _, err := s.TableGeneration("o"); err == nil {
+		t.Error("TableGeneration of a dropped table did not fail")
+	}
+
+	// Each effective mutation of t raises it.
+	for i, step := range []func() error{
+		func() error { return s.Insert("t", Row{"name": "new", "grp": 0, "val": 0.5}) },
+		func() error { return s.Upsert("t", Row{"name": "r0001", "grp": 1, "val": 99.0}) },
+		func() error {
+			_, err := s.Update("t", Eq("name", "r0002"), func(r Row) Row { r["val"] = 7.0; return r })
+			return err
+		},
+		func() error { _, err := s.Delete("t", Eq("name", "r0003")); return err },
+		func() error { return s.CreateIndex("t", "val") },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		got := tableGen(t, s, "t")
+		if got <= g {
+			t.Fatalf("step %d: generation %d did not rise above %d", i, got, g)
+		}
+		g = got
+	}
+}
+
+// TestTableGenerationMonotonicAcrossDropRecreate: a table recreated
+// under the same name never reuses a stamp its predecessor had, however
+// few writes the new one has seen.
+func TestTableGenerationMonotonicAcrossDropRecreate(t *testing.T) {
+	s := concStore(t, 16)
+	sc, err := s.SchemaOf("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := tableGen(t, s, "t")
+	for round := 0; round < 3; round++ {
+		if err := s.DropTable("t"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateTable(sc); err != nil {
+			t.Fatal(err)
+		}
+		g := tableGen(t, s, "t")
+		if g <= last {
+			t.Fatalf("round %d: recreated table reads %d, predecessor reached %d", round, g, last)
+		}
+		last = g
+	}
+}
+
+// TestUpsertStampedReportsDelta pins UpsertStamped's three outcomes.
+func TestUpsertStampedReportsDelta(t *testing.T) {
+	s := concStore(t, 2)
+	g := tableGen(t, s, "t")
+
+	res, err := s.UpsertStamped("t", Row{"name": "fresh", "grp": 0, "val": 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replaced != nil || res.Before != g || res.After <= g || res.After != tableGen(t, s, "t") {
+		t.Fatalf("insert: %+v (generation was %d)", res, g)
+	}
+	g = res.After
+
+	res, err = s.UpsertStamped("t", Row{"name": "fresh", "grp": 0, "val": 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Before != g || res.After != g || res.Replaced["val"] != 1.0 {
+		t.Fatalf("value-equal upsert: %+v, want a no-op at %d reporting the stored row", res, g)
+	}
+
+	res, err = s.UpsertStamped("t", Row{"name": "fresh", "grp": 3, "val": 2.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Before != g || res.After <= g || res.Replaced["val"] != 1.0 || res.Replaced["grp"] != 0 {
+		t.Fatalf("replacing upsert: %+v, want the old row and a raised generation", res)
+	}
+	if r, err := s.Get("t", "fresh"); err != nil || r["val"] != 2.0 {
+		t.Fatalf("stored row after replace: %v, %v", r, err)
+	}
+}
+
+// TestScanStampedNamesTheStateScanned: with one writer appending rows
+// and nothing else touching the store, the table's generation is its
+// creation stamp plus its row count — so every concurrent scan can check
+// that the stamp it was handed describes exactly the rows it visited.
+func TestScanStampedNamesTheStateScanned(t *testing.T) {
+	s := concStore(t, 0)
+	base := tableGen(t, s, "t")
+	const writes = 400
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			if err := s.Insert("t", Row{"name": fmt.Sprintf("w%04d", i), "grp": i % 4, "val": float64(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n := 0
+				gen, err := s.ScanStamped("t", nil, func(Row) bool { n++; return true })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if gen != base+uint64(n) {
+					t.Errorf("scan visited %d rows but was stamped %d (creation stamp %d)", n, gen, base)
+					return
+				}
+				if n == writes {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestTableGenerationOfPendingLazyTable: asking for the stamp of a cold
+// table does not hydrate it, and hydration alone — same rows, now
+// decoded — does not move it.
+func TestTableGenerationOfPendingLazyTable(t *testing.T) {
+	s := concStore(t, 32)
+	path := filepath.Join(t.TempDir(), "cat.snap")
+	if err := s.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	lz, err := OpenSnapshot(path, SnapshotOptions{Mode: OpenLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tableGen(t, lz, "t")
+	if li := lz.LazyInfo(); li.Pending != 1 || li.Hydrations != 0 {
+		t.Fatalf("TableGeneration hydrated the table: %+v", li)
+	}
+	gen, err := lz.ScanStamped("t", nil, func(Row) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if li := lz.LazyInfo(); li.Pending != 0 {
+		t.Fatalf("scan left the table cold: %+v", li)
+	}
+	if gen != g || tableGen(t, lz, "t") != g {
+		t.Fatalf("hydration moved the generation: %d before, scan stamped %d, now %d", g, gen, tableGen(t, lz, "t"))
+	}
+}
+
+// TestTableGenerationMovesOnDeferredReplay: journal records whose
+// replay a lazy durable open deferred change the table when hydration
+// applies them, so the stamp read while the table was cold must not
+// survive its first touch — whichever record kind was deferred.
+func TestTableGenerationMovesOnDeferredReplay(t *testing.T) {
+	for _, kind := range []string{"upsert", "update", "delete"} {
+		dir := t.TempDir()
+		d := openDurable(t, dir, DurableOptions{})
+		if err := d.CreateTable(durableSchema()); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Insert("impls", Row{"name": "a", "comp": "alu", "size": 1, "area": 1.0, "param": true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		switch kind {
+		case "upsert":
+			err = d.Upsert("impls", Row{"name": "a", "comp": "alu", "size": 2, "area": 1.0, "param": true})
+		case "update":
+			_, err = d.Update("impls", Eq("name", "a"), func(r Row) Row { r["size"] = 3; return r })
+		case "delete":
+			_, err = d.Delete("impls", Eq("name", "a"))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lz, err := OpenDurable(filepath.Join(dir, "cat.snap"), DurableOptions{Open: OpenLazy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := tableGen(t, lz.Store, "impls")
+		if li := lz.Store.LazyInfo(); li.DeferredPending != 1 {
+			t.Fatalf("%s: LazyInfo at open = %+v, want 1 deferred record", kind, li)
+		}
+		if _, err := lz.Count("impls", nil); err != nil {
+			t.Fatal(err)
+		}
+		if hot := tableGen(t, lz.Store, "impls"); hot <= cold {
+			t.Errorf("%s: deferred replay left the generation at %d (cold stamp %d)", kind, hot, cold)
+		}
+		lz.Close()
+	}
+}

@@ -139,3 +139,45 @@ func TestParetoCancelMidStreamOverWire(t *testing.T) {
 		t.Fatalf("session dead or space corrupted after cancel: %d rows, want %d", len(got), n)
 	}
 }
+
+// TestShowServerFrontierCacheLine: the operator view counts what the
+// frontier cache did — a cold build, hits, a write applied as a delta,
+// and a write behind the DB's back forcing a rebuild.
+func TestShowServerFrontierCacheLine(t *testing.T) {
+	db := openDB(t)
+	_, addr := startServer(t, db)
+	c := dialT(t, addr)
+
+	frontierLine := func() string {
+		t.Helper()
+		for _, l := range execLines(t, c, "show server") {
+			if strings.HasPrefix(l, "frontier cache:") {
+				return l
+			}
+		}
+		t.Fatal("show server printed no frontier cache line")
+		return ""
+	}
+	if got, want := frontierLine(), "frontier cache: 0 hit(s), 0 delta(s) applied, 0 rebuild(s) (0 cold scope, 0 foreign write), 0 scope(s) cached"; got != want {
+		t.Errorf("idle server:\n got %q\nwant %q", got, want)
+	}
+
+	execLines(t, c, "explore gen_cnt width 4..16 step 4") // nothing cached yet: no deltas
+	execLines(t, c, "find pareto")                        // cold build
+	execLines(t, c, "find pareto")                        // hit
+	execLines(t, c, "explore gen_cnt width 20..20")       // one delta
+	execLines(t, c, "find pareto dominated")              // hit
+	if got, want := frontierLine(), "frontier cache: 2 hit(s), 1 delta(s) applied, 1 rebuild(s) (1 cold scope, 0 foreign write), 1 scope(s) cached"; got != want {
+		t.Errorf("after record-then-ask:\n got %q\nwant %q", got, want)
+	}
+
+	if _, err := db.Store().Delete(icdb.TableExplorations, nil); err != nil {
+		t.Fatal(err)
+	}
+	if lines := execLines(t, c, "find pareto"); len(lines) != 1 || !strings.HasPrefix(lines[0], "no explored design points") {
+		t.Errorf("find pareto after a direct delete = %q", lines)
+	}
+	if got, want := frontierLine(), "frontier cache: 2 hit(s), 1 delta(s) applied, 2 rebuild(s) (1 cold scope, 1 foreign write), 1 scope(s) cached"; got != want {
+		t.Errorf("after a foreign write:\n got %q\nwant %q", got, want)
+	}
+}

@@ -681,7 +681,8 @@ func (s *Server) replyErr(sess *session, code ErrCode, msg string) bool {
 }
 
 // serverInfo renders the operator view behind the CQL "show server"
-// verb: protocol versions, live counters, auth state, and limits. The
+// verb: protocol versions, live counters, auth state, limits, and the
+// frontier cache's hit/delta/rebuild counts. The
 // "rows:" figure is Stats.Rows: exact at command boundaries, without
 // the rows of commands still streaming (this one included).
 func (s *Server) serverInfo(w io.Writer) error {
@@ -719,6 +720,9 @@ func (s *Server) serverInfo(w io.Writer) error {
 			fmt.Fprintln(w, "open:         eager (fully materialized)")
 		}
 	}
+	pc := s.DB.ParetoCacheInfo()
+	fmt.Fprintf(w, "frontier cache: %d hit(s), %d delta(s) applied, %d rebuild(s) (%d cold scope, %d foreign write), %d scope(s) cached\n",
+		pc.Hits, pc.Deltas, pc.RebuildsCold+pc.RebuildsForeign, pc.RebuildsCold, pc.RebuildsForeign, pc.Scopes)
 	return nil
 }
 
