@@ -8,29 +8,29 @@
 // Usage:
 //
 //	icdbd [-addr 127.0.0.1:7390] [-db catalog] [-save] [-designs dir]
-//	      [-open lazy|eager|auto]
+//	      [-open lazy|eager]
 //	      [-journal] [-fsync always|off|<duration>] [-compact-at n]
 //	      [-secret token] [-maxconns n] [-maxcmds n] [-maxrows n]
 //	      [-idle d] [-wtimeout d] [-handshake d] [-grace d] [-v]
 //
-// With -db the catalog is loaded from the given file (JSON or binary
-// snapshot, sniffed); without it the server starts from the builtin
-// seeded catalog. -save writes the catalog back (as a binary snapshot)
-// on graceful shutdown; it requires -db, and the save is skipped when
-// nothing changed since boot. -designs names the only directory
-// "expand <file>" commands may read designs from — without it,
-// expand-from-file is disabled (the safe default for a network
+// With -db the catalog is loaded from the given snapshot file (the one
+// format relstore reads — SNAPSHOT.md; a file of any other format
+// version, or a JSON catalog, is refused before the listener binds and
+// crosses over through "icdbq export" / "icdbq import"); without it the
+// server starts from the builtin seeded catalog. -save writes the
+// catalog back on graceful shutdown; it requires -db, and the save is
+// skipped when nothing changed since boot. -designs names the only
+// directory "expand <file>" commands may read designs from — without
+// it, expand-from-file is disabled (the safe default for a network
 // service).
 //
-// -open picks how a binary snapshot catalog is materialized. "lazy"
-// (also the "auto" default) decodes only the v4 section directory and
-// each table's schema at boot; a table's rows — and, under -journal,
-// its share of uncovered journal records — materialize on first touch,
-// so a large catalog serves its first query long before it is fully
-// decoded. "eager" decodes every section up front (in parallel for v4
-// snapshots). JSON catalogs and pre-v4 snapshots are always eager.
-// The boot log reports the effective mode and "show server" exposes
-// live hydration counters.
+// -open picks how the catalog is materialized. "lazy" (the default)
+// decodes only the section directory and each table's schema at boot; a
+// table's rows — and, under -journal, its share of uncovered journal
+// records — materialize on first touch, so a large catalog serves its
+// first query long before it is fully decoded. "eager" decodes every
+// section up front, in parallel. The boot log reports the mode and
+// "show server" exposes live hydration counters.
 //
 // -journal makes the catalog crash-safe incrementally persistent
 // (relstore.OpenDurable): every mutation is write-ahead logged to
@@ -49,7 +49,7 @@
 // recovery outcome — is visible to any client via "show server".
 //
 // -secret requires every client to present the same shared-secret
-// token in its protocol-v2 handshake (icdbq's -secret flag or the
+// token in its handshake (icdbq's -secret flag or the
 // ICDB_SECRET env var); it defaults to the ICDBD_SECRET environment
 // variable so the token can be kept out of process listings. The
 // -maxconns/-maxcmds/-maxrows/-idle/-wtimeout/-handshake flags install
@@ -94,10 +94,10 @@ func run(args []string) error { return runServer(args, nil, nil) }
 func runServer(args []string, ready func(addr string), stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("icdbd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7390", "TCP address to listen on")
-	dbPath := fs.String("db", "", "catalog file to load (JSON or snapshot); empty starts from the builtin seed")
-	save := fs.Bool("save", false, "save the catalog back to -db (as a binary snapshot) on graceful shutdown")
+	dbPath := fs.String("db", "", "catalog snapshot to load; empty starts from the builtin seed")
+	save := fs.Bool("save", false, "save the catalog back to -db on graceful shutdown")
 	journal := fs.Bool("journal", false, "write-ahead journal every mutation to <db>.wal (crash-safe incremental persistence); requires -db, replaces -save")
-	openMode := fs.String("open", "auto", "snapshot open mode: lazy, eager, or auto (lazy for binary snapshots and -journal; JSON catalogs are always eager)")
+	openMode := fs.String("open", "lazy", "catalog open mode: lazy (tables decode on first touch) or eager (everything at boot)")
 	fsync := fs.String("fsync", "always", "journal sync policy: always, off, or an interval like 100ms")
 	compactAt := fs.Int64("compact-at", 4<<20, "journal size in bytes that triggers compaction into the snapshot; <0 disables auto-compaction")
 	designs := fs.String("designs", "", "directory expand commands may read design files from; empty disables expand-from-file")
@@ -154,7 +154,7 @@ func runServer(args []string, ready func(addr string), stop <-chan struct{}) err
 		store = durable.Store
 		log.Printf("journal %s: recovery %s", durable.Info().JournalPath, durable.Recovery())
 	case *dbPath != "":
-		if store, err = relstore.LoadWith(*dbPath, relstore.SnapshotOptions{Mode: mode}); err != nil {
+		if store, err = relstore.OpenSnapshot(*dbPath, relstore.SnapshotOptions{Mode: mode}); err != nil {
 			if !errors.Is(err, os.ErrNotExist) {
 				return err
 			}
@@ -274,20 +274,15 @@ func runServer(args []string, ready func(addr string), stop <-chan struct{}) err
 	return nil
 }
 
-// parseOpenMode maps the -open flag to a snapshot open mode. "auto"
-// (the default) asks for lazy open: v4 binary snapshots defer each
-// table's decode (and its share of journal replay) to first touch,
-// while JSON catalogs and pre-v4 snapshots — which have no section
-// directory — fall back to a full eager decode inside relstore, so
-// "auto" is safe to request unconditionally.
+// parseOpenMode maps the -open flag to a snapshot open mode.
 func parseOpenMode(s string) (relstore.OpenMode, error) {
 	switch s {
-	case "auto", "lazy":
+	case "lazy":
 		return relstore.OpenLazy, nil
 	case "eager":
 		return relstore.OpenEager, nil
 	}
-	return 0, fmt.Errorf("-open must be lazy, eager, or auto (got %q)", s)
+	return 0, fmt.Errorf("-open must be lazy or eager (got %q)", s)
 }
 
 // parseFsync maps the -fsync flag to a journal sync policy: "always",

@@ -115,7 +115,7 @@ func TestGracefulShutdownSavesSnapshot(t *testing.T) {
 		t.Fatalf("daemon exit: %v", err)
 	}
 
-	saved, err := relstore.Load(path)
+	saved, err := relstore.OpenSnapshot(path, relstore.SnapshotOptions{})
 	if err != nil {
 		t.Fatalf("saved catalog: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestSIGTERMGracefulShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down on SIGTERM")
 	}
-	if _, err := relstore.Load(path); err != nil {
+	if _, err := relstore.OpenSnapshot(path, relstore.SnapshotOptions{}); err != nil {
 		t.Fatalf("catalog not saved on SIGTERM: %v", err)
 	}
 }
@@ -155,6 +155,47 @@ func TestMissingCatalogWithoutSaveErrors(t *testing.T) {
 	err := run([]string{"-db", path})
 	if err == nil || !strings.Contains(err.Error(), "does not exist") {
 		t.Fatalf("missing catalog without -save: err = %v", err)
+	}
+}
+
+// TestUnreadableCatalogRefusedBeforeListen: a -db file in a snapshot
+// version this build does not read, or a JSON catalog, stops the boot
+// with the version- or format-naming error — in every -open mode, with
+// and without -journal — before the listener binds, and the file (which
+// the operator still needs for the export/import migration) is left
+// exactly as it was, with no journal created next to it.
+func TestUnreadableCatalogRefusedBeforeListen(t *testing.T) {
+	v3 := binary.LittleEndian.AppendUint32([]byte("ICDBSNAP"), 3)
+	v3 = append(v3, make([]byte, 64)...)
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want []string
+	}{
+		{"v3 snapshot", v3, []string{"unsupported snapshot version 3 (this build reads version 4)"}},
+		{"json catalog", []byte(`{"implementations": {"schema": {"Table": "implementations"}, "rows": []}}`), []string{"bad magic", "icdbq import"}},
+	} {
+		for _, args := range [][]string{{}, {"-open", "eager"}, {"-journal"}, {"-journal", "-open", "eager"}, {"-save"}} {
+			path := filepath.Join(t.TempDir(), "catalog.icdb")
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args = append([]string{"-addr", "127.0.0.1:0", "-db", path}, args...)
+			err := runServer(args, func(addr string) {
+				t.Errorf("%s %v: listener bound on %s", tc.name, args, addr)
+			}, nil)
+			for _, want := range tc.want {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s %v: err = %v, want %q", tc.name, args, err, want)
+				}
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, tc.file) {
+				t.Errorf("%s %v: catalog file was rewritten (%v)", tc.name, args, err)
+			}
+			if _, err := os.Stat(path + ".wal"); err == nil {
+				t.Errorf("%s %v: a journal was created next to the refused catalog", tc.name, args)
+			}
+		}
 	}
 }
 
@@ -218,7 +259,7 @@ func TestJournalDaemonLifecycle(t *testing.T) {
 	}
 	// Shutdown compacted: the snapshot holds everything, the journal is
 	// header-only, and the next boot needs no replay.
-	saved, err := relstore.Load(path)
+	saved, err := relstore.OpenSnapshot(path, relstore.SnapshotOptions{})
 	if err != nil {
 		t.Fatalf("compacted catalog: %v", err)
 	}
@@ -306,8 +347,8 @@ func TestJournalDaemonRecoversTornTail(t *testing.T) {
 	}
 }
 
-// TestLazyOpenDaemon: the default -open auto boots a binary snapshot
-// catalog lazily — "show server" reports zero hydrated tables until a
+// TestLazyOpenDaemon: the default -open lazy boots the catalog
+// lazily — "show server" reports zero hydrated tables until a
 // query touches one — while -open eager materializes everything up
 // front. Both modes serve identical query results.
 func TestLazyOpenDaemon(t *testing.T) {
@@ -460,6 +501,7 @@ func TestJournalFlagValidation(t *testing.T) {
 		{[]string{"-journal", "-db", "x", "-fsync", "sometimes"}, "-fsync must be"},
 		{[]string{"-journal", "-db", "x", "-fsync", "-5s"}, "-fsync must be"},
 		{[]string{"-db", "x", "-open", "sideways"}, "-open must be"},
+		{[]string{"-db", "x", "-open", "auto"}, "-open must be lazy or eager"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -1,10 +1,9 @@
 // connect.go implements icdbq's client mode: "icdbq connect" opens a
 // wire-protocol session against a running icdbd server (internal/wire)
-// and drives it as a REPL or as a one-shot command, and "icdbq cql
-// -remote" routes the existing cql subcommand over the same transport.
-// Result rows stream to stdout as the server sends them; the session
-// state the set command adjusts (width, weights) lives server-side and
-// spans the whole connection.
+// and drives it as a REPL or as a one-shot command. Result rows stream
+// to stdout as the server sends them; the session state the set command
+// adjusts (width, weights) lives server-side and spans the whole
+// connection.
 //
 // Client resilience: transport failures (refused dials, dropped
 // connections) are retried with exponential backoff and jitter up to
@@ -63,20 +62,6 @@ func runConnect(args []string) error {
 	}
 	defer c.Close()
 	return remoteREPL(c, *addr)
-}
-
-// runRemoteCQL dispatches "icdbq cql -remote": the one-shot cql
-// subcommand routed to a server instead of the in-process engine. Auth
-// comes from ICDB_SECRET (there are no flags on this legacy form).
-func runRemoteCQL(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf(`cql -remote needs an address and one command string, e.g. icdbq cql -remote %s "find component executing STORAGE limit 5"`, defaultAddr)
-	}
-	opts := wire.Options{
-		Secret: os.Getenv("ICDB_SECRET"),
-		Retry:  wire.Backoff{Attempts: defaultRetries},
-	}
-	return remoteOneShot(args[0], opts, args[1])
 }
 
 // remoteOneShot runs one command as its own session with transport

@@ -1,9 +1,9 @@
 package main
 
 // Client-mode regression tests, pinning the exit-status contract: a
-// RemoteError from "icdbq connect -c" or "icdbq cql -remote" must
-// surface as a non-nil error (exit 1), success as nil — and transport
-// retry must not turn a server-side rejection into a retry storm.
+// RemoteError from "icdbq connect -c" must surface as a non-nil error
+// (exit 1), success as nil — and transport retry must not turn a
+// server-side rejection into a retry storm.
 
 import (
 	"net"
@@ -56,14 +56,20 @@ func TestConnectOneShotExitStatus(t *testing.T) {
 	}
 }
 
+// TestRemoteCQLExitStatus: the retired "icdbq cql -remote <addr> <cmd>"
+// spelling exits non-zero without reaching the server (or running the
+// command locally); "connect -addr <addr> -c <cmd>" is the one-shot.
 func TestRemoteCQLExitStatus(t *testing.T) {
-	_, addr := startWireServer(t, nil)
+	srv, addr := startWireServer(t, nil)
 
-	if err := run([]string{"cql", "-remote", addr, "show impls"}); err != nil {
-		t.Fatalf("good command: %v", err)
+	if err := run([]string{"connect", "-addr", addr, "-c", "show session"}); err != nil {
+		t.Fatalf("connect -c against the same server: %v", err)
 	}
-	if err := run([]string{"cql", "-remote", addr, "bogus"}); err == nil {
-		t.Fatal("bad command exited zero")
+	if err := run([]string{"cql", "-remote", addr, "show session"}); err == nil {
+		t.Fatal("cql -remote exited zero")
+	}
+	if n := srv.Stats().SessionsTotal; n != 1 {
+		t.Fatalf("server saw %d session(s), want only connect's", n)
 	}
 }
 
@@ -84,8 +90,8 @@ func TestConnectSecretFlag(t *testing.T) {
 	}
 
 	t.Setenv("ICDB_SECRET", "tok")
-	if err := run([]string{"cql", "-remote", addr, "show impls"}); err != nil {
-		t.Fatalf("cql -remote with ICDB_SECRET: %v", err)
+	if err := run([]string{"connect", "-addr", addr, "-c", "show impls"}); err != nil {
+		t.Fatalf("connect with ICDB_SECRET: %v", err)
 	}
 }
 

@@ -2,18 +2,20 @@
 // query-by-function requests against the builtin component database,
 // executes textual CQL commands (one-shot, as an interactive REPL, or
 // against a remote icdbd server), runs component generators and cost
-// estimators, and expands IIF designs to flat equation networks.
+// estimators, expands IIF designs to flat equation networks, and moves
+// catalog files to and from JSON.
 //
 // Usage:
 //
 //	icdbq impls
 //	icdbq query <function>... [-where <expr>]
-//	icdbq cql "<command>" | icdbq cql -i | icdbq cql -remote <addr> "<command>"
+//	icdbq cql "<command>" | icdbq cql -i
 //	icdbq connect [-addr 127.0.0.1:7390] [-secret token] [-retries 3] [-c "<command>"]
 //	icdbq expand <design.iif|-> [param=value...]
 //	icdbq generate <generator|component> param=value...
 //	icdbq estimate <impl> width=<bits> [area|delay|cost]
-//	icdbq bench [-sizes 1000,10000] [-out BENCH_PR10.json] [-benchtime 300ms] [-guard] [-conns 200] [-chaos] [-jwrite 10000] [-jopen 100000] [-jrecords 1000] [-explore] [-openlat 100000,1000000]
+//	icdbq export <catalog>
+//	icdbq import <file.json> <catalog>
 //
 // The usage lines above are generated from the command table in
 // usage.go and verified by TestDocCommentMatchesUsage; edit them there.
@@ -45,19 +47,20 @@ func run(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("%s", usageText())
 	}
-	switch {
-	case args[0] == "bench":
-		// Benchmarks build their own catalogs; no seeded DB needed.
-		return runBench(args[1:])
-	case args[0] == "_openprobe":
-		// Internal: one open-latency measurement in a fresh process,
-		// exec'd by "bench" (see openbench.go). Not in the usage table.
-		return runOpenProbe(args[1:])
-	case args[0] == "connect":
+	switch args[0] {
+	case "connect":
 		// Client mode talks to an icdbd server; no local DB at all.
 		return runConnect(args[1:])
-	case args[0] == "cql" && len(args) > 1 && args[1] == "-remote":
-		return runRemoteCQL(args[2:])
+	case "export":
+		if len(args) != 2 {
+			return fmt.Errorf("export needs one catalog file")
+		}
+		return runExport(args[1], os.Stdout)
+	case "import":
+		if len(args) != 3 {
+			return fmt.Errorf("import needs a JSON file and the catalog file to write")
+		}
+		return runImport(args[1], args[2])
 	}
 	db, err := icdb.Open(relstore.New())
 	if err != nil {

@@ -2,12 +2,6 @@ package main
 
 import "strings"
 
-// defaultBenchOut is the default trajectory file of "icdbq bench". It is
-// the single source of truth for the bench -out flag default and for
-// every usage string naming it; TestDocCommentMatchesUsage keeps the
-// package doc comment in sync.
-const defaultBenchOut = "BENCH_PR10.json"
-
 // command describes one icdbq subcommand. The table below is the single
 // source of truth for usage output: runtime usage errors are generated
 // from it, and TestDocCommentMatchesUsage asserts the package doc
@@ -22,17 +16,18 @@ func commands() []command {
 	return []command{
 		{"impls", "icdbq impls"},
 		{"query", "icdbq query <function>... [-where <expr>]"},
-		{"cql", `icdbq cql "<command>" | icdbq cql -i | icdbq cql -remote <addr> "<command>"`},
+		{"cql", `icdbq cql "<command>" | icdbq cql -i`},
 		{"connect", `icdbq connect [-addr ` + defaultAddr + `] [-secret token] [-retries 3] [-c "<command>"]`},
 		{"expand", "icdbq expand <design.iif|-> [param=value...]"},
 		{"generate", "icdbq generate <generator|component> param=value..."},
 		{"estimate", "icdbq estimate <impl> width=<bits> [area|delay|cost]"},
-		{"bench", "icdbq bench [-sizes 1000,10000] [-out " + defaultBenchOut + "] [-benchtime 300ms] [-guard] [-conns 200] [-chaos] [-jwrite 10000] [-jopen 100000] [-jrecords 1000] [-explore] [-openlat 100000,1000000]"},
+		{"export", "icdbq export <catalog>"},
+		{"import", "icdbq import <file.json> <catalog>"},
 	}
 }
 
 // commandNames renders the subcommand names for "unknown command"
-// errors: "impls, query, cql, expand, or bench".
+// errors: "impls, query, ..., export, or import".
 func commandNames() string {
 	cs := commands()
 	names := make([]string, len(cs))

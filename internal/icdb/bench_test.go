@@ -1,9 +1,7 @@
 package icdb_test
 
 // Benchmarks for the ICDB read path over synthetic catalogs of 1k/10k/
-// 100k implementations (see internal/benchgen). Each *FullScan benchmark
-// is the pre-index reference path, kept in-tree so every future commit
-// can reproduce the before/after comparison recorded in BENCH_PR2.json.
+// 100k implementations (see synth_test.go).
 
 import (
 	"fmt"
@@ -11,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"icdb/internal/benchgen"
 	"icdb/internal/expand"
 	"icdb/internal/genus"
 	"icdb/internal/icdb"
@@ -34,7 +31,7 @@ func benchDB(b *testing.B, n int) *icdb.DB {
 	if db, ok := benchDBs[n]; ok {
 		return db
 	}
-	db, err := benchgen.NewDB(n)
+	db, err := newSynthDB(n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,20 +54,6 @@ func BenchmarkQueryByFunction(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cands, err := db.QueryByFunction(genus.FuncADD, icdb.MaxArea(50))
-			if err != nil || len(cands) == 0 {
-				b.Fatal(err, len(cands))
-			}
-		}
-	})
-}
-
-func BenchmarkQueryByFunctionFullScan(b *testing.B) {
-	sizeRun(b, func(b *testing.B, n int) {
-		db := benchDB(b, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cands, err := benchgen.FullScanQueryByFunction(db, genus.FuncADD, icdb.MaxArea(50))
 			if err != nil || len(cands) == 0 {
 				b.Fatal(err, len(cands))
 			}
@@ -120,20 +103,7 @@ func BenchmarkImplByName(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.ImplByName(benchgen.NameOf(i % n)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkImplByNameFullScan(b *testing.B) {
-	sizeRun(b, func(b *testing.B, n int) {
-		db := benchDB(b, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := benchgen.FullScanImplRow(db, benchgen.NameOf(i%n)); err != nil {
+			if _, err := db.ImplByName(nameOf(i % n)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -142,7 +112,7 @@ func BenchmarkImplByNameFullScan(b *testing.B) {
 
 func BenchmarkRegisterImpl(b *testing.B) {
 	db := benchDB(b, 1000)
-	im := benchgen.ImplAt(0)
+	im := implAt(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -188,9 +158,7 @@ func BenchmarkExpandWarm(b *testing.B) {
 	}
 }
 
-// Persistence of the whole catalog, in both formats. The snapshot pair
-// is the fast path (bulk-built indexes, no per-row validation); the JSON
-// pair is the compat path it replaced on the hot loop.
+// Persistence of the whole catalog.
 func BenchmarkSaveSnapshot(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -207,7 +175,7 @@ func BenchmarkSaveSnapshot(b *testing.B) {
 	}
 }
 
-func BenchmarkLoadSnapshot(b *testing.B) {
+func BenchmarkOpenSnapshot(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			db := benchDB(b, n)
@@ -218,42 +186,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := relstore.LoadSnapshot(path); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSave(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			db := benchDB(b, n)
-			path := filepath.Join(b.TempDir(), "icdb.json")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := db.Store().Save(path); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkLoad(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			db := benchDB(b, n)
-			path := filepath.Join(b.TempDir(), "icdb.json")
-			if err := db.Store().Save(path); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := relstore.Load(path); err != nil {
+				if _, err := relstore.OpenSnapshot(path, relstore.SnapshotOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -389,7 +389,7 @@ type estPair struct {
 // Open bootstraps the ICDB schema on store, creating any missing tables,
 // and (re)seeds the components relation from the GENUS catalog plus the
 // builtin parameterized implementation library. Opening a store that
-// already holds ICDB tables (e.g. one read with relstore.Load) is
+// already holds ICDB tables (e.g. one read with relstore.OpenSnapshot) is
 // idempotent: implementation rows that already exist — including
 // user-tuned versions of builtin names — are left untouched.
 //
@@ -460,10 +460,10 @@ func Open(store *relstore.Store) (*DB, error) {
 }
 
 // Store returns the underlying relational store (for persistence:
-// store.Save / relstore.Load round-trips the whole database). Writing to
-// the implementations or tool_params relations directly through the
-// store bypasses the DB's derived indexes; call InvalidateCaches
-// afterwards so queries observe the change.
+// store.SaveSnapshot / relstore.OpenSnapshot round-trips the whole
+// database). Writing to the implementations or tool_params relations
+// directly through the store bypasses the DB's derived indexes; call
+// InvalidateCaches afterwards so queries observe the change.
 func (db *DB) Store() *relstore.Store { return db.store }
 
 // InvalidateCaches drops every piece of derived read-path state (the

@@ -369,17 +369,17 @@ func TestBindingsKeyRoundTrip(t *testing.T) {
 
 // TestPersistenceRoundTrip saves the whole database and reopens it: the
 // paper's ICDB lives in INGRES across sessions; ours must survive
-// Save/Load.
+// SaveSnapshot/OpenSnapshot.
 func TestPersistenceRoundTrip(t *testing.T) {
 	db := openDB(t)
 	if _, _, err := db.Instantiate("d", "cnt_up", map[string]int{"size": 4}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "icdb.json")
-	if err := db.Store().Save(path); err != nil {
+	path := filepath.Join(t.TempDir(), "icdb.snap")
+	if err := db.Store().SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	store, err := relstore.Load(path)
+	store, err := relstore.OpenSnapshot(path, relstore.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

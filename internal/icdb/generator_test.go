@@ -334,8 +334,9 @@ func TestGenerateRegistersQueryableImpl(t *testing.T) {
 }
 
 // TestGeneratorPersistenceRoundTrip: generators, estimators, and
-// generated implementations survive both persistence formats, and the
-// reopened database keeps answering width-aware queries identically.
+// generated implementations survive a snapshot round-trip under both
+// open modes, and the reopened database keeps answering width-aware
+// queries identically.
 func TestGeneratorPersistenceRoundTrip(t *testing.T) {
 	db := openTestDB(t)
 	if _, _, err := db.Generate("gen_cnt", map[string]int{"size": 24}); err != nil {
@@ -345,17 +346,13 @@ func TestGeneratorPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "db.json")
-	snapPath := filepath.Join(dir, "db.snap")
-	if err := db.Store().Save(jsonPath); err != nil {
-		t.Fatal(err)
-	}
+	snapPath := filepath.Join(t.TempDir(), "db.snap")
 	if err := db.Store().SaveSnapshot(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{jsonPath, snapPath} {
-		st, err := relstore.Load(path)
+	for _, mode := range []relstore.OpenMode{relstore.OpenEager, relstore.OpenLazy} {
+		path := mode.String()
+		st, err := relstore.OpenSnapshot(snapPath, relstore.SnapshotOptions{Mode: mode})
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

@@ -278,8 +278,8 @@ func TestParetoByComponentMergesSpaces(t *testing.T) {
 	}
 }
 
-// TestParetoSnapshotRoundTrip asserts exploration rows survive binary
-// snapshot persistence and JSON alike, and the frontier answer is
+// TestParetoSnapshotRoundTrip asserts exploration rows survive snapshot
+// persistence under both open modes, and the frontier answer is
 // identical after reload.
 func TestParetoSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -291,19 +291,14 @@ func TestParetoSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, path := range []string{dir + "/cat.snap", dir + "/cat.json"} {
-		var err error
-		if i == 0 {
-			err = db.Store().SaveSnapshot(path)
-		} else {
-			err = db.Store().Save(path)
-		}
+	if err := db.Store().SaveSnapshot(dir + "/cat.snap"); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	for _, mode := range []relstore.OpenMode{relstore.OpenEager, relstore.OpenLazy} {
+		path := mode.String()
+		st, err := relstore.OpenSnapshot(dir+"/cat.snap", relstore.SnapshotOptions{Mode: mode})
 		if err != nil {
-			t.Fatalf("save %s: %v", path, err)
-		}
-		st, err := relstore.Load(path)
-		if err != nil {
-			t.Fatalf("load %s: %v", path, err)
+			t.Fatalf("open %s: %v", path, err)
 		}
 		db2, err := Open(st)
 		if err != nil {

@@ -235,11 +235,11 @@ func TestImplByNameIsPointLookup(t *testing.T) {
 func TestOpenAfterLoadServesIndexedQueries(t *testing.T) {
 	db := openDB(t)
 	regCounter(t, db, "persisted_cnt", []genus.Function{genus.FuncINC}, 1, 1)
-	path := t.TempDir() + "/icdb.json"
-	if err := db.Store().Save(path); err != nil {
+	path := t.TempDir() + "/icdb.snap"
+	if err := db.Store().SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	store, err := relstore.Load(path)
+	store, err := relstore.OpenSnapshot(path, relstore.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

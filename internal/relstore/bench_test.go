@@ -111,8 +111,8 @@ func BenchmarkRowsCursor(b *testing.B) {
 	}
 }
 
-// Snapshot persistence against its JSON counterpart, over the same
-// store shape the other benchmarks use.
+// Snapshot persistence, over the same store shape the other benchmarks
+// use.
 func BenchmarkSaveSnapshot(b *testing.B) {
 	s := benchStore(b, benchRows)
 	path := b.TempDir() + "/store.snap"
@@ -125,7 +125,7 @@ func BenchmarkSaveSnapshot(b *testing.B) {
 	}
 }
 
-func BenchmarkLoadSnapshot(b *testing.B) {
+func BenchmarkOpenSnapshot(b *testing.B) {
 	s := benchStore(b, benchRows)
 	path := b.TempDir() + "/store.snap"
 	if err := s.SaveSnapshot(path); err != nil {
@@ -134,34 +134,7 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadSnapshot(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSaveJSON(b *testing.B) {
-	s := benchStore(b, benchRows)
-	path := b.TempDir() + "/store.json"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Save(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLoadJSON(b *testing.B) {
-	s := benchStore(b, benchRows)
-	path := b.TempDir() + "/store.json"
-	if err := s.Save(path); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Load(path); err != nil {
+		if _, err := OpenSnapshot(path, SnapshotOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ package faultfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -108,31 +109,41 @@ func runDurable(fs *FS, policy relstore.FsyncPolicy) (acked int, err error) {
 	return len(workload()), nil
 }
 
-// dump renders a store's full logical state as its deterministic
-// snapshot encoding, the byte-comparable fingerprint the torture
-// assertions use — pinned to v3, which has no section directory, so the
-// covered-LSN header field (bytes 12..20) and the CRC trailer can be
-// masked out: a journaled store stamps its journal position there,
-// which differs from the plain shadow stores without being part of the
-// logical state (v4's directory checksum covers the LSN, so v4 bytes
-// would differ beyond the maskable range).
+// dump renders a store's full logical state as the byte-comparable
+// fingerprint the torture assertions use: the table sections of its
+// deterministic snapshot encoding — every schema, index declaration and
+// row, in order. A journaled store stamps its journal position into the
+// covered-LSN header field, which the directory checksum and the
+// trailer cover; that differs from the plain shadow stores without
+// being part of the logical state, so everything before the first
+// section, and the trailer, stay out (SNAPSHOT.md: 12-byte header, u64
+// LSN, u32 table count, then the directory, whose first entry — u32
+// name length, name, u64 offset — locates the first section).
 func dump(t *testing.T, dir string, s *relstore.Store) []byte {
 	t.Helper()
 	path := filepath.Join(dir, "dump.snap")
-	if err := s.SaveSnapshotVersion(path, 3); err != nil {
+	if err := s.SaveSnapshot(path); err != nil {
 		t.Fatalf("dump: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("dump: %v", err)
 	}
-	if len(data) < 24 {
+	if len(data) < 32 {
 		t.Fatalf("dump: implausibly short snapshot (%d bytes)", len(data))
 	}
-	for i := 12; i < 20; i++ {
-		data[i] = 0
+	if binary.LittleEndian.Uint32(data[20:]) == 0 {
+		return nil // no tables, no sections
 	}
-	return data[:len(data)-4]
+	offAt := 28 + int(binary.LittleEndian.Uint32(data[24:]))
+	if offAt+8 > len(data) {
+		t.Fatalf("dump: directory runs past the %d-byte snapshot", len(data))
+	}
+	first := binary.LittleEndian.Uint64(data[offAt:])
+	if first > uint64(len(data)-4) {
+		t.Fatalf("dump: first section at %d in a %d-byte snapshot", first, len(data))
+	}
+	return data[first : len(data)-4]
 }
 
 // shadows returns the expected store fingerprint after every workload

@@ -414,11 +414,11 @@ func TestIndexesSurviveSaveLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "store.json")
-	if err := s.Save(path); err != nil {
+	path := filepath.Join(t.TempDir(), "store.snap")
+	if err := s.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Load(path)
+	s2, err := OpenSnapshot(path, SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

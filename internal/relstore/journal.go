@@ -143,18 +143,14 @@ type DurableOptions struct {
 	// Open selects how the snapshot at the store path is decoded: the
 	// zero value is a full eager decode; OpenLazy defers each table's
 	// rows to first touch and, with them, the replay of that table's
-	// uncovered journal records (see RecoveryInfo.Deferred). v2/v3
-	// snapshots and JSON catalogs always open eagerly.
+	// uncovered journal records (see RecoveryInfo.Deferred).
 	Open OpenMode
-	// OpenWorkers bounds eager v4 decode parallelism: 0 means
-	// GOMAXPROCS, 1 decodes serially.
-	OpenWorkers int
 }
 
 // RecoveryInfo describes what OpenDurable found and did.
 type RecoveryInfo struct {
-	// SnapshotLoaded reports whether a snapshot (or JSON catalog)
-	// existed at the store path.
+	// SnapshotLoaded reports whether a snapshot existed at the store
+	// path.
 	SnapshotLoaded bool
 	// Replayed is the number of journal records applied at open.
 	Replayed int
@@ -434,8 +430,8 @@ type Durable struct {
 }
 
 // OpenDurable opens (or creates) a journaled store: it loads the
-// snapshot at path if one exists (JSON catalogs are sniffed, like
-// Load), replays the journal over it per the JOURNAL.md recovery
+// snapshot at path if one exists, replays the journal over it per the
+// JOURNAL.md recovery
 // rules, and attaches the journal so every further mutation is
 // write-ahead logged. Journaled tables must declare a primary key —
 // replay is key-addressed — so OpenDurable rejects catalogs with
@@ -469,17 +465,13 @@ func OpenDurable(path string, opt DurableOptions) (*Durable, error) {
 		d.w.notify = make(chan struct{}, 1)
 	}
 
-	// 1. Snapshot (or legacy JSON catalog), if present. The snapshot's
-	// covered LSN says which journal records it already folds in.
+	// 1. Snapshot, if present. Its covered LSN says which journal records
+	// it already folds in.
 	s := New()
 	var snapLSN uint64
 	if data, err := fsys.ReadFile(path); err == nil {
-		if IsSnapshot(data) {
-			if s, snapLSN, err = decodeSnapshotOpt(data, SnapshotOptions{Mode: opt.Open, Workers: opt.OpenWorkers}); err != nil {
-				return nil, fmt.Errorf("relstore: open durable: load snapshot %s: %w", path, err)
-			}
-		} else if s, err = loadJSON(path, data); err != nil {
-			return nil, fmt.Errorf("relstore: open durable: %w", err)
+		if s, snapLSN, err = decodeSnapshot(data, SnapshotOptions{Mode: opt.Open}); err != nil {
+			return nil, fmt.Errorf("relstore: open durable: load snapshot %s: %w", path, err)
 		}
 		d.recovery.SnapshotLoaded = true
 		d.haveSnap = true

@@ -1,9 +1,9 @@
-// Lazy snapshot open: first-touch hydration of v4 table sections.
+// Lazy snapshot open: first-touch hydration of table sections.
 //
 // A store opened with OpenLazy holds, per table, a stub — real schema,
 // empty data — plus a pendingSection pointing at the raw section bytes
 // inside the snapshot buffer. Every access path that needs rows
-// (snapshot(), Get, the mutators via tableLocked, SaveSnapshot/Save via
+// (snapshot(), Get, the mutators via tableLocked, SaveSnapshot via
 // HydrateAll) hydrates the table first: verify the section's CRC-32C
 // against the directory, bulk-decode rows and indexes, then — for
 // stores opened by OpenDurable — strictly replay the table's deferred
@@ -122,7 +122,7 @@ func (s *Store) tableLocked(name string) (*table, error) {
 
 // HydrateAll materializes every still-pending table of a lazily opened
 // store, in sorted name order, stopping at the first failure. Encoding
-// paths (SaveSnapshot, Save, Durable.Compact) call it first: a snapshot
+// paths (SaveSnapshot, Durable.Compact) call it first: a snapshot
 // must never be written from a store whose journal records are still
 // waiting in pending sections. A fully hydrated (or eagerly opened)
 // store returns nil immediately.

@@ -286,31 +286,6 @@ func mustRow(t *testing.T, s *Store, n string) Row {
 	return r
 }
 
-// TestLazyOpenV3FallsBackToEager: pre-v4 snapshots have no section
-// directory, so asking for a lazy open quietly materializes everything.
-func TestLazyOpenV3FallsBackToEager(t *testing.T) {
-	dir := t.TempDir()
-	s := randomStore(t, rand.New(rand.NewSource(3)))
-	path := filepath.Join(dir, "v3.snap")
-	if err := s.SaveSnapshotVersion(path, 3); err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := OpenSnapshot(path, SnapshotOptions{Mode: OpenLazy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	li := lazy.LazyInfo()
-	if li.Lazy || li.Pending != 0 {
-		t.Fatalf("v3 lazy open LazyInfo = %+v, want a fully materialized eager fallback", li)
-	}
-	for _, n := range s.Tables() {
-		want, _ := s.Count(n, nil)
-		if got, err := lazy.Count(n, nil); err != nil || got != want {
-			t.Errorf("table %q: %d rows (err %v), want %d", n, got, err, want)
-		}
-	}
-}
-
 // TestLazyDurableDeferredReplay: OpenDurable under OpenLazy defers each
 // cold table's uncovered journal records to its hydration — structural
 // records still apply at open — and first touch replays them exactly

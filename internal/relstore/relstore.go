@@ -68,13 +68,11 @@
 //     empty posting lists retained;
 //   - index keys are built from canonicalized values (table.canon /
 //     canonVal), so a lookup matches no matter which numeric Go type the
-//     caller or a JSON round-trip produced.
+//     caller passed.
 package relstore
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -495,7 +493,7 @@ func (s *Store) createIndexLocked(tableName string, cols []string) error {
 		k := joinRow(ix.cols, d.rows[id])
 		ix.postings[k] = append(ix.postings[k], id)
 	}
-	// Record the index in the schema so Save/Load round-trips rebuild it.
+	// Record the index in the schema so a snapshot round-trip rebuilds it.
 	t.schema.Indexes = append(t.schema.Indexes, Index{Columns: append([]string(nil), cols...)})
 	s.touch(d)
 	return nil
@@ -601,7 +599,7 @@ func checkType(ct ColType, v any) error {
 // canon returns a copy of r with values normalized to each column's
 // canonical Go type (TInt -> int, TFloat -> float64), so stored rows
 // read back with the same types whether or not they crossed a
-// Save/Load round-trip.
+// snapshot round-trip.
 func (t *table) canon(r Row) Row {
 	c := r.clone()
 	for _, col := range t.schema.Columns {
@@ -1149,151 +1147,4 @@ func (s *Store) Count(tableName string, p Pred) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// persistedTable is the JSON wire form of one table.
-type persistedTable struct {
-	Schema Schema `json:"schema"`
-	Rows   []Row  `json:"rows"`
-}
-
-// Save writes the whole store as JSON to path, atomically (temp file in
-// the target directory, fsync, rename — a crash mid-save cannot truncate
-// an existing catalog). Rows are written in insertion order; secondary-
-// index declarations persist with the schema and are rebuilt on Load.
-// JSON is the compatibility format: SaveSnapshot (snapshot.go) is the
-// fast binary path, and Load reads either. Like SaveSnapshot, the read
-// lock is held through the rename so concurrent saves cannot replace a
-// newer on-disk state with a staler one.
-func (s *Store) Save(path string) error {
-	// A save must reflect every row, so a lazily opened store hydrates
-	// everything still pending (and replays its deferred journal
-	// records) first.
-	if err := s.HydrateAll(); err != nil {
-		return err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]persistedTable, len(s.tables))
-	for name, t := range s.tables {
-		d := t.data
-		pt := persistedTable{Schema: t.schema}
-		for _, id := range d.ids {
-			pt.Rows = append(pt.Rows, d.rows[id])
-		}
-		out[name] = pt
-	}
-	data, err := json.MarshalIndent(out, "", " ")
-	if err != nil {
-		return fmt.Errorf("relstore: save: %w", err)
-	}
-	return writeFileAtomic(path, data)
-}
-
-// Load reads a store previously written by Save or SaveSnapshot,
-// sniffing the format: files opening with the snapshot magic take the
-// trusted binary fast path (LoadSnapshot), anything else is parsed as
-// JSON. On the JSON path every column is normalized and type-checked
-// once per column before any row is stored, and errors carry their full
-// context (table, row index, column name).
-func Load(path string) (*Store, error) {
-	return LoadWith(path, SnapshotOptions{})
-}
-
-// LoadWith is Load with snapshot open options: opt selects the open
-// mode (and eager worker count) when the file is a binary snapshot, and
-// is ignored for JSON catalogs, which are always fully materialized.
-func LoadWith(path string, opt SnapshotOptions) (*Store, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("relstore: load: %w", err)
-	}
-	if IsSnapshot(data) {
-		s, _, err := decodeSnapshotOpt(data, opt)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: load snapshot %s: %w", path, err)
-		}
-		return s, nil
-	}
-	return loadJSON(path, data)
-}
-
-func loadJSON(path string, data []byte) (*Store, error) {
-	var in map[string]persistedTable
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("relstore: load %s: %w", path, err)
-	}
-	s := New()
-	names := make([]string, 0, len(in))
-	for n := range in {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ctx := func(format string, args ...any) error {
-		return fmt.Errorf("relstore: load %s: %s", path, fmt.Sprintf(format, args...))
-	}
-	for _, n := range names {
-		pt := in[n]
-		if pt.Schema.Table != n {
-			return nil, ctx("table %q: schema declares name %q", n, pt.Schema.Table)
-		}
-		if err := s.CreateTable(pt.Schema); err != nil {
-			return nil, err
-		}
-		t := s.tables[n]
-		// Normalize and type-check column-wise: the type dispatch runs
-		// once per column, not once per value, and a bad value is
-		// reported with its exact position. canonVal maps JSON's float64
-		// onto canonical TInt ints only when integral — a fractional
-		// value in an int column is an error here, not a silent
-		// truncation.
-		for _, c := range pt.Schema.Columns {
-			for ri, r := range pt.Rows {
-				v, ok := r[c.Name]
-				if !ok {
-					return nil, ctx("table %q row %d: missing column %q", n, ri, c.Name)
-				}
-				cv := canonVal(c.Type, v)
-				if err := checkType(c.Type, cv); err != nil {
-					return nil, ctx("table %q row %d column %q: %v", n, ri, c.Name, err)
-				}
-				r[c.Name] = cv
-			}
-		}
-		for ri, r := range pt.Rows {
-			if len(r) != len(pt.Schema.Columns) {
-				for k := range r {
-					if _, ok := t.cols[k]; !ok {
-						return nil, ctx("table %q row %d: undeclared column %q", n, ri, k)
-					}
-				}
-			}
-			// Rows are fully validated and canonical; append directly,
-			// skipping Insert's re-check and defensive clone.
-			if err := t.appendCanonical(r); err != nil {
-				return nil, ctx("table %q row %d: %v", n, ri, err)
-			}
-		}
-	}
-	return s, nil
-}
-
-// appendCanonical adds an already-validated, already-canonical row during
-// bulk load, maintaining every index incrementally. It is Insert minus
-// checkRow and canon. Bulk loads run on a store no reader has seen, so
-// the data is never shared and writable never clones here.
-func (t *table) appendCanonical(r Row) error {
-	d := t.writable()
-	if len(t.schema.Key) > 0 {
-		k := t.keyOf(r)
-		if _, conflict := d.keyIndex[k]; conflict {
-			return fmt.Errorf("duplicate key %v=%q", t.schema.Key, keyValues(k))
-		}
-		d.keyIndex[k] = t.nextID
-	}
-	d.rows[t.nextID] = r
-	d.ids = append(d.ids, t.nextID)
-	d.indexAdd(t.nextID, r)
-	t.nextID++
-	return nil
 }

@@ -244,11 +244,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "store.json")
-	if err := s.Save(path); err != nil {
+	path := filepath.Join(t.TempDir(), "store.snap")
+	if err := s.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Load(path)
+	s2, err := OpenSnapshot(path, SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Error("Load of missing file: want error")
+	if _, err := OpenSnapshot(filepath.Join(t.TempDir(), "nope.snap"), SnapshotOptions{}); err == nil {
+		t.Error("OpenSnapshot of missing file: want error")
 	}
 }
 

@@ -4,18 +4,17 @@
 // by typed row encoding in insertion order), and a CRC-32 trailer over
 // everything before it.
 //
-// Snapshots exist because the JSON path re-parses, re-validates, and
-// re-indexes a catalog row by row: at 10k implementations that costs
-// ~200ms and ~750k allocations per Save+Load round-trip. The snapshot
-// writer emits rows already in canonical form, and LoadSnapshot is a
-// trusted fast path: after the checksum verifies, rows are decoded
-// straight into table storage and the primary-key index, secondary
-// indexes, and insertion-order id slice are bulk-built — no per-row
-// Insert validation, no incremental index maintenance, no re-sorting
-// (rowids are assigned sequentially in section order, so ascending
-// order is insertion order by construction).
+// The snapshot is the store's one on-disk catalog format (JSON is an
+// interchange format handled outside this package, by icdbq
+// export/import). The writer emits rows already in canonical form, and
+// OpenSnapshot is a trusted fast path: after the checksum verifies,
+// rows are decoded straight into table storage and the primary-key
+// index, secondary indexes, and insertion-order id slice are bulk-built
+// — no per-row Insert validation, no incremental index maintenance, no
+// re-sorting (rowids are assigned sequentially in section order, so
+// ascending order is insertion order by construction).
 //
-// The v4 section directory makes every table section independently
+// The section directory makes every table section independently
 // locatable (byte offset and length) and verifiable (per-section
 // CRC-32C), which is what the two open modes ride on: eager open decodes
 // sections in parallel across a worker pool — sections are independent
@@ -40,24 +39,14 @@ import (
 )
 
 const (
-	// snapMagic opens every binary snapshot; Load sniffs it to pick the
-	// decoder, so it must never be valid leading JSON.
+	// snapMagic opens every snapshot.
 	snapMagic = "ICDBSNAP"
-	// snapVersion is the current format version. Readers reject versions
-	// they cannot decode: the format is versioned, not self-describing
-	// beyond the schema header (see SNAPSHOT.md for the compatibility
-	// policy). Version history: 1 = PR 3 layout; 2 = the same wire layout
-	// with the generators and estimators relations present as sections
-	// (a v1 file necessarily lacks them, so readers reject it outright —
-	// the JSON format remains the cross-version compatibility path);
-	// 3 = PR 8, a u64 covered-LSN field between the version and the
-	// table count, stamping which journal records the snapshot already
-	// folds in; 4 = PR 10, a section directory after the table count
-	// (per table: name, absolute byte offset, length, CRC-32C) sealed by
-	// its own CRC-32C, so each section is independently locatable and
-	// verifiable. Section and trailer encodings are unchanged from v3.
-	// A v4 reader still accepts v3 and v2 (eagerly — they have no
-	// directory to open lazily from).
+	// snapVersion is the format version: the one this build writes and
+	// the only one it reads. The format is versioned, not
+	// self-describing beyond the schema header, so any other version is
+	// rejected before anything past the header is interpreted; catalogs
+	// cross versions through icdbq export / import (SNAPSHOT.md has the
+	// policy and the version history).
 	snapVersion = 4
 	// snapTrailerLen is the CRC-32C trailer size.
 	snapTrailerLen = 4
@@ -79,13 +68,12 @@ const snapHeaderLen = len(snapMagic) + 4
 type OpenMode int
 
 const (
-	// OpenEager decodes every table section at open (the default); v4
-	// snapshots decode sections in parallel across a worker pool.
+	// OpenEager decodes every table section at open (the default),
+	// in parallel across a worker pool.
 	OpenEager OpenMode = iota
-	// OpenLazy decodes only the v4 section directory and each table's
+	// OpenLazy decodes only the section directory and each table's
 	// schema header at open, keeping the snapshot's byte buffer; a
 	// table's rows and indexes materialize on first touch (see lazy.go).
-	// v2/v3 snapshots have no directory and fall back to eager.
 	OpenLazy
 )
 
@@ -103,7 +91,7 @@ func (m OpenMode) String() string {
 type SnapshotOptions struct {
 	// Mode is the open mode; the zero value is OpenEager.
 	Mode OpenMode
-	// Workers bounds the eager v4 decoder's parallelism: 0 means
+	// Workers bounds the eager decoder's parallelism: 0 means
 	// GOMAXPROCS, 1 decodes serially. Lazy open ignores it (hydration
 	// is per-table, on the toucher's goroutine).
 	Workers int
@@ -122,14 +110,6 @@ type SnapshotOptions struct {
 // so whichever rename lands last cannot replace a newer state with a
 // staler one.
 func (s *Store) SaveSnapshot(path string) error {
-	return s.SaveSnapshotVersion(path, snapVersion)
-}
-
-// SaveSnapshotVersion is SaveSnapshot pinned to a specific format
-// version: 4 (current) or 3 (the previous layout, without the section
-// directory). Writing v3 exists for cross-version tests and benchmarks;
-// new catalogs should use SaveSnapshot.
-func (s *Store) SaveSnapshotVersion(path string, version int) error {
 	if s.lazy {
 		if err := s.HydrateAll(); err != nil {
 			return fmt.Errorf("relstore: save snapshot: %w", err)
@@ -137,7 +117,7 @@ func (s *Store) SaveSnapshotVersion(path string, version int) error {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	data, err := s.encodeSnapshotAt(version)
+	data, err := s.encodeSnapshot()
 	if err != nil {
 		return fmt.Errorf("relstore: save snapshot: %w", err)
 	}
@@ -150,13 +130,6 @@ func (s *Store) SaveSnapshotVersion(path string, version int) error {
 // encoded rows) and zero otherwise — a plain store has no journal to
 // cover.
 func (s *Store) encodeSnapshot() ([]byte, error) {
-	return s.encodeSnapshotAt(snapVersion)
-}
-
-func (s *Store) encodeSnapshotAt(version int) ([]byte, error) {
-	if version != 3 && version != snapVersion {
-		return nil, fmt.Errorf("cannot write snapshot version %d (writers emit 3 or %d)", version, snapVersion)
-	}
 	for name, t := range s.tables {
 		if t.pending != nil {
 			return nil, fmt.Errorf("table %q is still pending hydration (HydrateAll before encoding)", name)
@@ -185,39 +158,30 @@ func (s *Store) encodeSnapshotAt(version int) ([]byte, error) {
 			return nil, err
 		}
 		secSize[i] = sz
-		total += sz
-		if version >= 4 {
-			total += 4 + len(n) + snapDirFixed
-		}
+		total += 4 + len(n) + snapDirFixed + sz
 	}
-	if version >= 4 {
-		total += 4 // directory CRC
-	}
-	total += snapTrailerLen
+	total += 4 + snapTrailerLen // directory CRC + trailer
 
 	var buf bytes.Buffer
 	buf.Grow(total)
 	w := &snapWriter{buf: &buf}
 	w.raw([]byte(snapMagic))
-	w.u32(uint32(version))
+	w.u32(snapVersion)
 	w.u64(lsn)
 	w.u32(uint32(len(names)))
 	// Directory first, offsets/lengths/CRCs backpatched as sections land:
 	// names are known up front, so the directory's size — and with it
 	// every section offset — is fixed before any row is written.
 	patch := make([]int, len(names))
-	dirCRCAt := -1
-	if version >= 4 {
-		for i, n := range names {
-			w.str(n)
-			patch[i] = buf.Len()
-			w.u64(0) // section offset, backpatched
-			w.u64(0) // section length, backpatched
-			w.u32(0) // section CRC, backpatched
-		}
-		dirCRCAt = buf.Len()
-		w.u32(0) // directory CRC, backpatched
+	for i, n := range names {
+		w.str(n)
+		patch[i] = buf.Len()
+		w.u64(0) // section offset, backpatched
+		w.u64(0) // section length, backpatched
+		w.u32(0) // section CRC, backpatched
 	}
+	dirCRCAt := buf.Len()
+	w.u32(0) // directory CRC, backpatched
 	for i, n := range names {
 		start := buf.Len()
 		if err := s.tables[n].encodeSection(w); err != nil {
@@ -226,17 +190,13 @@ func (s *Store) encodeSnapshotAt(version int) ([]byte, error) {
 		if got := buf.Len() - start; got != secSize[i] {
 			return nil, fmt.Errorf("internal error: table %q encoded to %d bytes, pre-sized %d", n, got, secSize[i])
 		}
-		if version >= 4 {
-			b := buf.Bytes()
-			binary.LittleEndian.PutUint64(b[patch[i]:], uint64(start))
-			binary.LittleEndian.PutUint64(b[patch[i]+8:], uint64(secSize[i]))
-			binary.LittleEndian.PutUint32(b[patch[i]+16:], crc32.Checksum(b[start:buf.Len()], snapCRC))
-		}
-	}
-	if version >= 4 {
 		b := buf.Bytes()
-		binary.LittleEndian.PutUint32(b[dirCRCAt:], crc32.Checksum(b[:dirCRCAt], snapCRC))
+		binary.LittleEndian.PutUint64(b[patch[i]:], uint64(start))
+		binary.LittleEndian.PutUint64(b[patch[i]+8:], uint64(secSize[i]))
+		binary.LittleEndian.PutUint32(b[patch[i]+16:], crc32.Checksum(b[start:buf.Len()], snapCRC))
 	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[dirCRCAt:], crc32.Checksum(b[:dirCRCAt], snapCRC))
 	var trailer [snapTrailerLen]byte
 	binary.LittleEndian.PutUint32(trailer[:], crc32.Checksum(buf.Bytes(), snapCRC))
 	buf.Write(trailer[:])
@@ -393,175 +353,52 @@ func (w *snapWriter) str(s string) {
 	w.buf.WriteString(s)
 }
 
-// IsSnapshot reports whether data begins with the binary snapshot magic.
-// Load uses it to sniff the format; callers holding raw bytes can too.
-func IsSnapshot(data []byte) bool {
-	return len(data) >= len(snapMagic) && string(data[:len(snapMagic)]) == snapMagic
-}
-
-// LoadSnapshot reads a store previously written by SaveSnapshot, fully
-// and eagerly. It is the trusted-snapshot fast path: after the checksum
-// trailer verifies, rows are decoded directly into table storage and
-// every index is bulk-built, skipping the per-row validation Insert
-// performs (the writer only emits canonical, schema-checked rows, and
-// the checksum rules out torn or bit-flipped files). Malformed input —
-// bad magic, unsupported version, truncation, checksum mismatch, or
+// OpenSnapshot reads a store previously written by SaveSnapshot. It is
+// the trusted-snapshot fast path: after the checksum verifies, rows are
+// decoded directly into table storage and every index is bulk-built,
+// skipping the per-row validation Insert performs (the writer only
+// emits canonical, schema-checked rows, and the checksum rules out torn
+// or bit-flipped files). opt.Mode selects a full eager decode (the zero
+// value; Workers bounds its parallelism) or OpenLazy, which defers each
+// table's decode to first touch. Malformed input — bad magic, any
+// version but the current one, truncation, checksum mismatch, or
 // inconsistent section lengths — fails with a descriptive error, never
 // a panic.
-func LoadSnapshot(path string) (*Store, error) {
-	return OpenSnapshot(path, SnapshotOptions{})
-}
-
-// OpenSnapshot is LoadSnapshot with explicit open options: OpenLazy
-// defers each table's decode to first touch (v4 snapshots only — older
-// versions decode eagerly), and Workers bounds eager decode parallelism.
 func OpenSnapshot(path string, opt SnapshotOptions) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("relstore: load snapshot: %w", err)
+		return nil, fmt.Errorf("relstore: open snapshot: %w", err)
 	}
-	s, _, err := decodeSnapshotOpt(data, opt)
+	s, _, err := decodeSnapshot(data, opt)
 	if err != nil {
-		return nil, fmt.Errorf("relstore: load snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("relstore: open snapshot %s: %w", path, err)
 	}
 	return s, nil
 }
 
-// decodeSnapshot decodes a snapshot eagerly along with its covered LSN —
-// the journal sequence number up to which (exclusive) the snapshot
-// already reflects every record. Version-2 files predate the field and
-// cover nothing.
-func decodeSnapshot(data []byte) (*Store, uint64, error) {
-	return decodeSnapshotOpt(data, SnapshotOptions{})
-}
-
-func decodeSnapshotOpt(data []byte, opt SnapshotOptions) (*Store, uint64, error) {
+// decodeSnapshot decodes a snapshot along with its covered LSN — the
+// journal sequence number up to which (exclusive) the snapshot already
+// reflects every record. It verifies the header and directory, then
+// either materializes every section (eager, optionally in parallel) or
+// builds lazy stubs that hydrate on first touch. Eager open verifies the
+// whole-file trailer first; lazy open trusts the directory CRC now and
+// each section's CRC at its hydration, so one corrupt section fails only
+// the table it holds.
+func decodeSnapshot(data []byte, opt SnapshotOptions) (*Store, uint64, error) {
+	// Magic before length, on whatever prefix is there: a two-byte "{}"
+	// is not a truncated snapshot.
+	if n := min(len(data), len(snapMagic)); string(data[:n]) != snapMagic[:n] {
+		return nil, 0, fmt.Errorf("bad magic %q (not a snapshot; a JSON catalog is read with icdbq import)", data[:n])
+	}
 	if len(data) < snapHeaderLen+4+snapTrailerLen {
 		return nil, 0, fmt.Errorf("%d-byte file is too short to be a snapshot (truncated?)", len(data))
 	}
-	if !IsSnapshot(data) {
-		return nil, 0, fmt.Errorf("bad magic %q (not a binary snapshot)", data[:len(snapMagic)])
+	// Version before checksum: another format version may change anything
+	// past the header (including the trailer), so "unsupported version"
+	// must win over a misleading "checksum mismatch".
+	if v := binary.LittleEndian.Uint32(data[len(snapMagic):snapHeaderLen]); v != snapVersion {
+		return nil, 0, fmt.Errorf("unsupported snapshot version %d (this build reads version %d)", v, snapVersion)
 	}
-	// Version before checksum: a future format may change anything past
-	// the header (including the trailer), so "unsupported version" must
-	// win over a misleading "checksum mismatch".
-	version := int(binary.LittleEndian.Uint32(data[len(snapMagic):snapHeaderLen]))
-	if version < 2 || version > snapVersion {
-		return nil, 0, fmt.Errorf("unsupported snapshot version %d (this build reads versions 2-%d)", version, snapVersion)
-	}
-	if version < 4 {
-		return decodeSnapshotLegacy(data, version)
-	}
-	return decodeSnapshotV4(data, opt)
-}
-
-// decodeSnapshotLegacy decodes the v2/v3 layout: no directory, sections
-// decoded sequentially. Always eager — without a directory there is
-// nothing to defer to.
-func decodeSnapshotLegacy(data []byte, version int) (*Store, uint64, error) {
-	body, trailer := data[:len(data)-snapTrailerLen], data[len(data)-snapTrailerLen:]
-	if sum := crc32.Checksum(body, snapCRC); sum != binary.LittleEndian.Uint32(trailer) {
-		return nil, 0, fmt.Errorf("checksum mismatch (want %08x, file carries %08x): snapshot is corrupted or truncated",
-			sum, binary.LittleEndian.Uint32(trailer))
-	}
-	// One copy of the payload as a string: every decoded string value is
-	// a zero-allocation slice of it, so the decode allocates O(1) per
-	// string instead of one copy each. The backing stays pinned for the
-	// store's lifetime, which costs only the encoding overhead — the
-	// string data itself would be resident either way.
-	r := &snapReader{b: body[snapHeaderLen:], s: string(body[snapHeaderLen:])}
-	var lsn uint64
-	if version >= 3 {
-		lsn = r.u64()
-	}
-	nTables := int(r.u32())
-	s := New()
-	boxes := newBoxCache()
-	for i := 0; i < nTables && r.err == nil; i++ {
-		if err := s.decodeTableSection(r, boxes); err != nil {
-			return nil, 0, err
-		}
-	}
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, 0, fmt.Errorf("%d byte(s) of trailing data after the last table section", len(r.b)-r.off)
-	}
-	return s, lsn, nil
-}
-
-// snapDirEntry locates one table section in a v4 snapshot: absolute
-// byte offset, length, and the section's own CRC-32C.
-type snapDirEntry struct {
-	name string
-	off  int
-	len  int
-	crc  uint32
-}
-
-// decodeSnapDirectory parses and verifies the v4 header and section
-// directory: entry bounds, contiguity (sections tile the span between
-// the directory and the trailer exactly, so truncation is caught even
-// without the whole-file checksum), duplicate names, and the
-// directory's own CRC — which is what lazy open trusts in place of the
-// whole-file trailer.
-func decodeSnapDirectory(data []byte) (uint64, []snapDirEntry, error) {
-	r := &snapReader{b: data, off: snapHeaderLen} // no aliased string: names are copied out
-	lsn := r.u64()
-	nTables := int(r.u32())
-	if r.err == nil && (nTables < 0 || nTables > (len(data)-r.off)/(4+snapDirFixed)) {
-		return 0, nil, fmt.Errorf("table count %d is impossible for a %d-byte file", nTables, len(data))
-	}
-	entries := make([]snapDirEntry, 0, nTables)
-	seen := make(map[string]bool, nTables)
-	for i := 0; i < nTables && r.err == nil; i++ {
-		e := snapDirEntry{name: r.str()}
-		e.off = int(int64(r.u64()))
-		e.len = int(int64(r.u64()))
-		e.crc = r.u32()
-		if r.err != nil {
-			break
-		}
-		if seen[e.name] {
-			return 0, nil, fmt.Errorf("directory lists table %q twice", e.name)
-		}
-		seen[e.name] = true
-		entries = append(entries, e)
-	}
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	dirCRCAt := r.off
-	wantDir := r.u32()
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	if sum := crc32.Checksum(data[:dirCRCAt], snapCRC); sum != wantDir {
-		return 0, nil, fmt.Errorf("directory checksum mismatch (want %08x, file carries %08x): snapshot header is corrupted or truncated",
-			sum, wantDir)
-	}
-	next := r.off
-	for _, e := range entries {
-		if e.len < 0 || e.len > len(data) || e.off != next {
-			return 0, nil, fmt.Errorf("table %q: section at offset %d (%d bytes) does not tile the file (expected offset %d)",
-				e.name, e.off, e.len, next)
-		}
-		next += e.len
-	}
-	if next != len(data)-snapTrailerLen {
-		return 0, nil, fmt.Errorf("%d byte(s) of trailing data after the last table section", len(data)-snapTrailerLen-next)
-	}
-	return lsn, entries, nil
-}
-
-// decodeSnapshotV4 decodes the directory, then either materializes every
-// section (eager, optionally in parallel) or builds lazy stubs that
-// hydrate on first touch. Eager open verifies the whole-file trailer
-// first, exactly like v3; lazy open trusts the directory CRC now and
-// each section's CRC at its hydration, so one corrupt section fails only
-// the table it holds.
-func decodeSnapshotV4(data []byte, opt SnapshotOptions) (*Store, uint64, error) {
 	if opt.Mode != OpenLazy {
 		body, trailer := data[:len(data)-snapTrailerLen], data[len(data)-snapTrailerLen:]
 		if sum := crc32.Checksum(body, snapCRC); sum != binary.LittleEndian.Uint32(trailer) {
@@ -631,7 +468,76 @@ func decodeSnapshotV4(data []byte, opt SnapshotOptions) (*Store, uint64, error) 
 	return s, lsn, nil
 }
 
-// decodeSectionTable decodes one self-contained v4 section into a
+// snapDirEntry locates one table section in the file: absolute
+// byte offset, length, and the section's own CRC-32C.
+type snapDirEntry struct {
+	name string
+	off  int
+	len  int
+	crc  uint32
+}
+
+// decodeSnapDirectory parses and verifies the header and section
+// directory: entry bounds, contiguity (sections tile the span between
+// the directory and the trailer exactly, so truncation is caught even
+// without the whole-file checksum), duplicate names, and the
+// directory's own CRC — which is what lazy open trusts in place of the
+// whole-file trailer.
+func decodeSnapDirectory(data []byte) (uint64, []snapDirEntry, error) {
+	r := &snapReader{b: data, off: snapHeaderLen} // no aliased string: names are copied out
+	lsn := r.u64()
+	nTables := int(r.u32())
+	if r.err == nil && (nTables < 0 || nTables > (len(data)-r.off)/(4+snapDirFixed)) {
+		return 0, nil, fmt.Errorf("table count %d is impossible for a %d-byte file", nTables, len(data))
+	}
+	entries := make([]snapDirEntry, 0, nTables)
+	seen := make(map[string]bool, nTables)
+	for i := 0; i < nTables && r.err == nil; i++ {
+		e := snapDirEntry{name: r.str()}
+		e.off = int(int64(r.u64()))
+		e.len = int(int64(r.u64()))
+		e.crc = r.u32()
+		if r.err != nil {
+			break
+		}
+		// No table is ever created without a name, and the poisoned stub
+		// lazy open builds for an undecodable section needs one.
+		if e.name == "" {
+			return 0, nil, fmt.Errorf("directory entry %d has an empty table name", i)
+		}
+		if seen[e.name] {
+			return 0, nil, fmt.Errorf("directory lists table %q twice", e.name)
+		}
+		seen[e.name] = true
+		entries = append(entries, e)
+	}
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	dirCRCAt := r.off
+	wantDir := r.u32()
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	if sum := crc32.Checksum(data[:dirCRCAt], snapCRC); sum != wantDir {
+		return 0, nil, fmt.Errorf("directory checksum mismatch (want %08x, file carries %08x): snapshot header is corrupted or truncated",
+			sum, wantDir)
+	}
+	next := r.off
+	for _, e := range entries {
+		if e.len < 0 || e.len > len(data) || e.off != next {
+			return 0, nil, fmt.Errorf("table %q: section at offset %d (%d bytes) does not tile the file (expected offset %d)",
+				e.name, e.off, e.len, next)
+		}
+		next += e.len
+	}
+	if next != len(data)-snapTrailerLen {
+		return 0, nil, fmt.Errorf("%d byte(s) of trailing data after the last table section", len(data)-snapTrailerLen-next)
+	}
+	return lsn, entries, nil
+}
+
+// decodeSectionTable decodes one self-contained section into a
 // standalone table: schema header, validation, bulk row build. It needs
 // no Store, which is what lets eager workers decode sections
 // concurrently and hydration decode one section under the store lock.
@@ -690,23 +596,6 @@ func lazyStub(e snapDirEntry, section []byte) *table {
 	return t
 }
 
-// decodeTableSection decodes one table of a legacy (v2/v3) snapshot into
-// the store: sections are not length-prefixed as a unit there, so the
-// reader simply advances through them in order.
-func (s *Store) decodeTableSection(r *snapReader, boxes *boxCache) error {
-	sc, nRows, payload, err := decodeSectionSchema(r)
-	if err != nil {
-		return err
-	}
-	// Schema sanity (duplicate columns, undeclared key/index columns)
-	// still goes through CreateTable — it is O(columns), not O(rows), so
-	// the fast path keeps it.
-	if err := s.CreateTable(sc); err != nil {
-		return err
-	}
-	return s.tables[sc.Table].decodeSectionRows(r, nRows, payload, boxes)
-}
-
 // decodeSectionSchema reads a section's schema header, row count, and
 // declared payload length, leaving r at the first row. The payload bound
 // and minimum-row-size sanity checks run here, before any per-row
@@ -750,7 +639,7 @@ func decodeSectionSchema(r *snapReader) (Schema, int, int, error) {
 
 // decodeSectionRows bulk-builds t's storage and indexes from r,
 // positioned at the section's first row. t must be freshly constructed
-// (newTable or CreateTable) and unobserved by readers.
+// (newTable) and unobserved by readers.
 func (t *table) decodeSectionRows(r *snapReader, nRows, payload int, boxes *boxCache) error {
 	sc := t.schema
 	d := t.data

@@ -1,8 +1,8 @@
 package relstore
 
-// Persistence tests: binary snapshot round-trips and robustness against
-// malformed files, atomic-save behavior, format sniffing, and the
-// JSON load path's per-column validation and error context.
+// Persistence tests: snapshot round-trips, robustness against malformed
+// files and files of any other format or version, and atomic-save
+// behavior.
 
 import (
 	"bytes"
@@ -122,7 +122,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := s.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := LoadSnapshot(path)
+	s2, err := OpenSnapshot(path, SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,76 +164,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSONCrossValidation: the same store written through both
-// formats reloads identically — binary vs JSON produce indistinguishable
-// stores, and binary survives a JSON detour.
-func TestSnapshotJSONCrossValidation(t *testing.T) {
-	s := persistStore(t)
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "store.json")
-	snapPath := filepath.Join(dir, "store.snap")
-	if err := s.Save(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveSnapshot(snapPath); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := Load(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSnap, err := LoadSnapshot(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStoresEqual(t, fromJSON, fromSnap)
-
-	// JSON -> binary -> JSON keeps the JSON wire form stable too.
-	if err := fromSnap.Save(filepath.Join(dir, "store2.json")); err != nil {
-		t.Fatal(err)
-	}
-	j1, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := os.ReadFile(filepath.Join(dir, "store2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Error("JSON serialization differs after a binary round-trip")
-	}
-}
-
-// TestLoadSniffsFormat: one Load entry point reads both formats.
-func TestLoadSniffsFormat(t *testing.T) {
-	s := persistStore(t)
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		name string
-		save func(string) error
-	}{
-		{"json", s.Save},
-		{"snapshot", s.SaveSnapshot},
-	} {
-		path := filepath.Join(dir, tc.name)
-		if err := tc.save(path); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Load(path)
-		if err != nil {
-			t.Fatalf("Load(%s): %v", tc.name, err)
-		}
-		assertStoresEqual(t, s, got)
-	}
-	// LoadSnapshot is strict: a JSON file is rejected with a clear error,
-	// not mis-parsed.
-	jsonPath := filepath.Join(dir, "json")
-	if _, err := LoadSnapshot(jsonPath); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("LoadSnapshot(json file) = %v, want bad-magic error", err)
-	}
-}
-
 // TestSnapshotRobustness: malformed snapshots of every flavor fail with
 // descriptive errors — never a panic, never a silently wrong store.
 func TestSnapshotRobustness(t *testing.T) {
@@ -247,7 +177,7 @@ func TestSnapshotRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := func(b []byte) error {
-		_, _, err := decodeSnapshot(b)
+		_, _, err := decodeSnapshot(b, SnapshotOptions{})
 		return err
 	}
 
@@ -281,45 +211,63 @@ func TestSnapshotRobustness(t *testing.T) {
 	t.Run("v1 snapshot rejected", func(t *testing.T) {
 		// A version-1 file (the PR 3 format, predating the generators and
 		// estimators sections) must be rejected with a clear version error
-		// — not misparsed as a catalog missing the new relations. JSON
-		// stays the cross-version compatibility path.
+		// — not misparsed as a catalog missing the new relations.
 		old := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(old[8:], 1)
 		binary.LittleEndian.PutUint32(old[len(old)-4:], crcOf(old[:len(old)-4]))
 		err := load(old)
-		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
-			t.Fatalf("v1 snapshot: %v, want unsupported-version error", err)
-		}
-		if !strings.Contains(err.Error(), "reads versions 2-4") {
-			t.Errorf("v1 snapshot error %v does not name the supported versions", err)
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1 (this build reads version 4)") {
+			t.Fatalf("v1 snapshot: %v, want unsupported-version error naming the one supported version", err)
 		}
 	})
-	t.Run("v2 snapshot accepted", func(t *testing.T) {
-		// A version-2 file predates the covered-LSN header field but is
-		// otherwise the v3 layout (no section directory); a v4 reader
-		// accepts it with covered LSN zero instead of forcing a JSON
-		// migration. Derive the v2 bytes from a v3 encode — the current
-		// format's directory does not exist in either.
-		s.mu.RLock()
-		v3, err3 := s.encodeSnapshotAt(3)
-		s.mu.RUnlock()
-		if err3 != nil {
-			t.Fatal(err3)
+	t.Run("other versions rejected on every open path", func(t *testing.T) {
+		// Hand-built headers: right magic, every version this repository
+		// ever wrote but the current one plus the next, over a body that
+		// is not a snapshot at all. The version alone decides — before any
+		// checksum or directory is looked at — and eager open, lazy open
+		// and OpenDurable say the same thing.
+		dir := t.TempDir()
+		for _, v := range []uint32{1, 2, 3, 5} {
+			hdr := binary.LittleEndian.AppendUint32([]byte(snapMagic), v)
+			file := append(hdr, bytes.Repeat([]byte{0xA5}, 64)...)
+			p := filepath.Join(dir, fmt.Sprintf("v%d.snap", v))
+			if err := os.WriteFile(p, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("unsupported snapshot version %d (this build reads version 4)", v)
+			_, eager := OpenSnapshot(p, SnapshotOptions{})
+			_, lazy := OpenSnapshot(p, SnapshotOptions{Mode: OpenLazy})
+			_, durable := OpenDurable(p, DurableOptions{})
+			_, durableLazy := OpenDurable(p, DurableOptions{Open: OpenLazy})
+			for path, err := range map[string]error{"eager": eager, "lazy": lazy, "durable": durable, "durable lazy": durableLazy} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("version %d, %s open: %v, want %q", v, path, err, want)
+				}
+			}
+			if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, file) {
+				t.Errorf("version %d: rejected file was rewritten (%v)", v, err)
+			}
+			if _, err := os.Stat(p + ".wal"); err == nil {
+				t.Errorf("version %d: OpenDurable left a journal next to a file it refused", v)
+			}
 		}
-		old := append([]byte(nil), v3[:12]...)
-		old = append(old, v3[20:len(v3)-4]...) // drop the LSN field
-		binary.LittleEndian.PutUint32(old[8:], 2)
-		old = append(old, 0, 0, 0, 0)
-		binary.LittleEndian.PutUint32(old[len(old)-4:], crcOf(old[:len(old)-4]))
-		s2, lsn, err := decodeSnapshot(old)
-		if err != nil {
-			t.Fatalf("v2 snapshot rejected: %v", err)
-		}
-		if lsn != 0 {
-			t.Errorf("v2 snapshot decoded with covered LSN %d, want 0", lsn)
-		}
-		if len(s2.Tables()) != len(s.Tables()) {
-			t.Errorf("v2 snapshot decoded %d tables, want %d", len(s2.Tables()), len(s.Tables()))
+	})
+	t.Run("json catalog rejected", func(t *testing.T) {
+		// A JSON catalog (the retired Save format) is not sniffed any
+		// more: bad magic, with a pointer at the tool that reads it.
+		p := filepath.Join(t.TempDir(), "cat.json")
+		for _, body := range []string{`{}`, `{"implementations": {"schema": {"Table": "implementations"}, "rows": []}}`} {
+			if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, eager := OpenSnapshot(p, SnapshotOptions{})
+			_, lazy := OpenSnapshot(p, SnapshotOptions{Mode: OpenLazy})
+			_, durable := OpenDurable(p, DurableOptions{})
+			for path, err := range map[string]error{"eager": eager, "lazy": lazy, "durable": durable} {
+				if err == nil || !strings.Contains(err.Error(), "bad magic") || !strings.Contains(err.Error(), "icdbq import") {
+					t.Errorf("%s open of %q: %v, want bad-magic error naming icdbq import", path, body, err)
+				}
+			}
 		}
 	})
 	t.Run("corrupted byte", func(t *testing.T) {
@@ -394,7 +342,7 @@ func TestSnapshotRobustness(t *testing.T) {
 		if err := New().SaveSnapshot(p); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := LoadSnapshot(p)
+		s2, err := OpenSnapshot(p, SnapshotOptions{})
 		if err != nil || len(s2.Tables()) != 0 {
 			t.Errorf("empty store round-trip: %v tables, %v", s2.Tables(), err)
 		}
@@ -403,27 +351,17 @@ func TestSnapshotRobustness(t *testing.T) {
 
 func crcOf(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
 
-// buildForgedSnapshot assembles a single-table snapshot with a valid
-// header and checksum around the section written by fill. It forges the
-// v3 layout — no section directory to fabricate — which exercises the
-// same section decoding the v4 paths share.
+// buildForgedSnapshot seals the section written by fill inside valid
+// framing (sealSection), so only the section's own contents are wrong.
 func buildForgedSnapshot(t *testing.T, fill func(*snapWriter)) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := &snapWriter{buf: &buf}
-	w.raw([]byte(snapMagic))
-	w.u32(3)
-	w.u64(0) // covered LSN
-	w.u32(1)
-	fill(w)
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crcOf(buf.Bytes()))
-	buf.Write(trailer[:])
-	return buf.Bytes()
+	var sec bytes.Buffer
+	fill(&snapWriter{buf: &sec})
+	return sealSection(sec.Bytes())
 }
 
 // TestSnapshotByteIdentical is the quick-style property: for a spread of
-// pseudo-random stores, Save -> LoadSnapshot -> Save reproduces the file
+// pseudo-random stores, Save -> OpenSnapshot -> Save reproduces the file
 // byte for byte (deterministic table order, preserved insertion order,
 // canonical value types).
 func TestSnapshotByteIdentical(t *testing.T) {
@@ -436,7 +374,7 @@ func TestSnapshotByteIdentical(t *testing.T) {
 		if err := s.SaveSnapshot(p1); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := LoadSnapshot(p1)
+		s2, err := OpenSnapshot(p1, SnapshotOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -452,7 +390,7 @@ func TestSnapshotByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(b1, b2) {
-			t.Fatalf("seed %d: Save -> LoadSnapshot -> Save is not byte-identical (%d vs %d bytes)", seed, len(b1), len(b2))
+			t.Fatalf("seed %d: Save -> OpenSnapshot -> Save is not byte-identical (%d vs %d bytes)", seed, len(b1), len(b2))
 		}
 	}
 }
@@ -510,7 +448,7 @@ func randomStore(t *testing.T, rng *rand.Rand) *Store {
 	return s
 }
 
-// TestSaveAtomic: both save paths go through the temp-file-and-rename
+// TestSaveAtomic: a save goes through the temp-file-and-rename
 // protocol — a failed save leaves the previous file intact and no
 // temp litter behind.
 func TestSaveAtomic(t *testing.T) {
@@ -520,7 +458,6 @@ func TestSaveAtomic(t *testing.T) {
 		name string
 		save func(string) error
 	}{
-		{"json", s.Save},
 		{"snapshot", s.SaveSnapshot},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -562,82 +499,6 @@ func TestSaveAtomic(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLoadJSONErrorContext: the reworked JSON load path reports the
-// table, row index, and column of every malformed value instead of a
-// bare Insert failure, and refuses non-integral values in int columns
-// rather than truncating them.
-func TestLoadJSONErrorContext(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	schema := `"schema": {"Table": "t", "Columns": [{"Name": "n", "Type": 0}, {"Name": "size", "Type": 1}], "Key": ["n"]}`
-
-	for _, tc := range []struct {
-		name, rows string
-		want       []string
-	}{
-		{
-			"wrong type",
-			`[{"n": "a", "size": "five"}]`,
-			[]string{`table "t"`, "row 0", `column "size"`, "want int"},
-		},
-		{
-			"fractional int",
-			`[{"n": "a", "size": 1}, {"n": "b", "size": 2.5}]`,
-			[]string{`table "t"`, "row 1", `column "size"`, "want int", "float64"},
-		},
-		{
-			"missing column",
-			`[{"n": "a"}]`,
-			[]string{`table "t"`, "row 0", `missing column "size"`},
-		},
-		{
-			"undeclared column",
-			`[{"n": "a", "size": 1, "bogus": true}]`,
-			[]string{`table "t"`, "row 0", `undeclared column "bogus"`},
-		},
-		{
-			"duplicate key",
-			`[{"n": "a", "size": 1}, {"n": "a", "size": 2}]`,
-			[]string{`table "t"`, "row 1", "duplicate key"},
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := write(tc.name+".json", `{"t": {`+schema+`, "rows": `+tc.rows+`}}`)
-			_, err := Load(p)
-			if err == nil {
-				t.Fatal("malformed JSON store loaded successfully")
-			}
-			for _, frag := range tc.want {
-				if !strings.Contains(err.Error(), frag) {
-					t.Errorf("error %q missing %q", err, frag)
-				}
-			}
-		})
-	}
-
-	// A valid file with integral float ints still loads canonically.
-	p := write("ok.json", `{"t": {`+schema+`, "rows": [{"n": "a", "size": 3}]}}`)
-	s, err := Load(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Get("t", "a")
-	if err != nil || r["size"] != 3 {
-		t.Errorf("reloaded row = %v (%v), want size int 3", r, err)
-	}
-	// Mismatched map key vs schema table name is caught.
-	p = write("mismatch.json", `{"other": {`+schema+`, "rows": []}}`)
-	if _, err := Load(p); err == nil || !strings.Contains(err.Error(), "declares name") {
-		t.Errorf("table-name mismatch: %v", err)
 	}
 }
 

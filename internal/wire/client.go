@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
@@ -18,11 +17,10 @@ import (
 // session anyway) — but Cancel may be called from another goroutine
 // while an Exec is in flight.
 type Client struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	version uint32
-	wmu     sync.Mutex // serializes frame writes (Exec vs Cancel)
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	wmu  sync.Mutex // serializes frame writes (Exec vs Cancel)
 	// rbuf is the payload buffer every reply frame is read into; a row
 	// costs one allocation, the string handed to onRow.
 	rbuf []byte
@@ -30,8 +28,8 @@ type Client struct {
 
 // RemoteError is a command failure reported by the server (an Error
 // frame): the command was delivered and rejected, as opposed to a
-// transport failure. Code classifies it on protocol v2 sessions
-// (CodeGeneric on v1). Retry helpers never retry a RemoteError.
+// transport failure. Code classifies it (CodeGeneric for a pre-Hello
+// handshake rejection). Retry helpers never retry a RemoteError.
 type RemoteError struct {
 	Code ErrCode
 	Msg  string
@@ -76,13 +74,9 @@ func (b Backoff) delay(attempt int) time.Duration {
 
 // Options configures a client connection beyond the address.
 type Options struct {
-	// Secret is the shared-secret auth token presented in the v2
+	// Secret is the shared-secret auth token presented in the
 	// handshake; leave empty for servers without -secret.
 	Secret string
-	// Version is the protocol version to announce (default
-	// wire.Version). Set 1 to talk to pre-v2 servers; v1 sessions
-	// cannot authenticate or cancel.
-	Version uint32
 	// DialTimeout bounds the TCP connect (default 10s).
 	DialTimeout time.Duration
 	// Retry is the dial retry policy for transport failures; the zero
@@ -97,9 +91,7 @@ func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 // DialOptions connects to an icdbd server, retrying transport failures
 // per o.Retry with exponential backoff and jitter. A RemoteError — the
 // server answered and rejected us (bad auth, connection limit, version)
-// — is returned immediately, never retried; the one exception is a
-// pre-v2 server rejecting our version, which is answered by a one-shot
-// downgrade to protocol v1 when no secret is required.
+// — is returned immediately, never retried.
 func DialOptions(addr string, o Options) (*Client, error) {
 	attempts := o.Retry.Attempts
 	if attempts < 1 {
@@ -116,11 +108,6 @@ func DialOptions(addr string, o Options) (*Client, error) {
 		}
 		var re *RemoteError
 		if errors.As(err, &re) {
-			if o.Version == 0 && o.Secret == "" && strings.HasPrefix(re.Msg, "unsupported protocol version") {
-				o2 := o
-				o2.Version = 1
-				return dialOnce(addr, o2)
-			}
 			return nil, err
 		}
 		lastErr = err
@@ -153,17 +140,10 @@ func NewClient(conn net.Conn) (*Client, error) { return NewClientOptions(conn, O
 // NewClientOptions runs the client side of the handshake over an
 // established connection; on success the client owns conn.
 func NewClientOptions(conn net.Conn, o Options) (*Client, error) {
-	ver := o.Version
-	if ver == 0 {
-		ver = Version
-	}
-	if ver < 2 && o.Secret != "" {
-		return nil, fmt.Errorf("wire: protocol v%d has no auth exchange; a secret needs v2", ver)
-	}
 	// The reader matches the server's output buffer, so a coalesced burst
 	// of reply frames is taken off the socket in one read.
 	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, flushBufSize), bw: bufio.NewWriter(conn)}
-	if err := writePreamble(c.bw, ver); err != nil {
+	if err := writePreamble(c.bw, Version); err != nil {
 		return nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -175,11 +155,9 @@ func NewClientOptions(conn net.Conn, o Options) (*Client, error) {
 	}
 	switch t {
 	case FrameHello:
-		v := doneCount(payload)
-		if v < MinVersion || v > int(ver) {
-			return nil, fmt.Errorf("wire: server speaks protocol version %d, client %d", v, ver)
+		if v := doneCount(payload); v != Version {
+			return nil, fmt.Errorf("wire: server speaks protocol version %d, client %d", v, Version)
 		}
-		c.version = uint32(v)
 	case FrameError:
 		// Pre-Hello handshake rejections are plain text in every
 		// protocol version (the frozen handshake contract).
@@ -187,30 +165,25 @@ func NewClientOptions(conn net.Conn, o Options) (*Client, error) {
 	default:
 		return nil, fmt.Errorf("wire: handshake: unexpected %s frame", t)
 	}
-	if c.version >= 2 {
-		// Auth exchange: send our token (possibly empty), wait for the
-		// server's verdict.
-		if err := c.writeFrame(FrameHello, []byte(o.Secret)); err != nil {
-			return nil, err
-		}
-		t, payload, err := ReadFrame(c.br)
-		if err != nil {
-			return nil, fmt.Errorf("wire: handshake: %w", err)
-		}
-		switch t {
-		case FrameDone:
-		case FrameError:
-			code, msg := decodeError(c.version, payload)
-			return nil, &RemoteError{Code: code, Msg: msg}
-		default:
-			return nil, fmt.Errorf("wire: handshake: unexpected %s frame", t)
-		}
+	// Auth exchange: send our token (possibly empty), wait for the
+	// server's verdict.
+	if err := c.writeFrame(FrameHello, []byte(o.Secret)); err != nil {
+		return nil, err
+	}
+	t, payload, err = ReadFrame(c.br)
+	if err != nil {
+		return nil, fmt.Errorf("wire: handshake: %w", err)
+	}
+	switch t {
+	case FrameDone:
+	case FrameError:
+		code, msg := decodeError(payload)
+		return nil, &RemoteError{Code: code, Msg: msg}
+	default:
+		return nil, fmt.Errorf("wire: handshake: unexpected %s frame", t)
 	}
 	return c, nil
 }
-
-// ProtocolVersion reports the negotiated session version.
-func (c *Client) ProtocolVersion() uint32 { return c.version }
 
 // writeFrame writes and flushes one frame under the write lock, so
 // Cancel can interleave safely with an in-flight Exec.
@@ -226,12 +199,8 @@ func (c *Client) writeFrame(t FrameType, payload []byte) error {
 // Cancel asks the server to abort the in-flight command without
 // dropping the connection; the command answers with a RemoteError of
 // CodeCancelled (or completes normally if it won the race). Safe to
-// call from another goroutine while Exec is reading the reply. Needs a
-// v2 session.
+// call from another goroutine while Exec is reading the reply.
 func (c *Client) Cancel() error {
-	if c.version < 2 {
-		return fmt.Errorf("wire: server session speaks protocol v%d; Cancel needs v2", c.version)
-	}
 	return c.writeFrame(FrameCancel, nil)
 }
 
@@ -247,9 +216,7 @@ func (c *Client) Exec(cmd string, onRow func(line string)) (rows int, err error)
 // ExecContext is Exec with cancellation: when ctx ends mid-command the
 // client sends a Cancel frame and keeps reading until the server
 // acknowledges (RemoteError CodeCancelled) or the command completes
-// anyway — the session stays usable either way. On a v1 session there
-// is no Cancel frame, so cancellation tears the connection down
-// instead.
+// anyway — the session stays usable either way.
 func (c *Client) ExecContext(ctx context.Context, cmd string, onRow func(line string)) (rows int, err error) {
 	if err := c.writeFrame(FrameCommand, []byte(cmd)); err != nil {
 		return 0, err
@@ -261,7 +228,7 @@ func (c *Client) ExecContext(ctx context.Context, cmd string, onRow func(line st
 			select {
 			case <-done:
 				if c.Cancel() != nil {
-					// v1 (or dead) session: no cancel frame exists; the
+					// Dead session: the Cancel could not be written, so the
 					// only way to honor ctx is to abandon the connection.
 					c.conn.SetReadDeadline(time.Now())
 				}
@@ -290,7 +257,7 @@ func (c *Client) ExecContext(ctx context.Context, cmd string, onRow func(line st
 			}
 			return rows, nil
 		case FrameError:
-			code, msg := decodeError(c.version, payload)
+			code, msg := decodeError(payload)
 			return rows, &RemoteError{Code: code, Msg: msg}
 		default:
 			return rows, fmt.Errorf("wire: unexpected %s frame in command reply", t)
@@ -303,7 +270,7 @@ func (c *Client) ExecContext(ctx context.Context, cmd string, onRow func(line st
 // the backoff policy in o.Retry; a RemoteError is returned immediately,
 // never retried. A command whose stream already delivered rows is not
 // retried either, so onRow never sees duplicates. This is the one-shot
-// client path ("icdbq connect -c", "icdbq cql -remote"); it must not
+// client path ("icdbq connect -c"); it must not
 // be used for commands that depend on session state.
 func ExecRetry(ctx context.Context, addr string, o Options, cmd string, onRow func(line string)) (int, error) {
 	attempts := o.Retry.Attempts

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -97,7 +98,7 @@ func drainToError(t *testing.T, conn net.Conn) (ErrCode, string) {
 		switch ft {
 		case FrameRow:
 		case FrameError:
-			code, msg := decodeError(2, payload)
+			code, msg := decodeError(payload)
 			return code, msg
 		default:
 			t.Fatalf("draining to Error: unexpected %s frame", ft)
@@ -123,7 +124,7 @@ func drainToDone(t *testing.T, conn net.Conn) int {
 			}
 			return rows
 		case FrameError:
-			_, msg := decodeError(2, payload)
+			_, msg := decodeError(payload)
 			t.Fatalf("draining to Done: Error %q after %d rows", msg, rows)
 		}
 	}
@@ -152,7 +153,7 @@ func TestFaultSplitPreambleHandshakes(t *testing.T) {
 		faultconn.Fault{Op: faultconn.Write, At: 9, Kind: faultconn.Chop})
 	defer fc.Close()
 
-	rawHandshake(t, fc, Version, "")
+	rawHandshake(t, fc, "")
 	if err := WriteFrame(fc, FrameCommand, []byte("show impls")); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestFaultResetMidHandshake(t *testing.T) {
 	})
 	conn := ln.dial(t)
 	defer conn.Close()
-	rawHandshake(t, conn, Version, "")
+	rawHandshake(t, conn, "")
 }
 
 // TestFaultTruncatedFrameMidCommand: a command frame whose payload is
@@ -217,7 +218,7 @@ func TestFaultTruncatedFrameMidCommand(t *testing.T) {
 	// from 22. Reset three bytes into the ten-byte payload.
 	fc := faultconn.New(ln.dial(t),
 		faultconn.Fault{Op: faultconn.Write, At: 25, Kind: faultconn.Reset})
-	rawHandshake(t, fc, Version, "")
+	rawHandshake(t, fc, "")
 	if err := WriteFrame(fc, FrameCommand, []byte("show impls")); err == nil {
 		t.Fatal("write past an injected reset succeeded")
 	}
@@ -227,7 +228,7 @@ func TestFaultTruncatedFrameMidCommand(t *testing.T) {
 	})
 	conn := ln.dial(t)
 	defer conn.Close()
-	rawHandshake(t, conn, Version, "")
+	rawHandshake(t, conn, "")
 	if err := WriteFrame(conn, FrameCommand, []byte("show impls")); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestFaultCorruptLengthPrefix(t *testing.T) {
 	fc := faultconn.New(ln.dial(t),
 		faultconn.Fault{Op: faultconn.Write, At: 20, Kind: faultconn.Corrupt})
 	defer fc.Close()
-	rawHandshake(t, fc, Version, "")
+	rawHandshake(t, fc, "")
 	WriteFrame(fc, FrameCommand, []byte("show impls"))
 	// The server drops the session without a reply (it cannot trust
 	// the stream enough to frame one).
@@ -260,7 +261,7 @@ func TestFaultCorruptLengthPrefix(t *testing.T) {
 	})
 	conn := ln.dial(t)
 	defer conn.Close()
-	rawHandshake(t, conn, Version, "")
+	rawHandshake(t, conn, "")
 }
 
 // TestFaultCancelMidStreamSessionSurvives is the tentpole acceptance
@@ -273,7 +274,7 @@ func TestFaultCancelMidStreamSessionSurvives(t *testing.T) {
 	srv, ln := startPipeServerOpts(t, db, nil)
 	conn := ln.dial(t)
 	defer conn.Close()
-	rawHandshake(t, conn, Version, "")
+	rawHandshake(t, conn, "")
 
 	if err := WriteFrame(conn, FrameCommand, []byte("find component executing STORAGE")); err != nil {
 		t.Fatal(err)
@@ -428,13 +429,13 @@ func TestFaultIdleTimeout(t *testing.T) {
 	})
 	conn := ln.dial(t)
 	defer conn.Close()
-	rawHandshake(t, conn, Version, "")
+	rawHandshake(t, conn, "")
 
 	ft, payload, err := ReadFrame(conn)
 	if err != nil || ft != FrameError {
 		t.Fatalf("idle session: frame %v err %v, want Error", ft, err)
 	}
-	code, msg := decodeError(2, payload)
+	code, msg := decodeError(payload)
 	if code != CodeTimeout || !strings.Contains(msg, "idle timeout") {
 		t.Fatalf("idle session: %s %q, want %s", code, msg, CodeTimeout)
 	}
@@ -515,7 +516,7 @@ func TestFaultPipelineOverflow(t *testing.T) {
 	_, ln := startPipeServerOpts(t, db, nil)
 	conn := ln.dial(t)
 	defer conn.Close()
-	rawHandshake(t, conn, Version, "")
+	rawHandshake(t, conn, "")
 
 	if err := WriteFrame(conn, FrameCommand, []byte("find component executing STORAGE")); err != nil {
 		t.Fatal(err)
@@ -540,8 +541,7 @@ func TestFaultPipelineOverflow(t *testing.T) {
 }
 
 // TestFaultAuth: the shared-secret handshake — right secret in, wrong
-// secret rejected with CodeAuth, v1 clients rejected outright (their
-// protocol has no auth exchange), all in constant-time compares.
+// secret rejected with CodeAuth, all in constant-time compares.
 func TestFaultAuth(t *testing.T) {
 	db := openDB(t)
 	srv, addr := startServerOpts(t, db, func(s *Server) {
@@ -563,65 +563,53 @@ func TestFaultAuth(t *testing.T) {
 		t.Fatalf("wrong secret: err = %v, want RemoteError %s", err, CodeAuth)
 	}
 
-	_, err = DialOptions(addr, Options{Version: 1})
-	if !errors.As(err, &re) || !strings.Contains(re.Msg, "authentication required") {
-		t.Fatalf("v1 client against auth server: err = %v", err)
-	}
-
-	if n := srv.Stats().AuthFailures; n != 2 {
-		t.Errorf("auth failures = %d, want 2", n)
+	if n := srv.Stats().AuthFailures; n != 1 {
+		t.Errorf("auth failures = %d, want 1", n)
 	}
 }
 
-// TestFaultV1ClientInterop: a v1 client interoperates with the v2
-// server for the v1 command set — plain-text errors, no Cancel.
-func TestFaultV1ClientInterop(t *testing.T) {
-	db := openDB(t)
-	_, addr := startServerOpts(t, db, nil)
-
-	// Raw v1 session: no auth leg, bare-text Error payloads.
-	conn, err := net.Dial("tcp", addr)
+// TestFaultServerHelloOtherVersionFailsDial: a client against a server
+// that answers the preamble with Hello(1) fails the dial — it neither
+// downgrades nor retries with another version.
+func TestFaultServerHelloOtherVersionFailsDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	rawHandshake(t, conn, 1, "")
-	if err := WriteFrame(conn, FrameCommand, []byte("show impls")); err != nil {
-		t.Fatal(err)
+	defer ln.Close()
+	accepted := make(chan int, 1)
+	go func() {
+		n := 0
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				accepted <- n
+				return
+			}
+			n++
+			if _, err := readPreamble(conn); err == nil {
+				WriteFrame(conn, FrameHello, u32(1))
+			}
+			// Whatever the client sends next, a v1 server would treat it
+			// as a command; all that matters is that the dial has failed.
+			io.Copy(io.Discard, conn)
+			conn.Close()
+		}
+	}()
+	c, err := DialOptions(ln.Addr().String(), Options{Retry: Backoff{Attempts: 3, Base: time.Millisecond}})
+	if err == nil {
+		c.Close()
+		t.Fatal("dial against a Hello(1) server succeeded")
 	}
-	if rows := drainToDone(t, conn); rows == 0 {
-		t.Fatal("v1 show impls returned no rows")
+	if !strings.Contains(err.Error(), "server speaks protocol version 1") {
+		t.Fatalf("dial error = %v, want the server's version named", err)
 	}
-	if err := WriteFrame(conn, FrameCommand, []byte("bogus")); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := ReadFrame(conn)
-	if err != nil || ft != FrameError {
-		t.Fatalf("v1 bad command: frame %v err %v", ft, err)
-	}
-	if !strings.Contains(string(payload), "bogus") {
-		t.Fatalf("v1 error payload is not bare text: %q", payload)
-	}
-	// The session survives a command error, v1 or v2.
-	if err := WriteFrame(conn, FrameCommand, []byte("show impls")); err != nil {
-		t.Fatal(err)
-	}
-	drainToDone(t, conn)
-
-	// The Client API pinned to v1: Exec works, Cancel refuses.
-	c, err := DialOptions(addr, Options{Version: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.ProtocolVersion(); got != 1 {
-		t.Fatalf("negotiated v%d, want v1", got)
-	}
-	if _, err := c.Exec("show impls", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Cancel(); err == nil {
-		t.Fatal("Cancel on a v1 session did not error")
+	ln.Close()
+	if n := <-accepted; n != 3 {
+		// A version mismatch is a transport-class failure of this dial
+		// (no RemoteError), so the retry policy runs; every attempt must
+		// announce v2 again and fail the same way.
+		t.Fatalf("fake server saw %d connection(s), want 3", n)
 	}
 }
 
@@ -724,11 +712,11 @@ func TestFaultShutdownGraceful(t *testing.T) {
 
 	idle := ln.dial(t)
 	defer idle.Close()
-	rawHandshake(t, idle, Version, "")
+	rawHandshake(t, idle, "")
 
 	streaming := ln.dial(t)
 	defer streaming.Close()
-	rawHandshake(t, streaming, Version, "")
+	rawHandshake(t, streaming, "")
 	if err := WriteFrame(streaming, FrameCommand, []byte("find component executing STORAGE")); err != nil {
 		t.Fatal(err)
 	}
@@ -750,7 +738,7 @@ func TestFaultShutdownGraceful(t *testing.T) {
 	if err != nil || ft != FrameError {
 		t.Fatalf("idle session: frame %v err %v, want Error", ft, err)
 	}
-	if code, _ := decodeError(2, payload); code != CodeShutdown {
+	if code, _ := decodeError(payload); code != CodeShutdown {
 		t.Fatalf("idle session got %s, want %s", code, CodeShutdown)
 	}
 

@@ -149,7 +149,7 @@ func TestFlushIntervalStreamsTrickledRows(t *testing.T) {
 	conn := &scriptConn{}
 	srv := &Server{now: func() time.Duration { return now }}
 	srv.Limits.WriteTimeout = time.Second
-	sess := newSession(srv, conn, Version)
+	sess := newSession(srv, conn)
 	lw := &lineWriter{sess: sess}
 	row := func(i int) string { return fmt.Sprintf("row %04d", i) }
 	emit := func(i int) {

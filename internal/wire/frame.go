@@ -22,16 +22,11 @@ import (
 // a stray HTTP request or port scan after eight bytes.
 const Magic = "ICDBWIRE"
 
-// Version is the newest protocol version this package speaks. Servers
-// accept any version in [MinVersion, Version] and run the session at
-// the version the client announced; anything else is rejected — they
-// never guess (the snapshot format's versioning policy).
+// Version is the protocol version this package speaks. A server rejects
+// a client announcing any other version, a client rejects a server
+// answering any other — neither guesses (the snapshot format's
+// versioning policy).
 const Version = 2
-
-// MinVersion is the oldest protocol version this package still serves.
-// A v1 client interoperates with a v2 server for the v1 command set:
-// no Cancel frame, no auth exchange, and plain-text Error payloads.
-const MinVersion = 1
 
 // MaxFrame bounds a frame's payload length. Commands are single lines
 // and rows are single result lines, so 1MiB is generous; the bound
@@ -42,12 +37,12 @@ const MaxFrame = 1 << 20
 // FrameType tags one frame's meaning.
 type FrameType uint8
 
-// The frame types of protocol versions 1 and 2.
+// The frame types of protocol version 2.
 const (
 	// FrameHello is a handshake frame. Server to client its payload is
-	// the u32 protocol version the session will speak; in a v2
-	// handshake the client answers with its own Hello whose payload is
-	// the (possibly empty) shared-secret auth token.
+	// the u32 protocol version the session will speak; the client
+	// answers with its own Hello whose payload is the (possibly empty)
+	// shared-secret auth token.
 	FrameHello FrameType = 1
 	// FrameCommand carries one CQL command line, client to server.
 	FrameCommand FrameType = 2
@@ -57,16 +52,16 @@ const (
 	FrameRow FrameType = 3
 	// FrameDone ends a command's reply: payload is the u32 count of Row
 	// frames sent. Every command ends with exactly one Done or Error.
-	// In a v2 handshake an empty-count Done also acknowledges the
-	// client's auth Hello.
+	// In the handshake an empty-count Done also acknowledges the client's
+	// auth Hello.
 	FrameDone FrameType = 4
-	// FrameError ends a command's reply with a failure. In a v1 session
-	// (and in every pre-Hello handshake rejection, a frozen contract)
-	// the payload is the error text; in a v2 session it is a u8 ErrCode
-	// followed by the text. The connection stays usable for further
-	// commands unless the code (or a failed handshake) says otherwise.
+	// FrameError ends a command's reply with a failure: the payload is a
+	// u8 ErrCode followed by the error text — except in a pre-Hello
+	// handshake rejection (a frozen contract), where it is the bare
+	// text. The connection stays usable for further commands unless the
+	// code (or a failed handshake) says otherwise.
 	FrameError FrameType = 5
-	// FrameCancel (v2+) asks the server to abort the in-flight command
+	// FrameCancel asks the server to abort the in-flight command
 	// without dropping the connection, client to server, empty payload.
 	// The aborted command answers with Error code CodeCancelled; a
 	// Cancel that arrives when no command is in flight (the cancel-vs-
@@ -92,7 +87,7 @@ func (t FrameType) String() string {
 	return fmt.Sprintf("FrameType(%d)", uint8(t))
 }
 
-// ErrCode classifies a v2 Error frame so clients can react without
+// ErrCode classifies an Error frame so clients can react without
 // parsing text: retry policy (RemoteErrors are never retried, but a
 // caller may treat CodeQuota rejections specially), cancel
 // acknowledgement, and clean-shutdown detection all key off it.
@@ -254,7 +249,7 @@ func u32(v uint32) []byte {
 	return b[:]
 }
 
-// codedError renders a v2 Error payload: u8 code + text.
+// codedError renders a session Error payload: u8 code + text.
 func codedError(code ErrCode, msg string) []byte {
 	b := make([]byte, 1+len(msg))
 	b[0] = byte(code)
@@ -262,12 +257,12 @@ func codedError(code ErrCode, msg string) []byte {
 	return b
 }
 
-// decodeError splits an Error payload according to the session version:
-// v2 payloads carry a leading u8 code, v1 payloads (and pre-Hello
-// handshake rejections) are bare text.
-func decodeError(version uint32, payload []byte) (ErrCode, string) {
-	if version >= 2 && len(payload) >= 1 {
-		return ErrCode(payload[0]), string(payload[1:])
+// decodeError splits a session Error payload into its leading u8 code
+// and the text. (Pre-Hello handshake rejections are bare text and never
+// come through here.)
+func decodeError(payload []byte) (ErrCode, string) {
+	if len(payload) == 0 {
+		return CodeGeneric, ""
 	}
-	return CodeGeneric, string(payload)
+	return ErrCode(payload[0]), string(payload[1:])
 }

@@ -96,10 +96,9 @@ type Server struct {
 	// zero value is unlimited.
 	Limits Limits
 	// Secret, when non-empty, requires every session to present the
-	// same token in its auth Hello (protocol v2); the comparison is
-	// constant-time and unauthenticated connections are rejected
-	// before any command runs. v1 clients cannot authenticate and are
-	// rejected outright when a secret is set.
+	// same token in its auth Hello; the comparison is constant-time
+	// and unauthenticated connections are rejected before any command
+	// runs.
 	Secret string
 	// Durability, when non-nil, reports the backing store's journal
 	// state for "show server" (cmd/icdbd wires it to the Durable
@@ -333,9 +332,8 @@ func (s *Server) clock() time.Duration {
 // goroutine (which executes commands) and the reader goroutine (which
 // keeps draining frames mid-command so Cancel can land).
 type session struct {
-	srv     *Server
-	conn    net.Conn
-	version uint32
+	srv  *Server
+	conn net.Conn
 
 	// out buffers reply frames ahead of the socket; flushed is the clock
 	// reading when the in-flight command started or out last reached the
@@ -360,11 +358,10 @@ type session struct {
 	cmds int // session total of commands (handler goroutine only)
 }
 
-func newSession(srv *Server, conn net.Conn, version uint32) *session {
+func newSession(srv *Server, conn net.Conn) *session {
 	s := &session{
 		srv:       srv,
 		conn:      conn,
-		version:   version,
 		inbox:     make(chan string, 1),
 		readerErr: make(chan error, 1),
 	}
@@ -465,10 +462,6 @@ func (s *session) readLoop(br *bufio.Reader) {
 				return
 			}
 		case FrameCancel:
-			if s.version < 2 {
-				s.readerErr <- fmt.Errorf("wire: Cancel frame on a v%d session", s.version)
-				return
-			}
 			if g := s.gen.Load(); g != 0 {
 				s.cancelGen.Store(g)
 				s.srv.stats.cancels.Add(1)
@@ -499,7 +492,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	// Connection limit: graceful rejection with a decodable frame, not
 	// accept-loop backpressure collapse. The reply predates the Hello,
-	// so it uses the plain (v1, frozen-contract) Error payload every
+	// so it uses the plain-text (frozen-contract) Error payload every
 	// client version can decode.
 	if max := s.Limits.MaxConns; max > 0 && active > int64(max) {
 		s.stats.sessionsRejected.Add(1)
@@ -521,59 +514,47 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	if v < MinVersion || v > Version {
+	if v != Version {
 		// Answer with a versioned rejection, then hang up: the client
-		// knows the handshake format even if it speaks a newer protocol.
-		WriteFrame(bw, FrameError, fmt.Appendf(nil, "unsupported protocol version %d (server speaks %d..%d)", v, MinVersion, Version))
+		// knows the handshake format whatever protocol it speaks.
+		WriteFrame(bw, FrameError, fmt.Appendf(nil, "unsupported protocol version %d (server speaks %d)", v, Version))
 		bw.Flush()
 		s.stats.sessionsRejected.Add(1)
 		s.logf("wire: %s: rejected version %d", conn.RemoteAddr(), v)
 		return
 	}
-	if v < 2 && s.Secret != "" {
-		// v1 has no auth exchange; with a secret set those clients are
-		// rejected before any command runs.
-		WriteFrame(bw, FrameError, []byte("authentication required (reconnect with protocol version 2)"))
-		bw.Flush()
+	if err := WriteFrame(bw, FrameHello, u32(Version)); err != nil || bw.Flush() != nil {
+		return
+	}
+	// Auth exchange: the client's Hello carries its token; the session
+	// starts only after Done acknowledges it.
+	t, token, err := ReadFrame(br)
+	if err != nil || t != FrameHello {
+		s.stats.sessionsRejected.Add(1)
+		if err == nil {
+			WriteFrame(bw, FrameError, codedError(CodeProtocol, fmt.Sprintf("expected auth Hello, got %s", t)))
+			bw.Flush()
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.stats.timeouts.Add(1)
+		}
+		s.logf("wire: %s: rejected: auth hello: frame %v err %v", conn.RemoteAddr(), t, err)
+		return
+	}
+	if s.Secret != "" && subtle.ConstantTimeCompare(token, []byte(s.Secret)) != 1 {
 		s.stats.sessionsRejected.Add(1)
 		s.stats.authFailures.Add(1)
-		s.logf("wire: %s: rejected: v1 client with auth required", conn.RemoteAddr())
+		WriteFrame(bw, FrameError, codedError(CodeAuth, "authentication failed"))
+		bw.Flush()
+		s.logf("wire: %s: rejected: authentication failed", conn.RemoteAddr())
 		return
 	}
-	if err := WriteFrame(bw, FrameHello, u32(v)); err != nil || bw.Flush() != nil {
+	if err := WriteFrame(bw, FrameDone, u32(0)); err != nil || bw.Flush() != nil {
 		return
-	}
-	if v >= 2 {
-		// Auth exchange: the client's Hello carries its token; the
-		// session starts only after Done acknowledges it.
-		t, token, err := ReadFrame(br)
-		if err != nil || t != FrameHello {
-			s.stats.sessionsRejected.Add(1)
-			if err == nil {
-				WriteFrame(bw, FrameError, codedError(CodeProtocol, fmt.Sprintf("expected auth Hello, got %s", t)))
-				bw.Flush()
-			} else if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.stats.timeouts.Add(1)
-			}
-			s.logf("wire: %s: rejected: auth hello: frame %v err %v", conn.RemoteAddr(), t, err)
-			return
-		}
-		if s.Secret != "" && subtle.ConstantTimeCompare(token, []byte(s.Secret)) != 1 {
-			s.stats.sessionsRejected.Add(1)
-			s.stats.authFailures.Add(1)
-			WriteFrame(bw, FrameError, codedError(CodeAuth, "authentication failed"))
-			bw.Flush()
-			s.logf("wire: %s: rejected: authentication failed", conn.RemoteAddr())
-			return
-		}
-		if err := WriteFrame(bw, FrameDone, u32(0)); err != nil || bw.Flush() != nil {
-			return
-		}
 	}
 	conn.SetDeadline(time.Time{})
-	s.logf("wire: %s: session open (v%d)", conn.RemoteAddr(), v)
+	s.logf("wire: %s: session open", conn.RemoteAddr())
 
-	sess := newSession(s, conn, v)
+	sess := newSession(s, conn)
 	// One Env per connection: the session state the set command adjusts
 	// (width, weights) and the expander's template reuse are confined to
 	// this client.
@@ -671,23 +652,20 @@ func (s *Server) runCommand(sess *session, env *cql.Env, lw *lineWriter, cmd str
 	return sess.reply(FrameDone, u32(uint32(lw.rows)))
 }
 
-// replyErr ends a reply with one Error frame in the session's dialect
-// (coded for v2, plain text for v1), reporting whether it was written.
+// replyErr ends a reply with one coded Error frame, reporting whether it
+// was written.
 func (s *Server) replyErr(sess *session, code ErrCode, msg string) bool {
-	if sess.version >= 2 {
-		return sess.reply(FrameError, codedError(code, msg))
-	}
-	return sess.reply(FrameError, []byte(msg))
+	return sess.reply(FrameError, codedError(code, msg))
 }
 
 // serverInfo renders the operator view behind the CQL "show server"
-// verb: protocol versions, live counters, auth state, limits, and the
+// verb: protocol version, live counters, auth state, limits, and the
 // frontier cache's hit/delta/rebuild counts. The
 // "rows:" figure is Stats.Rows: exact at command boundaries, without
 // the rows of commands still streaming (this one included).
 func (s *Server) serverInfo(w io.Writer) error {
 	st := s.Stats()
-	fmt.Fprintf(w, "protocol:     v%d (accepts v%d..v%d)\n", Version, MinVersion, Version)
+	fmt.Fprintf(w, "protocol:     v%d\n", Version)
 	fmt.Fprintf(w, "sessions:     %d active, %d total, %d rejected\n",
 		st.SessionsActive, st.SessionsTotal, st.SessionsRejected)
 	fmt.Fprintf(w, "commands:     %d (%d errors, %d cancelled)\n", st.Commands, st.Errors, st.Cancels)

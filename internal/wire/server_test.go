@@ -85,7 +85,7 @@ func startPipeServer(t *testing.T, db *icdb.DB) *pipeListener {
 func stallingClient(t *testing.T, ln *pipeListener, cmd string) net.Conn {
 	t.Helper()
 	conn := ln.dial(t)
-	rawHandshake(t, conn, Version, "")
+	rawHandshake(t, conn, "")
 	if err := WriteFrame(conn, FrameCommand, []byte(cmd)); err != nil {
 		t.Fatal(err)
 	}

@@ -91,27 +91,25 @@ func startServer(t *testing.T, db *icdb.DB) (*Server, string) {
 
 // rawHandshake drives the client half of the handshake over a bare
 // conn, for tests that speak frames by hand: preamble, server Hello,
-// and (v2+) the auth Hello / Done exchange.
-func rawHandshake(t *testing.T, conn net.Conn, version uint32, secret string) {
+// and the auth Hello / Done exchange.
+func rawHandshake(t *testing.T, conn net.Conn, secret string) {
 	t.Helper()
-	if err := writePreamble(conn, version); err != nil {
+	if err := writePreamble(conn, Version); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := ReadFrame(conn)
 	if err != nil || ft != FrameHello {
 		t.Fatalf("handshake: frame %v err %v (payload %q)", ft, err, payload)
 	}
-	if got := doneCount(payload); got != int(version) {
-		t.Fatalf("handshake: server answered version %d to a v%d client", got, version)
+	if got := doneCount(payload); got != Version {
+		t.Fatalf("handshake: server answered version %d to a v%d client", got, Version)
 	}
-	if version >= 2 {
-		if err := WriteFrame(conn, FrameHello, []byte(secret)); err != nil {
-			t.Fatal(err)
-		}
-		ft, payload, err := ReadFrame(conn)
-		if err != nil || ft != FrameDone {
-			t.Fatalf("auth: frame %v err %v (payload %q)", ft, err, payload)
-		}
+	if err := WriteFrame(conn, FrameHello, []byte(secret)); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, err = ReadFrame(conn)
+	if err != nil || ft != FrameDone {
+		t.Fatalf("auth: frame %v err %v (payload %q)", ft, err, payload)
 	}
 }
 
@@ -188,7 +186,7 @@ func TestHandshakeAndCommands(t *testing.T) {
 
 func TestHandshakeRejectsBadClients(t *testing.T) {
 	db := openDB(t)
-	_, addr := startServer(t, db)
+	srv, addr := startServer(t, db)
 
 	// Wrong magic: the server hangs up without a frame.
 	conn, err := net.Dial("tcp", addr)
@@ -201,20 +199,35 @@ func TestHandshakeRejectsBadClients(t *testing.T) {
 		t.Fatalf("bad magic: read err = %v, want EOF", err)
 	}
 
-	// Right magic, wrong version: a versioned Error frame.
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	conn2.Write([]byte(Magic))
-	conn2.Write([]byte{99, 0, 0, 0})
-	ft, payload, err := ReadFrame(conn2)
-	if err != nil || ft != FrameError {
-		t.Fatalf("version 99: frame %s err %v, want Error", ft, err)
-	}
-	if !strings.Contains(string(payload), "version 99") {
-		t.Fatalf("version 99 rejection text: %q", payload)
+	// Right magic, any version but ours — the retired v1 included: a
+	// plain-text Error frame naming both versions, then hang-up: no
+	// session starts.
+	for _, v := range []uint32{1, 3, 99} {
+		before := srv.Stats()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writePreamble(conn, v); err != nil {
+			t.Fatal(err)
+		}
+		ft, payload, err := ReadFrame(conn)
+		if err != nil || ft != FrameError {
+			t.Fatalf("version %d: frame %s err %v, want Error", v, ft, err)
+		}
+		want := fmt.Sprintf("unsupported protocol version %d (server speaks %d)", v, Version)
+		if string(payload) != want {
+			t.Fatalf("version %d rejection text: %q, want plain-text %q", v, payload, want)
+		}
+		if ft, _, err := ReadFrame(conn); err == nil {
+			t.Fatalf("version %d: server sent a %s frame after the rejection", v, ft)
+		}
+		after := srv.Stats()
+		if after.SessionsRejected != before.SessionsRejected+1 || after.Commands != before.Commands {
+			t.Fatalf("version %d: rejected %d -> %d, commands %d -> %d; want one rejection and no command",
+				v, before.SessionsRejected, after.SessionsRejected, before.Commands, after.Commands)
+		}
 	}
 }
 
