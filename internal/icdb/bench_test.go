@@ -97,6 +97,49 @@ func BenchmarkQueryByFunctionsTopK(b *testing.B) {
 	})
 }
 
+// BenchmarkQueryOrderedAtWidth is the binder's inner-loop question with
+// everything on: "find component executing ADD with area <= 2000 at
+// width 8 order by delay limit 10" over a catalog where every synthetic
+// implementation carries two estimator expressions. Each candidate costs
+// two estimator evaluations, three slot comparisons and a heap offer;
+// ns/candidate is that cost, allocs/op must not grow with n.
+func BenchmarkQueryOrderedAtWidth(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db, err := newSynthDB(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := populateEstimators(db, n); err != nil {
+				b.Fatal(err)
+			}
+			fns := []genus.Function{genus.FuncADD}
+			cands := 0
+			if err := db.QueryByFunctionsScan(fns, func(icdb.Candidate) bool { cands++; return true }); err != nil {
+				b.Fatal(err)
+			}
+			maxArea, err := icdb.AttrCmp("area", icdb.CmpLE, 2000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			order := icdb.Order{Attr: "delay"}
+			query := func() {
+				got, err := db.QueryByFunctionsOrdered(fns, order, 10, maxArea, icdb.AtWidth(8))
+				if err != nil || len(got) != 10 {
+					b.Fatal(err, len(got))
+				}
+			}
+			query() // the first width query builds the estimator cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cands), "ns/candidate")
+		})
+	}
+}
+
 func BenchmarkImplByName(b *testing.B) {
 	sizeRun(b, func(b *testing.B, n int) {
 		db := benchDB(b, n)

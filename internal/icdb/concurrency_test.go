@@ -209,6 +209,96 @@ func TestConcurrentQueriesAndRegistrations(t *testing.T) {
 		scans.Load(), queries.Load(), writes.Load())
 }
 
+// TestCompiledEstimatorsUnderConcurrentWriters runs the width-point path
+// against everything that publishes into the intern table at once:
+// ranked and streamed finds at a width evaluate programs while
+// RegisterEstimator cycles one implementation through known and new
+// sources, Generate registers implementations carrying the generator's
+// expressions, and estimate-only sweeps take theirs from the table.
+// Programs are immutable once published and the table is written under
+// the cache lock only, so the race detector must stay silent and every
+// answer must be one of the values some registered source produces.
+func TestCompiledEstimatorsUnderConcurrentWriters(t *testing.T) {
+	db := openDB(t)
+	regScaled(t, db, "cycled", 3, 5, "area * width", "")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads, writes atomic.Int64
+	run := func(f func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := f(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	// area(cycled) at width 8 under each source the writer registers.
+	sources := []string{"area * width", "area + width", "width", "area * width + 1"}
+	valid := map[float64]bool{24: true, 11: true, 8: true, 25: true}
+	for g := 0; g < 2; g++ {
+		run(func(int) error {
+			cands, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{Attr: "area"}, 0, AtWidth(8))
+			if err != nil {
+				return err
+			}
+			for _, c := range cands {
+				if c.Impl.Name == "cycled" && !valid[c.Area] {
+					return fmt.Errorf("cycled ranked at area %g, which no registered source yields", c.Area)
+				}
+			}
+			reads.Add(1)
+			return nil
+		})
+	}
+	run(func(int) error {
+		reads.Add(1)
+		return db.QueryByFunctionScan(genus.FuncADD, func(c Candidate) bool {
+			if c.Impl.Name == "cycled" && !valid[c.Area] {
+				t.Errorf("cycled streamed at area %g", c.Area)
+			}
+			return true
+		}, AtWidth(8))
+	})
+	run(func(i int) error {
+		writes.Add(1)
+		return db.RegisterEstimator("cycled", "area", sources[i%len(sources)])
+	})
+	run(func(i int) error {
+		writes.Add(1)
+		_, _, err := db.Generate("gen_cnt", map[string]int{"size": 1 + i%64})
+		return err
+	})
+	run(func(i int) error {
+		writes.Add(1)
+		if i%5 == 0 {
+			db.InvalidateCaches()
+		}
+		_, err := db.Explore("gen_sub", 4, 16, 4, nil, false)
+		return err
+	})
+
+	time.Sleep(200 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if reads.Load() == 0 || writes.Load() == 0 {
+		t.Fatalf("no progress: %d reads, %d writes", reads.Load(), writes.Load())
+	}
+	// Four cycled sources, the builtin library's and the two generators':
+	// the table holds one program per distinct text, however many rounds ran.
+	if n := len(db.progs); n > 16 {
+		t.Fatalf("intern table grew to %d programs over %d write rounds", n, writes.Load())
+	}
+}
+
 // TestWeightsConstraint pins the per-query ranking-weight override:
 // Weights rescores without filtering, beats the database defaults, and
 // the last of several wins.

@@ -166,23 +166,17 @@ type Impl struct {
 	Source    string
 }
 
-// Attrs exposes the implementation's attributes to constraint
-// expressions (see Where).
+// Attrs exposes the implementation's attributes in map form, for callers
+// of Constraint.Accept. The query engine does not go through it: it loads
+// the same five attributes into a slot vector (slots.fillImpl).
 func (im Impl) Attrs() Attrs {
-	a := make(Attrs, 5)
-	im.fillAttrs(a)
-	return a
-}
-
-// fillAttrs (re)fills a with im's attributes. The query engine reuses
-// one map across the candidates of a streamed query instead of
-// allocating per row.
-func (im *Impl) fillAttrs(a Attrs) {
-	a["width_min"] = float64(im.WidthMin)
-	a["width_max"] = float64(im.WidthMax)
-	a["stages"] = float64(im.Stages)
-	a["area"] = im.Area
-	a["delay"] = im.Delay
+	return Attrs{
+		"width_min": float64(im.WidthMin),
+		"width_max": float64(im.WidthMax),
+		"stages":    float64(im.Stages),
+		"area":      im.Area,
+		"delay":     im.Delay,
+	}
 }
 
 // DB is the component database engine. It wraps a relstore.Store holding
@@ -217,7 +211,15 @@ type DB struct {
 	// queries actually reach.
 	cmu sync.RWMutex
 	der *derived  // impl cache + inverted indexes; nil until built
-	est *estCache // compiled estimators; nil until built
+	est *estCache // per-implementation estimators; nil until built
+	// progs interns estimator expressions by source text: one parsed and
+	// compiled program per distinct expression, shared by every
+	// implementation (estCache) and generator (GeneratorCost) that carries
+	// it. A program is a pure function of its source, so the table is never
+	// stale and InvalidateCaches leaves it alone; it holds what the
+	// estimators and generators relations hold, de-duplicated. Programs are
+	// immutable once published; the map is written under cmu.Lock only.
+	progs map[string]*estProg
 	// Cached ranking weights (tool "icdb"), refreshed after SetToolParam.
 	wa, wd float64
 	wOK    bool
@@ -304,23 +306,22 @@ func (d *derived) clone() *derived {
 	return nd
 }
 
-// estCache is the compiled-estimator half of the derived state, built
+// estCache is the estimator half of the derived state: which compiled
+// program predicts each implementation's area and delay. It is built
 // from a scan of only the estimators relation (ensureEstimators) —
 // independently of the implementation indexes, so width-free queries
 // and sessions that never evaluate a width point leave the estimators
-// relation untouched (and, under a lazy open, undecoded). Same
-// copy-on-write discipline as derived.
+// relation untouched (and, under a lazy open, undecoded). The entries are
+// by-value pointer pairs into DB.progs: a catalog of 100k implementations
+// sharing three expressions holds three programs, not 200k syntax trees.
+// Same copy-on-write discipline as derived.
 type estCache struct {
-	ests   map[string]*estPair // impl name -> compiled estimators
+	ests   map[string]estPair // impl name -> its estimator programs
 	shared atomic.Bool
 }
 
 func (e *estCache) clone() *estCache {
-	ne := &estCache{ests: make(map[string]*estPair, len(e.ests))}
-	for k, v := range e.ests {
-		ne.ests[k] = v
-	}
-	return ne
+	return &estCache{ests: maps.Clone(e.ests)}
 }
 
 // derivedSnap pins and returns the live derived snapshot, building it
@@ -379,11 +380,11 @@ func (db *DB) writableEsts() *estCache {
 	return db.est
 }
 
-// estPair holds one implementation's compiled estimator expressions; a
-// nil expression means no estimator is registered for that attribute and
-// the scalar estimate stands.
+// estPair holds one implementation's estimator programs; a nil program
+// means no estimator is registered for that attribute and the scalar
+// estimate stands.
 type estPair struct {
-	area, delay iif.Expr
+	area, delay *estProg
 }
 
 // Open bootstraps the ICDB schema on store, creating any missing tables,
@@ -512,8 +513,10 @@ func (db *DB) ensureIndexes() error {
 	return nil
 }
 
-// ensureEstimators compiles the estimator cache from one scan of the
-// estimators relation, if it is not already live.
+// ensureEstimators builds the estimator cache from one scan of the
+// estimators relation, if it is not already live. Each row costs a
+// lookup of its expression in the intern table; only a source text not
+// seen before is parsed and compiled.
 func (db *DB) ensureEstimators() error {
 	db.cmu.RLock()
 	built := db.est != nil
@@ -526,16 +529,22 @@ func (db *DB) ensureEstimators() error {
 	if db.est != nil {
 		return nil
 	}
-	ec := &estCache{ests: make(map[string]*estPair)}
+	// Sized up front (one entry per implementation, a row per attribute):
+	// growing a map to catalog size leaves as much garbage as the map.
+	rows, err := db.store.Count(TableEstimators, nil)
+	if err != nil {
+		return err
+	}
+	ec := &estCache{ests: make(map[string]estPair, rows/len(EstimatorAttrs()))}
 	var estErr error
-	err := db.store.Scan(TableEstimators, nil, func(r relstore.Row) bool {
+	err = db.store.Scan(TableEstimators, nil, func(r relstore.Row) bool {
 		impl, attr := asString(r["impl"]), asString(r["attr"])
-		e, perr := iif.ParseExpr(asString(r["expr"]))
+		p, perr := db.internLocked(asString(r["expr"]))
 		if perr != nil {
 			estErr = fmt.Errorf("icdb: estimator %s(%s): %w", attr, impl, perr)
 			return false
 		}
-		setEstimator(ec.ests, impl, attr, e)
+		ec.ests[impl] = ec.ests[impl].with(attr, p)
 		return true
 	})
 	if err != nil {
@@ -548,34 +557,61 @@ func (db *DB) ensureEstimators() error {
 	return nil
 }
 
-// setEstimator files a compiled estimator expression under (impl, attr).
-// The existing pair, if any, is replaced rather than mutated: *estPair
-// values may be shared with pinned derived snapshots whose readers are
-// mid-stream.
-func setEstimator(ests map[string]*estPair, impl, attr string, e iif.Expr) {
-	np := estPair{}
-	if p := ests[impl]; p != nil {
-		np = *p
-	}
+// with returns p filed under attr. Pairs are values: a pinned snapshot's
+// map keeps the pair it had.
+func (ep estPair) with(attr string, p *estProg) estPair {
 	switch attr {
 	case "area":
-		np.area = e
+		ep.area = p
 	case "delay":
-		np.delay = e
+		ep.delay = p
 	}
-	ests[impl] = &np
+	return ep
+}
+
+// intern returns the program for estimator expression src, parsing and
+// compiling it only if no implementation or generator has carried that
+// exact text before.
+func (db *DB) intern(src string) (*estProg, error) {
+	db.cmu.RLock()
+	p := db.progs[src]
+	db.cmu.RUnlock()
+	if p != nil {
+		return p, nil
+	}
+	db.cmu.Lock()
+	defer db.cmu.Unlock()
+	return db.internLocked(src)
+}
+
+// internLocked is intern for callers holding cmu exclusively.
+func (db *DB) internLocked(src string) (*estProg, error) {
+	if p := db.progs[src]; p != nil {
+		return p, nil
+	}
+	e, err := iif.ParseExpr(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &estProg{expr: e, eval: compileExpr(e)}
+	if db.progs == nil {
+		db.progs = make(map[string]*estProg)
+	}
+	db.progs[src] = p
+	return p, nil
 }
 
 // noteEstimator records a freshly registered estimator in the live cache
 // (a no-op while the estimator cache is unbuilt — the next
 // ensureEstimators picks the row up from the store).
-func (db *DB) noteEstimator(impl, attr string, e iif.Expr) {
+func (db *DB) noteEstimator(impl, attr string, p *estProg) {
 	db.cmu.Lock()
 	defer db.cmu.Unlock()
 	if db.est == nil {
 		return
 	}
-	setEstimator(db.writableEsts().ests, impl, attr, e)
+	ests := db.writableEsts().ests
+	ests[impl] = ests[impl].with(attr, p)
 }
 
 // index files im under its name, functions, and component type. An

@@ -136,11 +136,12 @@ func (db *DB) RegisterGenerator(g Generator) error {
 	if !hasSize {
 		return fmt.Errorf("icdb: generator %s: PARAMETER list %v lacks the \"size\" width parameter", g.Name, g.Params)
 	}
-	for attr, expr := range map[string]string{"area": g.AreaExpr, "delay": g.DelayExpr} {
+	for i, expr := range g.estimatorExprs() {
+		attr := EstimatorAttrs()[i]
 		if strings.TrimSpace(expr) == "" {
 			return fmt.Errorf("icdb: generator %s: empty %s estimator expression", g.Name, attr)
 		}
-		if _, err := iif.ParseExpr(expr); err != nil {
+		if _, err := db.intern(expr); err != nil {
 			return fmt.Errorf("icdb: generator %s: bad %s estimator %q: %w", g.Name, attr, expr, err)
 		}
 	}
@@ -245,23 +246,34 @@ func (db *DB) GeneratorCost(g Generator, params map[string]int) (area, delay, co
 		return 0, 0, 0, fmt.Errorf("icdb: generator %s: cost needs a size binding", g.Name)
 	}
 	env := g.generatorEnv(params)
-	for attr, expr := range map[string]string{"area": g.AreaExpr, "delay": g.DelayExpr} {
-		e, perr := iif.ParseExpr(expr)
+	var vals [2]float64
+	for i, expr := range g.estimatorExprs() {
+		attr := EstimatorAttrs()[i]
+		// The parsed expression comes from the intern table: a sweep of n
+		// points parses each of the two expressions once, not n times.
+		// Evaluation stays on the interpreter — env carries the generator's
+		// own parameter names, which have no slots.
+		p, perr := db.intern(expr)
 		if perr != nil {
 			return 0, 0, 0, fmt.Errorf("icdb: generator %s: bad %s estimator %q: %w", g.Name, attr, expr, perr)
 		}
-		v, verr := evalAttr(e, env)
+		v, verr := evalAttr(p.expr, env)
 		if verr != nil {
 			return 0, 0, 0, fmt.Errorf("icdb: generator %s: %s estimator: %w", g.Name, attr, verr)
 		}
-		if attr == "area" {
-			area = v
-		} else {
-			delay = v
-		}
+		vals[i] = v
 	}
+	area, delay = vals[0], vals[1]
 	wa, wd := db.rankWeights()
 	return area, delay, area*wa + delay*wd, nil
+}
+
+// estimatorExprs returns the generator's estimator expressions in
+// EstimatorAttrs order (area, then delay) — the order they are validated
+// and evaluated in, so which of two bad expressions is reported never
+// varies.
+func (g *Generator) estimatorExprs() [2]string {
+	return [2]string{g.AreaExpr, g.DelayExpr}
 }
 
 // genNamePat matches the "NAME: <generator>;" header of a generator's
@@ -388,7 +400,7 @@ func (db *DB) RegisterEstimator(implName, attr, expr string) error {
 	if !ok {
 		return fmt.Errorf("icdb: unknown estimator attribute %q (have %s)", attr, strings.Join(EstimatorAttrs(), ", "))
 	}
-	e, err := iif.ParseExpr(expr)
+	p, err := db.intern(expr)
 	if err != nil {
 		return fmt.Errorf("icdb: estimator %s(%s): bad expression %q: %w", attr, implName, expr, err)
 	}
@@ -400,7 +412,7 @@ func (db *DB) RegisterEstimator(implName, attr, expr string) error {
 	}); err != nil {
 		return err
 	}
-	db.noteEstimator(implName, attr, e)
+	db.noteEstimator(implName, attr, p)
 	return nil
 }
 
@@ -436,14 +448,11 @@ func (db *DB) EstimateImpl(name string, width int) (area, delay, cost float64, e
 		return 0, 0, 0, fmt.Errorf("icdb: estimate %s: width %d outside implementation width range [%d,%d]",
 			name, width, im.WidthMin, im.WidthMax)
 	}
-	wa, wd := db.rankWeights()
-	es, err := db.estSnap()
+	ev, err := db.newAttrEval(nil, width)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	ev := attrEval{ests: es.ests, width: width}
-	a := make(Attrs, 8)
-	area, delay, err = ev.fill(&im, a)
+	area, delay, err = ev.fill(&im)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -460,5 +469,5 @@ func (db *DB) EstimateImpl(name string, width int) (area, delay, cost float64, e
 	}); err != nil {
 		return 0, 0, 0, err
 	}
-	return area, delay, area*wa + delay*wd, nil
+	return area, delay, area*ev.wa + delay*ev.wd, nil
 }

@@ -33,9 +33,13 @@ func TestQueryOrderedByAttr(t *testing.T) {
 			if len(cands) == 0 {
 				t.Fatalf("QueryOrdered(%+v): no candidates", order)
 			}
+			key, err := order.resolve()
+			if err != nil {
+				t.Fatalf("resolve(%+v): %v", order, err)
+			}
 			if !sort.SliceIsSorted(cands, func(i, j int) bool {
-				ri := order.rank(&cands[i].Impl, cands[i].Area, cands[i].Delay, cands[i].Cost)
-				rj := order.rank(&cands[j].Impl, cands[j].Area, cands[j].Delay, cands[j].Cost)
+				ri := key.rank(&cands[i].Impl, cands[i].Area, cands[i].Delay, cands[i].Cost)
+				rj := key.rank(&cands[j].Impl, cands[j].Area, cands[j].Delay, cands[j].Cost)
 				if ri != rj {
 					return ri < rj
 				}

@@ -536,9 +536,9 @@ func (sc *explScope) frontier() []*Exploration {
 // query constraints, order preserved.
 func paretoFilter(all []*Exploration, cs []Constraint) ([]*Exploration, error) {
 	var pts []*Exploration
-	var attrs Attrs
+	var s slots
 	for _, e := range all {
-		ok, err := paretoAccept(cs, e, &attrs)
+		ok, err := paretoAccept(cs, e, &s)
 		if err != nil {
 			return nil, err
 		}
@@ -574,29 +574,27 @@ func samePoint(a, b *Exploration) bool {
 // attribute view. The point exposes its evaluated axes plus a width
 // range collapsed to the single explored width, so the "width = 8"
 // sugar and width_min/width_max comparisons mean the obvious thing.
-// Like the find path, one attribute map is reused across the stream.
-func paretoAccept(cs []Constraint, e *Exploration, attrs *Attrs) (bool, error) {
+// Like the find path, it loads the caller's one slot vector — all six
+// slots: an explored point always has a width.
+func paretoAccept(cs []Constraint, e *Exploration, s *slots) (bool, error) {
 	if len(cs) == 0 {
 		return true, nil
 	}
-	if *attrs == nil {
-		*attrs = make(Attrs, 6)
+	w := float64(e.Width)
+	s.v = [numSlots]float64{
+		slotWidthMin: w, slotWidthMax: w, slotWidth: w,
+		slotArea: e.Area, slotDelay: e.Delay, slotStages: 0,
 	}
-	a := *attrs
-	a["width"] = float64(e.Width)
-	a["width_min"] = float64(e.Width)
-	a["width_max"] = float64(e.Width)
-	a["area"] = e.Area
-	a["delay"] = e.Delay
-	a["stages"] = 0
-	for _, c := range cs {
+	s.have = haveAll
+	for i := range cs {
+		c := &cs[i]
 		if c.atWidth != 0 && c.atWidth != e.Width {
 			// An AtWidth constraint on a frontier query pins the explored
 			// width exactly; estimator re-evaluation does not apply to
 			// already-evaluated points.
 			return false, nil
 		}
-		pass, err := c.Accept(a)
+		pass, err := c.accept(s)
 		if err != nil || !pass {
 			return false, err
 		}

@@ -2,6 +2,7 @@ package icdb
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -10,16 +11,23 @@ import (
 	"icdb/internal/iif"
 )
 
-// Attrs is the attribute environment a constraint is evaluated against:
-// implementation attribute name to numeric value.
+// Attrs is an attribute environment in map form: implementation
+// attribute name to numeric value. It is the API-edge representation
+// (Impl.Attrs, Constraint.Accept); the engine itself evaluates over a
+// fixed slot vector (see slots) and converts a map on the way in. The
+// vocabulary is ConstraintAttrs plus "width"; other keys are ignored.
 type Attrs map[string]float64
 
 // Constraint restricts the implementations a query may return. Build one
 // with Where (an IIF attribute expression, the CQL layer of §5) or with
-// the typed helpers ForWidth / MaxArea / MaxDelay / AtWidth.
+// the typed helpers ForWidth / MaxArea / MaxDelay / AtWidth. Either way
+// it is compiled at construction: the typed helpers to slot comparisons,
+// Where to a closure tree over the slot vector (compileExpr).
 type Constraint struct {
-	src  string
-	pass func(Attrs) (bool, error)
+	src string
+	// cmps must all hold; where, when non-nil, must evaluate non-zero.
+	cmps  []slotCmp
+	where slotFn
 	// atWidth, when non-zero, marks the constraint as the query's width
 	// evaluation point (see AtWidth): the engine evaluates estimator
 	// expressions there before filtering and ranking. Negative values
@@ -39,33 +47,43 @@ type rankW struct {
 func (c Constraint) String() string { return c.src }
 
 // Accept reports whether attribute environment a satisfies the
-// constraint. The zero Constraint accepts everything.
+// constraint. The zero Constraint accepts everything. It runs the same
+// compiled form the query engine does, over a's slot-vector equivalent.
 func (c Constraint) Accept(a Attrs) (bool, error) {
-	if c.pass == nil {
+	s := slotsOf(a)
+	return c.accept(&s)
+}
+
+// accept runs the constraint over one candidate's slot vector.
+func (c *Constraint) accept(s *slots) (bool, error) {
+	for _, k := range c.cmps {
+		if !k.holds(s) {
+			return false, nil
+		}
+	}
+	if c.where == nil {
 		return true, nil
 	}
-	return c.pass(a)
+	v, err := c.where(s)
+	if err != nil {
+		return false, fmt.Errorf("icdb: constraint %q: %w", c.src, err)
+	}
+	return v != 0, nil
 }
 
 // Where compiles an attribute expression such as
 // "width_min <= 8 && area <= 10" into a constraint. The expression is
 // parsed with iif.ParseExpr and evaluated with C semantics over the
-// implementation's Attrs; a non-zero result accepts the implementation.
+// candidate's attributes; a non-zero result accepts the implementation.
+// Names are resolved here, once; an attribute the candidate does not
+// carry is still a per-candidate evaluation error, raised only when a
+// candidate actually evaluates that sub-expression.
 func Where(expr string) (Constraint, error) {
 	e, err := iif.ParseExpr(expr)
 	if err != nil {
 		return Constraint{}, fmt.Errorf("icdb: constraint %q: %w", expr, err)
 	}
-	return Constraint{
-		src: expr,
-		pass: func(a Attrs) (bool, error) {
-			v, err := evalAttr(e, a)
-			if err != nil {
-				return false, fmt.Errorf("icdb: constraint %q: %w", expr, err)
-			}
-			return v != 0, nil
-		},
-	}, nil
+	return Constraint{src: expr, where: compileExpr(e)}, nil
 }
 
 // MustWhere is Where for static expressions; it panics on a parse error.
@@ -81,8 +99,9 @@ func MustWhere(expr string) Constraint {
 func ForWidth(n int) Constraint {
 	return Constraint{
 		src: fmt.Sprintf("width_min <= %d && width_max >= %d", n, n),
-		pass: func(a Attrs) (bool, error) {
-			return a["width_min"] <= float64(n) && a["width_max"] >= float64(n), nil
+		cmps: []slotCmp{
+			{slot: slotWidthMin, op: cmpLE, v: float64(n)},
+			{slot: slotWidthMax, op: cmpGE, v: float64(n)},
 		},
 	}
 }
@@ -150,7 +169,7 @@ func (db *DB) queryWeights(cs []Constraint) (wa, wd float64) {
 func MaxArea(area float64) Constraint {
 	return Constraint{
 		src:  fmt.Sprintf("area <= %g", area),
-		pass: func(a Attrs) (bool, error) { return a["area"] <= area, nil },
+		cmps: []slotCmp{{slot: slotArea, op: cmpLE, v: area}},
 	}
 }
 
@@ -158,7 +177,7 @@ func MaxArea(area float64) Constraint {
 func MaxDelay(d float64) Constraint {
 	return Constraint{
 		src:  fmt.Sprintf("delay <= %g", d),
-		pass: func(a Attrs) (bool, error) { return a["delay"] <= d, nil },
+		cmps: []slotCmp{{slot: slotDelay, op: cmpLE, v: d}},
 	}
 }
 
@@ -176,6 +195,25 @@ const (
 	CmpEQ CmpOp = "="
 	CmpNE CmpOp = "!="
 )
+
+// code maps the public operator spelling to its compiled code.
+func (op CmpOp) code() (cmpCode, bool) {
+	switch op {
+	case CmpLE:
+		return cmpLE, true
+	case CmpLT:
+		return cmpLT, true
+	case CmpGE:
+		return cmpGE, true
+	case CmpGT:
+		return cmpGT, true
+	case CmpEQ:
+		return cmpEQ, true
+	case CmpNE:
+		return cmpNE, true
+	}
+	return 0, false
+}
 
 // ConstraintAttrs returns the attribute vocabulary implementations expose
 // to constraints and Order keys, in deterministic order: width_min and
@@ -195,68 +233,54 @@ func AttrCmp(attr string, op CmpOp, v float64) (Constraint, error) {
 		return Constraint{}, fmt.Errorf("icdb: unknown constraint attribute %q (have %s)",
 			attr, strings.Join(ConstraintAttrs(), ", "))
 	}
-	var pass func(Attrs) (bool, error)
-	switch op {
-	case CmpLE:
-		pass = func(a Attrs) (bool, error) { return a[attr] <= v, nil }
-	case CmpLT:
-		pass = func(a Attrs) (bool, error) { return a[attr] < v, nil }
-	case CmpGE:
-		pass = func(a Attrs) (bool, error) { return a[attr] >= v, nil }
-	case CmpGT:
-		pass = func(a Attrs) (bool, error) { return a[attr] > v, nil }
-	case CmpEQ:
-		pass = func(a Attrs) (bool, error) { return a[attr] == v, nil }
-	case CmpNE:
-		pass = func(a Attrs) (bool, error) { return a[attr] != v, nil }
-	default:
+	code, ok := op.code()
+	if !ok {
 		return Constraint{}, fmt.Errorf("icdb: unknown comparison operator %q", op)
 	}
-	return Constraint{src: fmt.Sprintf("%s %s %g", attr, op, v), pass: pass}, nil
+	return Constraint{
+		src:  fmt.Sprintf("%s %s %g", attr, op, v),
+		cmps: []slotCmp{{slot: uint8(slotOf(attr)), op: code, v: v}},
+	}, nil
 }
 
 // attrEnv adapts an Attrs map to iif.EvalEnv[float64], binding the
 // generic evaluation core (iif.EvalExpr) to constraint semantics: names
 // resolve to attribute values, nothing mutates, and hardware operators
-// are "not valid in a constraint". Maps are pointer-shaped, so the
-// attrEnv(a) conversion into the interface allocates nothing — which
-// keeps evalAttr on the O(1)-allocations-per-row streaming path
-// (attrEval.evalAccept) it sits under.
+// are "not valid in a constraint". It is the interpreter the compiled
+// form (compileExpr) is derived from and differentially tested against;
+// nothing on a query path evaluates through it (see evalAttr).
 type attrEnv Attrs
 
 func (a attrEnv) Lookup(r *iif.Ref) (float64, error) {
 	if len(r.Index) != 0 {
-		return 0, fmt.Errorf("%s: attribute %q cannot be indexed", r.Pos, r.Name)
+		return 0, errIndexedAttr(r)
 	}
 	v, ok := a[r.Name]
 	if !ok {
-		return 0, fmt.Errorf("%s: unknown attribute %q (have %v)", r.Pos, r.Name, attrNames(Attrs(a)))
+		return 0, errUnknownAttr(r, attrNames(Attrs(a)))
 	}
 	return v, nil
 }
 
 func (a attrEnv) Mutate(pos iif.Pos, op iif.UnaryOp, _ iif.Expr) (float64, error) {
-	return 0, a.BadUnary(pos, op)
+	return 0, errBadOp(pos, op)
 }
 
-func (a attrEnv) BadUnary(pos iif.Pos, op iif.UnaryOp) error {
-	return fmt.Errorf("%s: operator %s not valid in a constraint", pos, op)
-}
+func (a attrEnv) BadUnary(pos iif.Pos, op iif.UnaryOp) error { return errBadOp(pos, op) }
 
-func (a attrEnv) BadBinary(pos iif.Pos, op iif.BinaryOp) error {
-	return fmt.Errorf("%s: operator %s not valid in a constraint", pos, op)
-}
+func (a attrEnv) BadBinary(pos iif.Pos, op iif.BinaryOp) error { return errBadOp(pos, op) }
 
-func (a attrEnv) BadExpr(e iif.Expr) error {
-	return fmt.Errorf("expression form %T not valid in a constraint", e)
-}
+func (a attrEnv) BadExpr(e iif.Expr) error { return errBadExpr(e) }
 
 func (a attrEnv) ShortCircuit() bool { return true }
 
-// evalAttr evaluates an attribute expression with C semantics over
+// evalAttr interprets an attribute expression with C semantics over
 // float64: '+' adds, '*' multiplies, comparisons and logical operators
 // yield 0/1. Division, % (math.Mod), and ** (math.Pow) follow the float
-// domain of iif.EvalExpr — contrast the expander's int evaluation.
+// domain of iif.EvalExpr — contrast the expander's int evaluation. Its
+// one engine caller is GeneratorCost, whose environment carries the
+// generator's own parameter names; everything evaluated per candidate
+// runs the compiled form instead.
 func evalAttr(e iif.Expr, a Attrs) (float64, error) {
 	return iif.EvalExpr[float64](e, attrEnv(a))
 }
@@ -311,34 +335,48 @@ func OrderKeys() []string {
 	return append([]string{OrderKeyCost}, ConstraintAttrs()...)
 }
 
-// validate rejects unknown sort keys eagerly, before any row is visited.
-func (o Order) validate() error {
-	if o.Attr == "" || o.Attr == OrderKeyCost || slices.Contains(ConstraintAttrs(), o.Attr) {
-		return nil
-	}
-	return fmt.Errorf("icdb: unknown order key %q (have %s)", o.Attr, strings.Join(OrderKeys(), ", "))
+// slotCost is the pseudo-slot of the weighted cost score, the default
+// sort key.
+const slotCost = -1
+
+// sortKey is an Order resolved for one query: the slot its key names
+// (slotCost for the weighted score) and the direction.
+type sortKey struct {
+	slot int
+	desc bool
 }
 
-// rank computes im's sort key under o: the value candidates are compared
-// by, negated for descending orders so ranking logic is always
-// ascending. area and delay are the query-evaluated estimates (see
-// Candidate.Area), so ordering by them is width-aware under AtWidth.
-func (o Order) rank(im *Impl, area, delay, cost float64) float64 {
+// resolve turns the key name into a slot once, before any row is
+// visited, rejecting unknown keys eagerly.
+func (o Order) resolve() (sortKey, error) {
+	switch {
+	case o.Attr == "" || o.Attr == OrderKeyCost:
+		return sortKey{slot: slotCost, desc: o.Desc}, nil
+	case slices.Contains(ConstraintAttrs(), o.Attr):
+		return sortKey{slot: slotOf(o.Attr), desc: o.Desc}, nil
+	}
+	return sortKey{}, fmt.Errorf("icdb: unknown order key %q (have %s)", o.Attr, strings.Join(OrderKeys(), ", "))
+}
+
+// rank computes im's sort key: the value candidates are compared by,
+// negated for descending orders so ranking logic is always ascending.
+// area and delay are the query-evaluated estimates (see Candidate.Area),
+// so ordering by them is width-aware under AtWidth.
+func (k sortKey) rank(im *Impl, area, delay, cost float64) float64 {
 	v := cost
-	switch o.Attr {
-	case "", OrderKeyCost:
-	case "area":
+	switch k.slot {
+	case slotArea:
 		v = area
-	case "delay":
+	case slotDelay:
 		v = delay
-	case "stages":
+	case slotStages:
 		v = float64(im.Stages)
-	case "width_min":
+	case slotWidthMin:
 		v = float64(im.WidthMin)
-	case "width_max":
+	case slotWidthMax:
 		v = float64(im.WidthMax)
 	}
-	if o.Desc {
+	if k.desc {
 		return -v
 	}
 	return v
@@ -545,66 +583,102 @@ func forEachImpl(d *derived, visit func(*Impl) bool) error {
 	return nil
 }
 
-// attrEval is the attribute-evaluation context of one streamed query: a
-// zero width is the scalar engine (attributes read straight off the
-// implementation), a positive width evaluates estimator expressions
-// there. It reads the compiled estimators of the same pinned derived
-// snapshot the query streams from, so one query sees one consistent
-// (implementation, estimator) pairing end to end.
+// attrEval is the evaluation context of one query (or one EstimateImpl
+// call): the constraints, the ranking weights, the width point — zero is
+// the scalar engine, attributes read straight off the implementation; a
+// positive width evaluates estimator expressions there — and the one
+// slot vector every candidate is loaded into in turn. It reads the
+// compiled estimators of one pinned estCache snapshot, so one query sees
+// one consistent (implementation, estimator) pairing end to end.
 type attrEval struct {
-	ests  map[string]*estPair
-	width int
+	cs     []Constraint
+	wa, wd float64
+	width  int
+	ests   map[string]estPair
+	s      slots
 }
 
-// fill (re)fills a with im's attributes and returns the evaluated area
-// and delay estimates. At a width point, a gains "width" and its
-// area/delay entries are replaced by the estimator-evaluated values, so
-// constraints filter on exactly what ranking scores. Estimator
-// expressions themselves see the scalar attributes (area and delay are
-// the per-bit estimates while both expressions evaluate).
-func (ev attrEval) fill(im *Impl, a Attrs) (area, delay float64, err error) {
-	im.fillAttrs(a)
+// newAttrEval resolves what every evaluating path needs before its first
+// candidate: the width point (width, or cs's AtWidth when width is 0),
+// the ranking weights, and — only at a width point, so a width-free
+// query never builds or, lazily, decodes the estimators relation — the
+// pinned estimator snapshot.
+func (db *DB) newAttrEval(cs []Constraint, width int) (*attrEval, error) {
+	if width == 0 {
+		var err error
+		if width, err = evalWidth(cs); err != nil {
+			return nil, err
+		}
+	}
+	ev := &attrEval{cs: cs, width: width}
+	ev.wa, ev.wd = db.queryWeights(cs)
+	if width != 0 {
+		es, err := db.estSnap()
+		if err != nil {
+			return nil, err
+		}
+		ev.ests = es.ests
+	}
+	return ev, nil
+}
+
+// fill loads im into the slot vector and returns the evaluated area and
+// delay estimates. At a width point the vector gains width and, once
+// both estimators have run, its area/delay slots are replaced by the
+// evaluated values, so constraints filter on exactly what ranking
+// scores. Estimator expressions themselves see the scalar attributes
+// (area and delay are the per-bit estimates while both expressions
+// evaluate). A result that is not a finite number is an error: it cannot
+// be ranked (NaN has no order) or recorded.
+func (ev *attrEval) fill(im *Impl) (area, delay float64, err error) {
+	s := &ev.s
+	s.fillImpl(im)
 	area, delay = im.Area, im.Delay
 	if ev.width == 0 {
 		return area, delay, nil
 	}
-	a["width"] = float64(ev.width)
-	if est := ev.ests[im.Name]; est != nil {
-		if est.area != nil {
-			if area, err = evalAttr(est.area, a); err != nil {
-				return 0, 0, fmt.Errorf("icdb: estimator area(%s): %w", im.Name, err)
-			}
-		}
-		if est.delay != nil {
-			if delay, err = evalAttr(est.delay, a); err != nil {
-				return 0, 0, fmt.Errorf("icdb: estimator delay(%s): %w", im.Name, err)
-			}
+	s.setWidth(ev.width)
+	est := ev.ests[im.Name]
+	if est.area != nil {
+		if area, err = ev.estimate(est.area, "area", im); err != nil {
+			return 0, 0, err
 		}
 	}
-	a["area"], a["delay"] = area, delay
+	if est.delay != nil {
+		if delay, err = ev.estimate(est.delay, "delay", im); err != nil {
+			return 0, 0, err
+		}
+	}
+	s.v[slotArea], s.v[slotDelay] = area, delay
 	return area, delay, nil
 }
 
-// evalAccept evaluates im at ev's width point and runs the constraints.
-// The attribute map pointed to by attrs is allocated once and refilled
-// per candidate: constraints are only constructible inside this package
-// (Where, AttrCmp, ForWidth, MaxArea, MaxDelay, AtWidth) and none
-// retains the map — an invariant every new constructor must keep — so
-// reuse is sound and keeps constrained streaming at O(1) allocations per
-// row.
-func (ev attrEval) evalAccept(cs []Constraint, im *Impl, attrs *Attrs) (area, delay float64, ok bool, err error) {
-	if len(cs) == 0 && ev.width == 0 {
+// estimate runs one compiled estimator over the loaded slot vector.
+func (ev *attrEval) estimate(p *estProg, attr string, im *Impl) (float64, error) {
+	v, err := p.eval(&ev.s)
+	if err != nil {
+		return 0, fmt.Errorf("icdb: estimator %s(%s): %w", attr, im.Name, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("icdb: estimator %s(%s) at width %d: result is not a finite number", attr, im.Name, ev.width)
+	}
+	return v, nil
+}
+
+// evalAccept evaluates im at ev's width point and runs the constraints
+// over the slot vector. Nothing is allocated per candidate: the vector
+// lives in ev and the constraints are compiled (slot comparisons and
+// closure trees), so a constrained stream costs O(1) allocations in all.
+func (ev *attrEval) evalAccept(im *Impl) (area, delay float64, ok bool, err error) {
+	if len(ev.cs) == 0 && ev.width == 0 {
 		return im.Area, im.Delay, true, nil
 	}
-	if *attrs == nil {
-		*attrs = make(Attrs, 8)
-	}
-	area, delay, err = ev.fill(im, *attrs)
+	area, delay, err = ev.fill(im)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	for _, c := range cs {
-		pass, err := c.Accept(*attrs)
+	for i := range ev.cs {
+		pass, err := ev.cs[i].accept(&ev.s)
 		if err != nil || !pass {
 			return 0, 0, false, err
 		}
@@ -620,43 +694,16 @@ func (ev attrEval) evalAccept(cs []Constraint, im *Impl, attrs *Attrs) (area, de
 // implementations is deferred until after the stream: cached *Impl
 // values are immutable and stay valid past the index lock.
 func (db *DB) rankSeq(seq implSeq, cs []Constraint, k int, order Order) ([]Candidate, error) {
-	if err := order.validate(); err != nil {
-		return nil, err
-	}
-	width, err := evalWidth(cs)
+	key, err := order.resolve()
 	if err != nil {
 		return nil, err
-	}
-	wa, wd := db.queryWeights(cs)
-	d, err := db.derivedSnap()
-	if err != nil {
-		return nil, err
-	}
-	ev := attrEval{width: width}
-	if width != 0 {
-		// Estimators only evaluate at a width point; a width-free query
-		// never builds (or, lazily, decodes) the estimators relation.
-		es, err := db.estSnap()
-		if err != nil {
-			return nil, err
-		}
-		ev.ests = es.ests
 	}
 	var kept []heapItem
-	var attrs Attrs
-	var cerr error
-	h := candHeap{limit: k}
-	err = seq(d, func(im *Impl) bool {
-		area, delay, ok, err := ev.evalAccept(cs, im, &attrs)
-		if err != nil {
-			cerr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		cost := area*wa + delay*wd
-		it := heapItem{im: im, area: area, delay: delay, cost: cost, rank: order.rank(im, area, delay, cost)}
+	// The usual limits (5 to 20) fit the first allocation; a larger k grows
+	// like any slice, so an enormous limit costs nothing until it is used.
+	h := candHeap{limit: k, items: make([]heapItem, 0, min(k, 32))}
+	err = db.scanSeq(seq, cs, func(im *Impl, area, delay, cost float64) bool {
+		it := heapItem{im: im, area: area, delay: delay, cost: cost, rank: key.rank(im, area, delay, cost)}
 		if k > 0 {
 			h.offer(it)
 		} else {
@@ -667,14 +714,19 @@ func (db *DB) rankSeq(seq implSeq, cs []Constraint, k int, order Order) ([]Candi
 	if err != nil {
 		return nil, err
 	}
-	if cerr != nil {
-		return nil, cerr
-	}
 	if k > 0 {
 		kept = h.items
 	}
-	// kept[i] sorts before kept[j] exactly when j ranks strictly after i.
-	sort.SliceStable(kept, func(i, j int) bool { return worse(kept[j], kept[i]) })
+	// a sorts before b exactly when b ranks strictly after a.
+	slices.SortStableFunc(kept, func(a, b heapItem) int {
+		switch {
+		case worse(b, a):
+			return -1
+		case worse(a, b):
+			return 1
+		}
+		return 0
+	})
 	out := make([]Candidate, len(kept))
 	for i, it := range kept {
 		out[i] = Candidate{Impl: it.im.Clone(), Area: it.area, Delay: it.delay, Cost: it.cost}
@@ -683,30 +735,21 @@ func (db *DB) rankSeq(seq implSeq, cs []Constraint, k int, order Order) ([]Candi
 }
 
 // scanSeq drives one streamed query end to end: constraint filtering,
-// costing, and delivery to the caller's visitor, allocating O(1) total
-// beyond what the visitor itself does.
-func (db *DB) scanSeq(seq implSeq, cs []Constraint, visit func(Candidate) bool) error {
-	width, err := evalWidth(cs)
+// costing, and delivery of each survivor (the cache's own *Impl and its
+// evaluated estimates) to visit, allocating O(1) total beyond what the
+// visitor itself does.
+func (db *DB) scanSeq(seq implSeq, cs []Constraint, visit func(im *Impl, area, delay, cost float64) bool) error {
+	ev, err := db.newAttrEval(cs, 0)
 	if err != nil {
 		return err
 	}
-	wa, wd := db.queryWeights(cs)
 	d, err := db.derivedSnap()
 	if err != nil {
 		return err
 	}
-	ev := attrEval{width: width}
-	if width != 0 {
-		es, err := db.estSnap()
-		if err != nil {
-			return err
-		}
-		ev.ests = es.ests
-	}
-	var attrs Attrs
 	var cerr error
 	err = seq(d, func(im *Impl) bool {
-		area, delay, ok, err := ev.evalAccept(cs, im, &attrs)
+		area, delay, ok, err := ev.evalAccept(im)
 		if err != nil {
 			cerr = err
 			return false
@@ -714,12 +757,20 @@ func (db *DB) scanSeq(seq implSeq, cs []Constraint, visit func(Candidate) bool) 
 		if !ok {
 			return true
 		}
-		return visit(Candidate{Impl: *im, Area: area, Delay: delay, Cost: area*wa + delay*wd})
+		return visit(im, area, delay, area*ev.wa+delay*ev.wd)
 	})
 	if err != nil {
 		return err
 	}
 	return cerr
+}
+
+// candidateVisitor adapts a public Scan visitor to scanSeq: the yielded
+// Candidate's Impl shares the cache's backing (see QueryByFunctionScan).
+func candidateVisitor(visit func(Candidate) bool) func(*Impl, float64, float64, float64) bool {
+	return func(im *Impl, area, delay, cost float64) bool {
+		return visit(Candidate{Impl: *im, Area: area, Delay: delay, Cost: cost})
+	}
 }
 
 // QueryByFunctionScan is the streaming form of QueryByFunction: it
@@ -745,7 +796,7 @@ func (db *DB) QueryByFunctionScan(fn genus.Function, visit func(Candidate) bool,
 func (db *DB) QueryByFunctionsScan(fns []genus.Function, visit func(Candidate) bool, cs ...Constraint) error {
 	return db.scanSeq(func(d *derived, v func(*Impl) bool) error {
 		return forEachByFunctions(d, fns, v)
-	}, cs, visit)
+	}, cs, candidateVisitor(visit))
 }
 
 // QueryByComponentScan streams the implementations of one component type.
@@ -753,7 +804,7 @@ func (db *DB) QueryByFunctionsScan(fns []genus.Function, visit func(Candidate) b
 func (db *DB) QueryByComponentScan(ct genus.ComponentType, visit func(Candidate) bool, cs ...Constraint) error {
 	return db.scanSeq(func(d *derived, v func(*Impl) bool) error {
 		return forEachByComponent(d, ct, v)
-	}, cs, visit)
+	}, cs, candidateVisitor(visit))
 }
 
 // QueryScan streams every registered implementation passing cs — the
@@ -761,7 +812,7 @@ func (db *DB) QueryByComponentScan(ct genus.ComponentType, visit func(Candidate)
 // aggregation without paying for a materialized copy. See
 // QueryByFunctionScan for the visitor contract.
 func (db *DB) QueryScan(visit func(Candidate) bool, cs ...Constraint) error {
-	return db.scanSeq(forEachImpl, cs, visit)
+	return db.scanSeq(forEachImpl, cs, candidateVisitor(visit))
 }
 
 // candHeap is a bounded worst-on-top heap over (rank, name): the root is

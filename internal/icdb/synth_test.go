@@ -74,6 +74,25 @@ func populate(db *icdb.DB, n int) error {
 	return nil
 }
 
+// synthEstimators are the three distinct estimator sources the synthetic
+// catalog (like the builtin library and bench/gen.go) draws from.
+var synthEstimators = [3]string{"area * width", "delay", "delay * width"}
+
+// populateEstimators registers an area and a delay estimator for each of
+// the first n synthetic implementations: area always scales with width,
+// delay is flat for even i and linear for odd i.
+func populateEstimators(db *icdb.DB, n int) error {
+	for i := 0; i < n; i++ {
+		if err := db.RegisterEstimator(nameOf(i), "area", synthEstimators[0]); err != nil {
+			return err
+		}
+		if err := db.RegisterEstimator(nameOf(i), "delay", synthEstimators[1+i%2]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // newSynthDB opens a fresh in-memory database holding the builtin library
 // plus n synthetic implementations.
 func newSynthDB(n int) (*icdb.DB, error) {
