@@ -115,18 +115,20 @@ func runQuery(db *icdb.DB, args []string) error {
 		}
 		fns = append(fns, genus.Function(args[i]))
 	}
-	cands, err := db.QueryByFunctions(fns, cs...)
-	if err != nil {
-		return err
+	if len(fns) == 0 {
+		return fmt.Errorf("query needs at least one function")
 	}
-	if len(cands) == 0 {
+	q := icdb.Query{Functions: fns, Constraints: cs, Order: icdb.Order{Attr: icdb.OrderKeyCost}}
+	n := 0
+	err := db.Find(q, func(c icdb.Candidate) bool {
+		n++
+		fmt.Printf("%d. %-12s %-18s cost %g\n", n, c.Impl.Name, c.Impl.Component, c.Cost)
+		return true
+	})
+	if err == nil && n == 0 {
 		fmt.Println("no matching implementations")
-		return nil
 	}
-	for i, c := range cands {
-		fmt.Printf("%d. %-12s %-18s cost %g\n", i+1, c.Impl.Name, c.Impl.Component, c.Cost)
-	}
-	return nil
+	return err
 }
 
 func runExpand(db *icdb.DB, args []string) error {

@@ -30,7 +30,7 @@ type FindStmt struct {
 	Where []Cond
 	// At is the "at width N" evaluation-point clause, nil if absent:
 	// candidates must cover the width, and area/delay are estimator-
-	// evaluated there (see icdb.AtWidth).
+	// evaluated there (see icdb.Query.Width).
 	At *AtClause
 	// OrderBy is the "order by" clause, nil if absent.
 	OrderBy *OrderClause

@@ -10,24 +10,19 @@ import (
 
 // FindQuery is a compiled FindStmt, bound to a database and ready to
 // run. Compilation resolves the statement's vocabulary (functions,
-// component type, order key) and lowers its "with" clause onto engine
-// constraints; Run picks the engine path.
+// component type, order key) and lowers the whole command onto one
+// engine query.
 type FindQuery struct {
-	db      *icdb.DB
-	fns     []genus.Function
-	comp    genus.ComponentType
-	hasComp bool
-	cs      []icdb.Constraint
-	order   icdb.Order
-	ranked  bool
-	limit   int
+	db *icdb.DB
+	q  icdb.Query
 }
 
 // CompileFind lowers a parsed find command onto db's query engine.
 // Vocabulary errors (unknown function or component type) are returned
 // as *Error values positioned at the offending word, with suggestions.
 func CompileFind(db *icdb.DB, f *FindStmt) (*FindQuery, error) {
-	q := &FindQuery{db: db}
+	fq := &FindQuery{db: db}
+	q := &fq.q
 	if f.Type != nil {
 		ct, ok := genus.NormalizeComponentType(f.Type.Text)
 		if !ok {
@@ -35,7 +30,7 @@ func CompileFind(db *icdb.DB, f *FindStmt) (*FindQuery, error) {
 				Msg:  "unknown component type '" + f.Type.Text + "'",
 				Hint: suggest(f.Type.Text, componentTypeNames())}
 		}
-		q.comp, q.hasComp = ct, true
+		q.Type = ct
 	}
 	for _, w := range f.Executing {
 		fn, err := genus.NormalizeFunction(w.Text)
@@ -44,30 +39,30 @@ func CompileFind(db *icdb.DB, f *FindStmt) (*FindQuery, error) {
 				Msg:  "unknown function '" + w.Text + "'",
 				Hint: suggest(w.Text, functionNames())}
 		}
-		q.fns = append(q.fns, fn)
+		q.Functions = append(q.Functions, fn)
 	}
 	for i := range f.Where {
 		c, err := compileCond(&f.Where[i])
 		if err != nil {
 			return nil, err
 		}
-		q.cs = append(q.cs, c)
+		q.Constraints = append(q.Constraints, c)
 	}
 	if f.At != nil {
-		// The evaluation point both restricts candidates to the width and
-		// makes every area/delay the engine filters, ranks, or reports the
-		// estimator value at it.
-		q.cs = append(q.cs, icdb.AtWidth(f.At.Width))
+		q.Width = f.At.Width
 	}
 	if f.OrderBy != nil {
-		q.order = icdb.Order{Attr: f.OrderBy.Key.Text, Desc: f.OrderBy.Desc}
-		q.ranked = true
+		q.Order = icdb.Order{Attr: f.OrderBy.Key.Text, Desc: f.OrderBy.Desc}
 	}
 	if f.HasLimit {
-		q.limit = f.Limit
-		q.ranked = true
+		q.Limit = f.Limit
+		if q.Order.Attr == "" {
+			// Any limit clause ranks, "limit 0" (unbounded) included: name
+			// the default key so the engine ranks by it.
+			q.Order.Attr = icdb.OrderKeyCost
+		}
 	}
-	return q, nil
+	return fq, nil
 }
 
 // compileCond lowers one attribute comparison onto an engine constraint.
@@ -113,84 +108,12 @@ func compileCond(c *Cond) (icdb.Constraint, error) {
 	return con, nil
 }
 
-// Ranked reports whether the query runs on the materializing ranked
-// path (an order-by or limit clause is present) rather than streaming
-// candidates in unspecified order.
-func (q *FindQuery) Ranked() bool { return q.ranked }
-
 // Run executes the query, yielding each candidate to visit; visit
-// returning false stops the delivery.
-//
-// Without an order-by or limit clause the query streams through the
-// engine's Scan visitors: candidates arrive in unspecified order, the
-// yielded Impl shares the cache's backing (read-only; Clone to retain),
-// and visit must not call back into the DB. With an order-by or limit
-// clause the engine ranks first — bounded by the TopK heap — and visit
-// receives caller-owned candidates, best first.
+// returning false stops the delivery. With an order-by or limit clause
+// the query is ranked, without it streamed: icdb.DB.Find states what
+// each means for the yielded candidates.
 func (q *FindQuery) Run(visit func(icdb.Candidate) bool) error {
-	if q.ranked {
-		cands, err := q.rankedCandidates()
-		if err != nil {
-			return err
-		}
-		for _, c := range cands {
-			if !visit(c) {
-				return nil
-			}
-		}
-		return nil
-	}
-	// Streaming path. When both a component type and functions are
-	// given, stream by function and filter the component inline.
-	filtered := func(c icdb.Candidate) bool {
-		if q.hasComp && c.Impl.Component != q.comp {
-			return true
-		}
-		return visit(c)
-	}
-	switch {
-	case len(q.fns) > 0:
-		return q.db.QueryByFunctionsScan(q.fns, filtered, q.cs...)
-	case q.hasComp:
-		return q.db.QueryByComponentScan(q.comp, visit, q.cs...)
-	default:
-		return q.db.QueryScan(visit, q.cs...)
-	}
-}
-
-// rankedCandidates materializes the ordered answer on the narrowest
-// engine path for the query's selectors; every case bounds the TopK
-// heap with the limit, so clones stay O(k).
-func (q *FindQuery) rankedCandidates() ([]icdb.Candidate, error) {
-	switch {
-	case len(q.fns) > 0 && q.hasComp:
-		return q.db.QueryByFunctionsOfTypeOrdered(q.fns, q.comp, q.order, q.limit, q.cs...)
-	case len(q.fns) > 0:
-		return q.db.QueryByFunctionsOrdered(q.fns, q.order, q.limit, q.cs...)
-	case q.hasComp:
-		return q.db.QueryByComponentOrdered(q.comp, q.order, q.limit, q.cs...)
-	default:
-		return q.db.QueryOrdered(q.order, q.limit, q.cs...)
-	}
-}
-
-// Candidates materializes the query's full answer with caller-owned
-// implementations: ranked queries in rank order, streaming queries in
-// unspecified order.
-func (q *FindQuery) Candidates() ([]icdb.Candidate, error) {
-	if q.ranked {
-		return q.rankedCandidates()
-	}
-	var out []icdb.Candidate
-	err := q.Run(func(c icdb.Candidate) bool {
-		c.Impl = c.Impl.Clone()
-		out = append(out, c)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return q.db.Find(q.q, visit)
 }
 
 // functionNames returns the GENUS function vocabulary as strings, for

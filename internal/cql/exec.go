@@ -137,16 +137,7 @@ func (env *Env) execFind(f *FindStmt) error {
 	if err != nil {
 		return err
 	}
-	if env.wArea != nil || env.wDelay != nil {
-		wa, wd := env.DB.RankWeights()
-		if env.wArea != nil {
-			wa = *env.wArea
-		}
-		if env.wDelay != nil {
-			wd = *env.wDelay
-		}
-		q.cs = append(q.cs, icdb.Weights(wa, wd))
-	}
+	q.q.AreaWeight, q.q.DelayWeight = env.wArea, env.wDelay
 	n := 0
 	var werr error
 	err = q.Run(func(c icdb.Candidate) bool {
@@ -177,7 +168,7 @@ func (env *Env) execFind(f *FindStmt) error {
 // filters to points explored at exactly that width, which must be an
 // explicit ask. Like a streamed find, a failed write stops the stream.
 func (env *Env) execPareto(f *ParetoStmt) error {
-	q := icdb.ParetoQuery{Dominated: f.Dominated}
+	q := icdb.ParetoQuery{Dominated: f.Dominated, AreaWeight: env.wArea, DelayWeight: env.wDelay}
 	if f.Type != nil {
 		ct, ok := genus.NormalizeComponentType(f.Type.Text)
 		if !ok {
@@ -200,17 +191,7 @@ func (env *Env) execPareto(f *ParetoStmt) error {
 		q.Constraints = append(q.Constraints, c)
 	}
 	if f.At != nil {
-		q.Constraints = append(q.Constraints, icdb.AtWidth(f.At.Width))
-	}
-	if env.wArea != nil || env.wDelay != nil {
-		wa, wd := env.DB.RankWeights()
-		if env.wArea != nil {
-			wa = *env.wArea
-		}
-		if env.wDelay != nil {
-			wd = *env.wDelay
-		}
-		q.Constraints = append(q.Constraints, icdb.Weights(wa, wd))
+		q.Width = f.At.Width
 	}
 	n, frontier := 0, 0
 	var werr error

@@ -31,9 +31,26 @@ func run(t *testing.T, db *icdb.DB, src string) []icdb.Candidate {
 	if err != nil {
 		t.Fatalf("CompileFind(%q): %v", src, err)
 	}
-	cands, err := q.Candidates()
-	if err != nil {
-		t.Fatalf("Run(%q): %v", src, err)
+	return collect(t, src, q.Run)
+}
+
+// find materializes the engine query q.
+func find(t *testing.T, db *icdb.DB, q icdb.Query) []icdb.Candidate {
+	t.Helper()
+	return collect(t, fmt.Sprintf("%+v", q), func(visit func(icdb.Candidate) bool) error { return db.Find(q, visit) })
+}
+
+// collect drains one query run, cloning each candidate as the
+// streamed-find contract requires.
+func collect(t *testing.T, label string, run func(func(icdb.Candidate) bool) error) []icdb.Candidate {
+	t.Helper()
+	var cands []icdb.Candidate
+	if err := run(func(c icdb.Candidate) bool {
+		c.Impl = c.Impl.Clone()
+		cands = append(cands, c)
+		return true
+	}); err != nil {
+		t.Fatalf("Run(%s): %v", label, err)
 	}
 	return cands
 }
@@ -46,9 +63,9 @@ func names(cands []icdb.Candidate) []string {
 	return out
 }
 
-// TestFindEquivalentToTopK is the acceptance criterion: the CQL command
-// of ISSUE 4 returns the same candidates, in the same order, as the
-// equivalent QueryByFunctionTopK / QueryByFunctionsOrdered Go calls.
+// TestFindEquivalentToTopK is the acceptance criterion: a CQL find
+// returns the same candidates, in the same order, as the equivalent
+// icdb.Query run through DB.Find.
 func TestFindEquivalentToTopK(t *testing.T) {
 	db := openTestDB(t)
 	areaLE10, err := icdb.AttrCmp("area", icdb.CmpLE, 10)
@@ -57,23 +74,19 @@ func TestFindEquivalentToTopK(t *testing.T) {
 	}
 
 	// Cost-ranked: "limit 5" with no order-by is the engine's default
-	// ranking, i.e. exactly QueryByFunctionTopK.
+	// ranking.
+	where, err := icdb.Where("area <= 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := icdb.Query{Functions: []genus.Function{genus.FuncSTORAGE}, Constraints: []icdb.Constraint{where}, Limit: 5}
 	got := run(t, db, "find component executing STORAGE with area <= 10 limit 5")
-	want, err := db.QueryByFunctionTopK(genus.FuncSTORAGE, 5, icdb.MustWhere("area <= 10"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCandidates(t, "cost-ranked", got, want)
+	assertSameCandidates(t, "cost-ranked", got, find(t, db, q))
 
-	// Attribute-ranked: "order by delay" is QueryByFunctionsOrdered with
-	// the delay key.
+	// Attribute-ranked: "order by delay" is the delay key.
+	q.Constraints, q.Order = []icdb.Constraint{areaLE10}, icdb.Order{Attr: "delay"}
 	got = run(t, db, "find component executing STORAGE with area <= 10 order by delay limit 5")
-	want, err = db.QueryByFunctionsOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, icdb.Order{Attr: "delay"}, 5, areaLE10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCandidates(t, "delay-ranked", got, want)
+	assertSameCandidates(t, "delay-ranked", got, find(t, db, q))
 	if len(got) == 0 {
 		t.Fatal("acceptance query returned no candidates")
 	}
@@ -352,11 +365,7 @@ func TestFindAtWidthRanksByEstimatedArea(t *testing.T) {
 	if got[0].Area != 96 || got[1].Area != 192 {
 		t.Errorf("estimated areas = %g, %g, want 96, 192", got[0].Area, got[1].Area)
 	}
-	want, err := db.QueryByFunctionsOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, icdb.Order{Attr: "area"}, 0, icdb.AtWidth(16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := find(t, db, icdb.Query{Functions: []genus.Function{genus.FuncSTORAGE}, Width: 16, Order: icdb.Order{Attr: "area"}})
 	assertSameCandidates(t, "at-width", got, want)
 }
 

@@ -5,6 +5,7 @@ package cql
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,40 @@ func TestSetWeightsRescoreFind(t *testing.T) {
 	fresh := sess(t, &Env{DB: db}, "find component of type Counter order by cost limit 3")
 	if fresh == out {
 		t.Errorf("fresh session unexpectedly matched the weighted session's output")
+	}
+}
+
+// TestSetWeightsRescorePareto: session weights rescore a frontier's
+// printed cost and nothing else. A plain "find pareto" under weights
+// (served from the scope's maintained frontier) prints exactly the rows
+// of the same query forced down the constrained path by a filter every
+// point passes, and every cost is the weighted sum of its two axes.
+func TestSetWeightsRescorePareto(t *testing.T) {
+	env := &Env{DB: openTestDB(t)}
+	for _, cmd := range []string{
+		"explore gen_cnt width 4..32 step 4", "explore gen_sub width 2..34 step 8",
+		"estimate cnt_up width=4", "estimate add_ripple width=8",
+		"set area_weight 2", "set delay_weight 0.5",
+	} {
+		sess(t, env, cmd)
+	}
+	for _, scope := range []string{"", " of type Counter", " of generator gen_sub"} {
+		fast := sess(t, env, "find pareto"+scope)
+		constrained := sess(t, env, "find pareto"+scope+" with area >= 0")
+		if fast != constrained {
+			t.Errorf("find pareto%s: frontier path\n%s\nconstrained path\n%s", scope, fast, constrained)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(fast), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 11 || f[5] != "area" || f[7] != "delay" || f[9] != "cost" {
+				t.Fatalf("find pareto%s: unexpected row %q", scope, line)
+			}
+			area, _ := strconv.ParseFloat(f[6], 64)
+			delay, _ := strconv.ParseFloat(f[8], 64)
+			if cost, _ := strconv.ParseFloat(f[10], 64); cost != 2*area+0.5*delay {
+				t.Errorf("find pareto%s: cost %g in %q, want 2*area + 0.5*delay", scope, cost, line)
+			}
+		}
 	}
 }
 

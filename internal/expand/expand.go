@@ -672,7 +672,7 @@ func (x *expansion) resolveProtoUncached(c *iif.Call) (*proto, error) {
 		}
 	}
 	im, ok, err := cheapestWhere(func(visit func(icdb.Candidate) bool) error {
-		return x.scanByTypeOrFunction(c, visit)
+		return x.scanByTypeOrFunction(c, 0, visit)
 	}, nil)
 	if err != nil {
 		return nil, iif.Errf(c.Pos, "#%s: %v", c.Name, err)
@@ -689,17 +689,19 @@ func (x *expansion) resolveProtoUncached(c *iif.Call) (*proto, error) {
 
 // scanByTypeOrFunction streams the stored implementations the call name
 // selects: the implementations of a matching GENUS component type, or
-// those answering a query by function. Only one of the two paths can
-// match (the vocabularies are disjoint).
-func (x *expansion) scanByTypeOrFunction(c *iif.Call, visit func(icdb.Candidate) bool, cs ...icdb.Constraint) error {
-	db := x.ex.db
+// those answering a query by function, evaluated at width (0 for none).
+// Only one of the two selectors can match (the vocabularies are
+// disjoint).
+func (x *expansion) scanByTypeOrFunction(c *iif.Call, width int, visit func(icdb.Candidate) bool) error {
+	q := icdb.Query{Width: width}
 	if ct, ok := genus.NormalizeComponentType(c.Name); ok {
-		return db.QueryByComponentScan(ct, visit, cs...)
+		q.Type = ct
+	} else if fn, err := genus.NormalizeFunction(c.Name); err == nil {
+		q.Functions = []genus.Function{fn}
+	} else {
+		return nil
 	}
-	if fn, err := genus.NormalizeFunction(c.Name); err == nil {
-		return db.QueryByFunctionScan(fn, visit, cs...)
-	}
-	return nil
+	return x.ex.db.Find(q, visit)
 }
 
 // generatorsFor lists the registered generators the call name selects by
@@ -737,7 +739,7 @@ func (x *expansion) generatorsFor(c *iif.Call) []icdb.Generator {
 // the bindings carry a size, candidates are filtered to implementations
 // covering it (and sharing the prototype's parameter list, so the
 // positionally evaluated values rebind safely) *before* ranking, and
-// ranked by their cost estimated at that width (see icdb.AtWidth). When
+// ranked by their cost estimated at that width (see icdb.Query.Width). When
 // no stored implementation covers the size, resolution falls through to
 // the registered generators and synthesizes one.
 func (x *expansion) resolveFinal(c *iif.Call, pr *proto, bindings map[string]int) (icdb.Impl, error) {
@@ -772,9 +774,14 @@ func (x *expansion) resolveFinal(c *iif.Call, pr *proto, bindings map[string]int
 	// Stored implementations first: filtered to the requested width, the
 	// prototype's parameter list, and the call's port shape before
 	// ranking, ranked by estimated-at-width cost.
+	if sz < 1 {
+		// Width 0 means "no width point" to the engine: reject it here, in
+		// the engine's own words.
+		return icdb.Impl{}, iif.Errf(c.Pos, "#%s: icdb: at width %d: width must be at least 1", c.Name, sz)
+	}
 	match := x.shapeMatch(c, pr, bindings)
 	im, ok, err := cheapestWhere(func(visit func(icdb.Candidate) bool) error {
-		return x.scanByTypeOrFunction(c, visit, icdb.AtWidth(sz))
+		return x.scanByTypeOrFunction(c, sz, visit)
 	}, match)
 	if err != nil {
 		return icdb.Impl{}, iif.Errf(c.Pos, "#%s: %v", c.Name, err)

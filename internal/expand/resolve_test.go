@@ -250,6 +250,29 @@ OUTORDER: p, q;
 	}
 }
 
+// TestQueryResolvedCallRejectsSizeBelowOne: a query-resolved #call bound
+// to size 0 (or less) is an error naming the width, not a width-free
+// resolution — for size 0 too, which the engine reads as "no width".
+func TestQueryResolvedCallRejectsSizeBelowOne(t *testing.T) {
+	for size, want := range map[string]string{
+		"0":  "iif: 6:3: #ADD: icdb: at width 0: width must be at least 1",
+		"-2": "iif: 6:3: #ADD: icdb: at width -2: width must be at least 1",
+	} {
+		top := `
+NAME: top;
+INORDER: x, y;
+OUTORDER: p;
+{
+  #ADD(` + size + `, x, y, p);
+}
+`
+		_, err := New(newDB(t)).Expand(mustParse(t, top), nil)
+		if err == nil || err.Error() != want {
+			t.Errorf("size %s: err = %v, want %s", size, err, want)
+		}
+	}
+}
+
 // TestGeneratorFallbackResolution: a #call naming a function with no
 // stored implementation resolves through a registered generator, which
 // synthesizes, registers, and splices a width-pinned implementation —

@@ -48,12 +48,17 @@ func sizeRun(b *testing.B, f func(b *testing.B, n int)) {
 }
 
 func BenchmarkQueryByFunction(b *testing.B) {
+	maxArea := attrCmp(b, "area", icdb.CmpLE, 50)
 	sizeRun(b, func(b *testing.B, n int) {
 		db := benchDB(b, n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cands, err := db.QueryByFunction(genus.FuncADD, icdb.MaxArea(50))
+			cands, err := db.FindAll(icdb.Query{
+				Functions:   []genus.Function{genus.FuncADD},
+				Constraints: []icdb.Constraint{maxArea},
+				Order:       icdb.Order{Attr: icdb.OrderKeyCost},
+			})
 			if err != nil || len(cands) == 0 {
 				b.Fatal(err, len(cands))
 			}
@@ -65,16 +70,20 @@ func BenchmarkQueryByFunction(b *testing.B) {
 // candidate set as BenchmarkQueryByFunction, but yielded row by row with
 // O(1) allocation per row instead of materialized, cloned, and sorted.
 func BenchmarkQueryByFunctionScan(b *testing.B) {
+	q := icdb.Query{
+		Functions:   []genus.Function{genus.FuncADD},
+		Constraints: []icdb.Constraint{attrCmp(b, "area", icdb.CmpLE, 50)},
+	}
 	sizeRun(b, func(b *testing.B, n int) {
 		db := benchDB(b, n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rows := 0
-			err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+			err := db.Find(q, func(c icdb.Candidate) bool {
 				rows++
 				return true
-			}, icdb.MaxArea(50))
+			})
 			if err != nil || rows == 0 {
 				b.Fatal(err, rows)
 			}
@@ -85,11 +94,15 @@ func BenchmarkQueryByFunctionScan(b *testing.B) {
 func BenchmarkQueryByFunctionsTopK(b *testing.B) {
 	sizeRun(b, func(b *testing.B, n int) {
 		db := benchDB(b, n)
-		fns := []genus.Function{genus.FuncADD, genus.FuncSUB}
+		q := icdb.Query{
+			Functions:   []genus.Function{genus.FuncADD, genus.FuncSUB},
+			Constraints: []icdb.Constraint{icdb.ForWidth(8)},
+			Limit:       5,
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cands, err := db.QueryByFunctionsTopK(fns, 5, icdb.ForWidth(8))
+			cands, err := db.FindAll(q)
 			if err != nil || len(cands) == 0 {
 				b.Fatal(err, len(cands))
 			}
@@ -115,18 +128,21 @@ func BenchmarkQueryOrderedAtWidth(b *testing.B) {
 			}
 			fns := []genus.Function{genus.FuncADD}
 			cands := 0
-			if err := db.QueryByFunctionsScan(fns, func(icdb.Candidate) bool { cands++; return true }); err != nil {
+			if err := db.Find(icdb.Query{Functions: fns}, func(icdb.Candidate) bool { cands++; return true }); err != nil {
 				b.Fatal(err)
 			}
-			maxArea, err := icdb.AttrCmp("area", icdb.CmpLE, 2000)
-			if err != nil {
-				b.Fatal(err)
+			q := icdb.Query{
+				Functions:   fns,
+				Constraints: []icdb.Constraint{attrCmp(b, "area", icdb.CmpLE, 2000)},
+				Width:       8,
+				Order:       icdb.Order{Attr: "delay"},
+				Limit:       10,
 			}
-			order := icdb.Order{Attr: "delay"}
 			query := func() {
-				got, err := db.QueryByFunctionsOrdered(fns, order, 10, maxArea, icdb.AtWidth(8))
-				if err != nil || len(got) != 10 {
-					b.Fatal(err, len(got))
+				got := 0
+				err := db.Find(q, func(icdb.Candidate) bool { got++; return true })
+				if err != nil || got != 10 {
+					b.Fatal(err, got)
 				}
 			}
 			query() // the first width query builds the estimator cache

@@ -159,7 +159,7 @@ func TestCompiledExprNilAndSlotsOf(t *testing.T) {
 	if got.have != 1<<slotArea|1<<slotWidth || got.v[slotArea] != 3 || got.v[slotWidth] != 8 {
 		t.Fatalf("slotsOf = %+v", got)
 	}
-	c := MustWhere("delay > 0")
+	c := mustWhere(t, "delay > 0")
 	_, err := c.Accept(Attrs{"area": 3, "width": 8, "size": 99})
 	want := `icdb: constraint "delay > 0": 1:1: unknown attribute "delay" (have [area width])`
 	if err == nil || err.Error() != want {
@@ -183,7 +183,7 @@ func FuzzCompiledExpr(f *testing.F) {
 	for i, src := range fuzzSeedExprs {
 		f.Add(src, 1.0, 64.0, float64(i%4), 10.5, 4.0, 8.0, i%3 != 0)
 	}
-	f.Fuzz(func(t *testing.T, src string, wmin, wmax, stages, area, delay, width float64, atWidth bool) {
+	f.Fuzz(func(t *testing.T, src string, wmin, wmax, stages, area, delay, width float64, hasWidth bool) {
 		if len(src) > 1<<10 {
 			t.Skip("deeply nested input recurses the parser, not the compiler")
 		}
@@ -196,7 +196,7 @@ func FuzzCompiledExpr(f *testing.F) {
 			slotWidthMin: wmin, slotWidthMax: wmax, slotStages: stages,
 			slotArea: area, slotDelay: delay, slotWidth: width,
 		}
-		if atWidth {
+		if hasWidth {
 			s.have |= 1 << slotWidth
 		}
 		checkSame(t, fmt.Sprintf("%q", src), e, compileExpr(e), &s)

@@ -30,7 +30,7 @@ func testImpl(name string) Impl {
 }
 
 // TestQueryScanVisitorReentersDB pins the re-entrancy contract: a
-// QueryScan visitor may call back into the DB — including registering
+// streamed Find visitor may call back into the DB — including registering
 // an implementation, which would self-deadlock if the stream held the
 // index lock.
 func TestQueryScanVisitorReentersDB(t *testing.T) {
@@ -38,7 +38,7 @@ func TestQueryScanVisitorReentersDB(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		first := true
-		done <- db.QueryScan(func(c Candidate) bool {
+		done <- db.Find(Query{}, func(c Candidate) bool {
 			if first {
 				first = false
 				// Re-enter with a read and a write.
@@ -55,10 +55,10 @@ func TestQueryScanVisitorReentersDB(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("QueryScan: %v", err)
+			t.Fatalf("Find: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("QueryScan with re-entrant visitor deadlocked")
+		t.Fatal("Find with re-entrant visitor deadlocked")
 	}
 	if _, err := db.ImplByName("reent_reg"); err != nil {
 		t.Fatalf("impl registered mid-scan is missing: %v", err)
@@ -81,7 +81,7 @@ func TestRegisterProgressDuringSlowScan(t *testing.T) {
 	var once sync.Once
 	seen := 0
 	go func() {
-		scanDone <- db.QueryScan(func(c Candidate) bool {
+		scanDone <- db.Find(Query{}, func(c Candidate) bool {
 			if c.Impl.Name == "mid_scan_reg" {
 				t.Errorf("scan yielded implementation registered after its snapshot was pinned")
 			}
@@ -107,7 +107,7 @@ func TestRegisterProgressDuringSlowScan(t *testing.T) {
 	}
 	close(release)
 	if err := <-scanDone; err != nil {
-		t.Fatalf("QueryScan: %v", err)
+		t.Fatalf("Find: %v", err)
 	}
 	if seen != len(base) {
 		t.Errorf("parked scan yielded %d implementations, want the %d in its snapshot", seen, len(base))
@@ -138,7 +138,7 @@ func TestConcurrentQueriesAndRegistrations(t *testing.T) {
 					return
 				default:
 				}
-				err := db.QueryByFunctionScan(genus.FuncSTORAGE, func(c Candidate) bool {
+				err := db.Find(Query{Functions: []genus.Function{genus.FuncSTORAGE}}, func(c Candidate) bool {
 					if _, err := db.ImplByName(c.Impl.Name); err != nil {
 						t.Errorf("re-entrant ImplByName(%s): %v", c.Impl.Name, err)
 						return false
@@ -163,7 +163,7 @@ func TestConcurrentQueriesAndRegistrations(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := db.QueryByComponentTopK(genus.CompCounter, 3, AtWidth(8)); err != nil {
+				if _, err := db.FindAll(Query{Type: genus.CompCounter, Width: 8, Limit: 3}); err != nil {
 					t.Errorf("ranked query: %v", err)
 					return
 				}
@@ -209,6 +209,80 @@ func TestConcurrentQueriesAndRegistrations(t *testing.T) {
 		scans.Load(), queries.Load(), writes.Load())
 }
 
+// TestFindUnderConcurrentWriters runs both Find paths against writers
+// registering into the posting lists they read: ranked visitors, which
+// run after the stream, re-enter the DB with a read and a write and must
+// still see a best-first answer within the limit; streamed visitors
+// re-enter with a read. Under -race this is the pinned-snapshot contract
+// of DB.Find.
+func TestFindUnderConcurrentWriters(t *testing.T) {
+	db := openDB(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var ranked, streamed, writes atomic.Int64
+	loop := func(f func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := f(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	storage := []genus.Function{genus.FuncSTORAGE}
+	for g := 0; g < 2; g++ {
+		loop(func(i int) error {
+			writes.Add(1)
+			return db.RegisterImpl(testImpl(fmt.Sprintf("find_w%d_%d", g, i%20)))
+		})
+	}
+	loop(func(i int) error {
+		var prev *Candidate
+		n := 0
+		err := db.Find(Query{Functions: storage, Width: 4, Limit: 5}, func(c Candidate) bool {
+			if prev != nil && (c.Cost < prev.Cost || c.Cost == prev.Cost && c.Impl.Name < prev.Impl.Name) {
+				t.Errorf("ranked answer out of order: %s/%g after %s/%g", c.Impl.Name, c.Cost, prev.Impl.Name, prev.Cost)
+			}
+			if _, err := db.ImplByName(c.Impl.Name); err != nil {
+				t.Errorf("re-entrant ImplByName(%s): %v", c.Impl.Name, err)
+			}
+			if n == 0 {
+				if err := db.RegisterImpl(testImpl(fmt.Sprintf("find_r_%d", i%20))); err != nil {
+					t.Errorf("re-entrant RegisterImpl: %v", err)
+				}
+			}
+			prev, n = &c, n+1
+			return true
+		})
+		if n > 5 {
+			t.Errorf("ranked Find yielded %d candidates, limit 5", n)
+		}
+		ranked.Add(1)
+		return err
+	})
+	loop(func(int) error {
+		streamed.Add(1)
+		return db.Find(Query{Functions: storage}, func(c Candidate) bool {
+			_, err := db.ImplByName(c.Impl.Name)
+			return err == nil
+		})
+	})
+	time.Sleep(200 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if ranked.Load() == 0 || streamed.Load() == 0 || writes.Load() == 0 {
+		t.Fatalf("no progress: %d ranked, %d streamed, %d writes", ranked.Load(), streamed.Load(), writes.Load())
+	}
+}
+
 // TestCompiledEstimatorsUnderConcurrentWriters runs the width-point path
 // against everything that publishes into the intern table at once:
 // ranked and streamed finds at a width evaluate programs while
@@ -246,7 +320,7 @@ func TestCompiledEstimatorsUnderConcurrentWriters(t *testing.T) {
 	valid := map[float64]bool{24: true, 11: true, 8: true, 25: true}
 	for g := 0; g < 2; g++ {
 		run(func(int) error {
-			cands, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{Attr: "area"}, 0, AtWidth(8))
+			cands, err := db.FindAll(Query{Functions: []genus.Function{genus.FuncADD}, Width: 8, Order: Order{Attr: "area"}})
 			if err != nil {
 				return err
 			}
@@ -261,12 +335,12 @@ func TestCompiledEstimatorsUnderConcurrentWriters(t *testing.T) {
 	}
 	run(func(int) error {
 		reads.Add(1)
-		return db.QueryByFunctionScan(genus.FuncADD, func(c Candidate) bool {
+		return db.Find(Query{Functions: []genus.Function{genus.FuncADD}, Width: 8}, func(c Candidate) bool {
 			if c.Impl.Name == "cycled" && !valid[c.Area] {
 				t.Errorf("cycled streamed at area %g", c.Area)
 			}
 			return true
-		}, AtWidth(8))
+		})
 	})
 	run(func(i int) error {
 		writes.Add(1)
@@ -300,43 +374,77 @@ func TestCompiledEstimatorsUnderConcurrentWriters(t *testing.T) {
 }
 
 // TestWeightsConstraint pins the per-query ranking-weight override:
-// Weights rescores without filtering, beats the database defaults, and
-// the last of several wins.
+// AreaWeight/DelayWeight rescore without filtering, beat the database
+// defaults, and each falls back to its default on its own.
 func TestWeightsConstraint(t *testing.T) {
 	db := openDB(t)
 	// Database defaults skew heavily toward area...
 	if err := db.SetToolParam("icdb", "area_weight", 100); err != nil {
 		t.Fatal(err)
 	}
-	byDefault, err := db.QueryByComponent(genus.CompCounter)
+	byDefault, err := db.FindAll(Query{Type: genus.CompCounter, Order: Order{Attr: OrderKeyCost}})
 	if err != nil || len(byDefault) == 0 {
 		t.Fatalf("default query: %v (%d candidates)", err, len(byDefault))
 	}
-	// ...but a Weights override scores delay only.
-	byDelay, err := db.QueryByComponent(genus.CompCounter, Weights(0, 1))
+	// ...but an override scores delay only.
+	zero, one := 0.0, 1.0
+	byDelay, err := db.FindAll(Query{Type: genus.CompCounter, AreaWeight: &zero, DelayWeight: &one, Order: Order{Attr: OrderKeyCost}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(byDelay) != len(byDefault) {
-		t.Fatalf("Weights filtered: %d candidates, want %d", len(byDelay), len(byDefault))
+		t.Fatalf("weights filtered: %d candidates, want %d", len(byDelay), len(byDefault))
 	}
 	for _, c := range byDelay {
 		if c.Cost != c.Delay {
-			t.Errorf("%s: cost %g under Weights(0,1), want delay %g", c.Impl.Name, c.Cost, c.Delay)
+			t.Errorf("%s: cost %g under weights (0,1), want delay %g", c.Impl.Name, c.Cost, c.Delay)
 		}
 	}
-	// Last Weights wins.
-	cands, err := db.QueryByComponent(genus.CompCounter, Weights(0, 1), Weights(1, 0))
+	// A lone DelayWeight keeps the database's area weight.
+	cands, err := db.FindAll(Query{Type: genus.CompCounter, DelayWeight: &zero})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cands {
-		if c.Cost != c.Area {
-			t.Errorf("%s: cost %g under last-wins Weights(1,0), want area %g", c.Impl.Name, c.Cost, c.Area)
+		if c.Cost != 100*c.Area {
+			t.Errorf("%s: cost %g under DelayWeight 0 alone, want 100*area %g", c.Impl.Name, c.Cost, 100*c.Area)
 		}
 	}
 	// RankWeights reports the database defaults, not the override.
 	if wa, wd := db.RankWeights(); wa != 100 || wd != 1 {
 		t.Errorf("RankWeights = (%g, %g), want (100, 1)", wa, wd)
+	}
+}
+
+// TestRankWeightsSurvivesRacingSetToolParam: a query that reads the tool
+// parameters while SetToolParam commits a new value must not cache the
+// old one past the write. Each round invalidates the cached weights,
+// races one RankWeights against one SetToolParam, and then requires the
+// new value: a reader that cached what it read before the commit would
+// keep ranking with the old weight until the next write.
+func TestRankWeightsSurvivesRacingSetToolParam(t *testing.T) {
+	db := openDB(t)
+	for round := 1; round <= 5000; round++ {
+		db.InvalidateCaches()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			db.RankWeights()
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := db.SetToolParam("icdb", "area_weight", float64(round)); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		if wa, _ := db.RankWeights(); wa != float64(round) {
+			t.Fatalf("round %d: RankWeights area = %g after SetToolParam committed %d", round, wa, round)
+		}
 	}
 }

@@ -42,7 +42,8 @@ func TestInternedProgramsPerDistinctSource(t *testing.T) {
 		t.Fatalf("%d program(s) interned before any width query", got)
 	}
 	// The first width query builds the estimator cache.
-	if _, err := db.QueryByFunctionTopK(genus.FuncADD, 1, icdb.AtWidth(8)); err != nil {
+	q := icdb.Query{Functions: []genus.Function{genus.FuncADD}, Width: 8, Limit: 1}
+	if err := db.Find(q, func(icdb.Candidate) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.InternedPrograms(); got != len(synthEstimators) {
@@ -62,37 +63,37 @@ func TestInternedProgramsPerDistinctSource(t *testing.T) {
 // twice the size — in its ranked, streamed and of-type forms.
 func TestAtWidthAllocationsIndependentOfCandidates(t *testing.T) {
 	const n = 1500
-	fns := []genus.Function{genus.FuncADD}
-	order := icdb.Order{Attr: "delay"}
 	maxArea, err := icdb.AttrCmp("area", icdb.CmpLE, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Built once: the constructors format their source text, and fmt's
 	// pooled buffers make that count vary under the race detector.
-	cs := []icdb.Constraint{maxArea, icdb.AtWidth(8)}
+	streamed := icdb.Query{
+		Functions:   []genus.Function{genus.FuncADD},
+		Constraints: []icdb.Constraint{maxArea},
+		Width:       8,
+	}
+	ranked := streamed
+	ranked.Order, ranked.Limit = icdb.Order{Attr: "delay"}, 10
+	ofType := ranked
+	ofType.Type = genus.CompAdderSubtractor
 	type counts struct{ cands, ranked, streamed, ofType float64 }
 	measure := func(n int) counts {
 		db := synthWithEstimators(t, n)
 		var c counts
-		stream := func() {
-			c.cands = 0
-			err := db.QueryByFunctionsScan(fns, func(icdb.Candidate) bool { c.cands++; return true }, cs...)
-			if err != nil {
-				t.Fatal(err)
+		run := func(q icdb.Query, want float64) func() {
+			return func() {
+				got := 0.0
+				if err := db.Find(q, func(icdb.Candidate) bool { got++; return true }); err != nil || (want > 0 && got != want) {
+					t.Fatal(err, got)
+				}
+				c.cands = got
 			}
 		}
-		c.ranked = testing.AllocsPerRun(10, func() {
-			if got, err := db.QueryByFunctionsOrdered(fns, order, 10, cs...); err != nil || len(got) != 10 {
-				t.Fatal(err, len(got))
-			}
-		})
-		c.ofType = testing.AllocsPerRun(10, func() {
-			if got, err := db.QueryByFunctionsOfTypeOrdered(fns, genus.CompAdderSubtractor, order, 10, cs...); err != nil || len(got) != 10 {
-				t.Fatal(err, len(got))
-			}
-		})
-		c.streamed = testing.AllocsPerRun(10, stream)
+		c.ranked = testing.AllocsPerRun(10, run(ranked, 10))
+		c.ofType = testing.AllocsPerRun(10, run(ofType, 10))
+		c.streamed = testing.AllocsPerRun(10, run(streamed, 0))
 		return c
 	}
 	small, large := measure(n), measure(2*n)

@@ -26,7 +26,7 @@ import (
 // generators and estimators relations hold the paper's component
 // generators (procedures emitting implementations on demand, see
 // Generator/Generate) and parameterized cost estimators (see
-// RegisterEstimator/AtWidth).
+// RegisterEstimator/Query.Width).
 const (
 	TableComponents      = "components"
 	TableImplementations = "implementations"
@@ -221,8 +221,12 @@ type DB struct {
 	// immutable once published; the map is written under cmu.Lock only.
 	progs map[string]*estProg
 	// Cached ranking weights (tool "icdb"), refreshed after SetToolParam.
+	// wVer counts the invalidations (SetToolParam, InvalidateCaches), so a
+	// reader whose tool-parameter read raced one does not cache what it
+	// read (see rankWeights).
 	wa, wd float64
 	wOK    bool
+	wVer   uint64
 
 	// pmu guards the frontier engine's design-point cache and its
 	// counters: decoded, sweep-ordered exploration sets per query scope,
@@ -478,6 +482,7 @@ func (db *DB) InvalidateCaches() {
 	db.der = nil
 	db.est = nil
 	db.wOK = false
+	db.wVer++
 	db.cmu.Unlock()
 	db.pmu.Lock()
 	db.expl = nil
@@ -869,17 +874,15 @@ func (db *DB) Impls() ([]Impl, error) {
 // insertion order — the order Impls returns — straight from the
 // decoded-implementation cache: no row is re-decoded and nothing is
 // allocated per implementation. visit returning false stops the stream.
-// The visitor contract is QueryByFunctionScan's: the *Impl is the
-// cache's own value (read-only; Clone to retain), the stream runs over
-// a pinned copy-on-write snapshot without holding a lock, and visit may
-// call back into the DB — a registration made meanwhile lands in a
-// fresh snapshot and is not seen by the stream in flight.
+// The visitor contract is a streamed Find's: the *Impl is the cache's
+// own value (read-only; Clone to retain), and visit may call back into
+// the DB (see Find).
 func (db *DB) ImplsScan(visit func(*Impl) bool) error {
 	d, err := db.derivedSnap()
 	if err != nil {
 		return err
 	}
-	return forEachImpl(d, visit)
+	return (&Query{}).each(d, visit) // the zero Query walks the cache in insertion order
 }
 
 // ComponentFunctions reads the components relation: the function set
@@ -908,6 +911,7 @@ func (db *DB) SetToolParam(tool, param string, value float64) error {
 	}
 	db.cmu.Lock()
 	db.wOK = false
+	db.wVer++
 	db.cmu.Unlock()
 	return nil
 }

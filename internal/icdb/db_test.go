@@ -151,7 +151,7 @@ func TestQueryByFunctionRanking(t *testing.T) {
 	db := openDB(t)
 	// STORAGE: reg_d (cost 7) ranks ahead of cnt_up (cost 14);
 	// cnt_ripple executes no STORAGE and must not appear.
-	cands, err := db.QueryByFunction(genus.FuncSTORAGE)
+	cands, err := db.FindAll(byCost(genus.FuncSTORAGE))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +164,10 @@ func TestQueryByFunctionRanking(t *testing.T) {
 		}
 	}
 	// Function names normalize case-insensitively.
-	if _, err := db.QueryByFunction(genus.Function("storage")); err != nil {
+	if _, err := db.FindAll(Query{Functions: []genus.Function{"storage"}}); err != nil {
 		t.Errorf("lower-case function: %v", err)
 	}
-	if _, err := db.QueryByFunction(genus.Function("FROB")); err == nil {
+	if _, err := db.FindAll(Query{Functions: []genus.Function{"FROB"}}); err == nil {
 		t.Error("unknown function accepted")
 	}
 }
@@ -176,15 +176,12 @@ func TestQueryByFunctionsMerged(t *testing.T) {
 	db := openDB(t)
 	// COUNTER+STORAGE: only cnt_up merges both (the paper's §4.1 merged
 	// component query).
-	cands, err := db.QueryByFunctions([]genus.Function{genus.FuncCOUNTER, genus.FuncSTORAGE})
+	cands, err := db.FindAll(Query{Functions: []genus.Function{genus.FuncCOUNTER, genus.FuncSTORAGE}, Order: Order{Attr: OrderKeyCost}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cands) != 1 || cands[0].Impl.Name != "cnt_up" {
 		t.Fatalf("COUNTER+STORAGE = %v, want [cnt_up]", names(cands))
-	}
-	if _, err := db.QueryByFunctions(nil); err == nil {
-		t.Error("empty query accepted")
 	}
 }
 
@@ -195,7 +192,7 @@ func TestQueryConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := db.QueryByFunction(genus.FuncSTORAGE, c)
+	cands, err := db.FindAll(byCost(genus.FuncSTORAGE, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +200,8 @@ func TestQueryConstraints(t *testing.T) {
 		t.Fatalf("constrained = %v, want [reg_d]", names(cands))
 	}
 	// Combined expression with &&, comparison, arithmetic.
-	c2 := MustWhere("area + delay < 20 && stages == 1")
-	cands, err = db.QueryByFunction(genus.FuncINC, c2)
+	c2 := mustWhere(t, "area + delay < 20 && stages == 1")
+	cands, err = db.FindAll(byCost(genus.FuncINC, c2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +209,22 @@ func TestQueryConstraints(t *testing.T) {
 		t.Fatalf("INC with cost bound = %v", names(cands))
 	}
 	// Typed helpers.
-	if cs, _ := db.QueryByComponent(genus.CompCounter, ForWidth(100)); len(cs) != 0 {
+	counters := func(c Constraint) []Candidate {
+		t.Helper()
+		cs, err := db.FindAll(Query{Type: genus.CompCounter, Constraints: []Constraint{c}, Order: Order{Attr: OrderKeyCost}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	if cs := counters(ForWidth(100)); len(cs) != 0 {
 		t.Errorf("ForWidth(100) = %v, want none", names(cs))
 	}
-	if cs, _ := db.QueryByComponent(genus.CompCounter, MaxDelay(3)); len(cs) != 1 {
-		t.Errorf("MaxDelay(3) = %v, want [cnt_up]", names(cs))
+	if cs := counters(mustAttrCmp(t, "delay", CmpLE, 3)); len(cs) != 1 {
+		t.Errorf("delay <= 3 = %v, want [cnt_up]", names(cs))
 	}
-	if cs, _ := db.QueryByComponent(genus.CompCounter, MaxArea(8)); len(cs) != 1 {
-		t.Errorf("MaxArea(8) = %v, want [cnt_ripple]", names(cs))
+	if cs := counters(mustAttrCmp(t, "area", CmpLE, 8)); len(cs) != 1 {
+		t.Errorf("area <= 8 = %v, want [cnt_ripple]", names(cs))
 	}
 }
 
@@ -227,32 +232,32 @@ func TestWhereErrors(t *testing.T) {
 	if _, err := Where("area <="); err == nil {
 		t.Error("bad expression accepted")
 	}
-	c := MustWhere("frobs > 1")
 	db := openDB(t)
-	if _, err := db.QueryByFunction(genus.FuncSTORAGE, c); err == nil || !strings.Contains(err.Error(), "unknown attribute") {
+	storage := func(c Constraint) error {
+		_, err := db.FindAll(Query{Functions: []genus.Function{genus.FuncSTORAGE}, Constraints: []Constraint{c}})
+		return err
+	}
+	if err := storage(mustWhere(t, "frobs > 1")); err == nil || !strings.Contains(err.Error(), "unknown attribute") {
 		t.Errorf("err = %v, want unknown attribute", err)
 	}
-	if _, err := db.QueryByFunction(genus.FuncSTORAGE, MustWhere("area / 0 > 1")); err == nil {
+	if err := storage(mustWhere(t, "area / 0 > 1")); err == nil {
 		t.Error("division by zero accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustWhere did not panic")
-		}
-	}()
-	MustWhere("((")
+	if _, err := Where("(("); err == nil {
+		t.Error("unbalanced expression accepted")
+	}
 }
 
 func TestQueryByComponent(t *testing.T) {
 	db := openDB(t)
-	cands, err := db.QueryByComponent(genus.CompCounter)
+	cands, err := db.FindAll(Query{Type: genus.CompCounter, Order: Order{Attr: OrderKeyCost}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cands) != 2 || cands[0].Impl.Name != "cnt_up" || cands[1].Impl.Name != "cnt_ripple" {
 		t.Fatalf("Counter impls = %v, want [cnt_up cnt_ripple]", names(cands))
 	}
-	if _, err := db.QueryByComponent("Widget"); err == nil {
+	if _, err := db.FindAll(Query{Type: "Widget"}); err == nil {
 		t.Error("unknown component accepted")
 	}
 }
@@ -260,7 +265,8 @@ func TestQueryByComponent(t *testing.T) {
 func TestToolParamsAffectRanking(t *testing.T) {
 	db := openDB(t)
 	// Default weights: cnt_up (12+2=14) beats cnt_ripple (7+9=16).
-	cands, err := db.QueryByFunction(genus.FuncINC)
+	inc := byCost(genus.FuncINC)
+	cands, err := db.FindAll(inc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +280,7 @@ func TestToolParamsAffectRanking(t *testing.T) {
 	if err := db.SetToolParam("icdb", "delay_weight", 0); err != nil {
 		t.Fatal(err)
 	}
-	cands, err = db.QueryByFunction(genus.FuncINC)
+	cands, err = db.FindAll(inc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,6 +409,31 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// byCost is the cost-ranked query of the implementations executing fn.
+func byCost(fn genus.Function, cs ...Constraint) Query {
+	return Query{Functions: []genus.Function{fn}, Constraints: cs, Order: Order{Attr: OrderKeyCost}}
+}
+
+// mustWhere is Where for the tests' static expressions.
+func mustWhere(t *testing.T, expr string) Constraint {
+	t.Helper()
+	c, err := Where(expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// mustAttrCmp is AttrCmp for the tests' static comparisons.
+func mustAttrCmp(t *testing.T, attr string, op CmpOp, v float64) Constraint {
+	t.Helper()
+	c, err := AttrCmp(attr, op, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func names(cands []Candidate) []string {
 	out := make([]string, len(cands))
 	for i, c := range cands {
@@ -440,7 +471,7 @@ func TestOpenLazyTouchesNothing(t *testing.T) {
 
 	// A width-free query touches implementations (rows + derived
 	// indexes) but must not hydrate the estimators relation.
-	cands, err := db.QueryByFunction(genus.FuncSTORAGE)
+	cands, err := db.FindAll(Query{Functions: []genus.Function{genus.FuncSTORAGE}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +486,7 @@ func TestOpenLazyTouchesNothing(t *testing.T) {
 	}
 
 	// A width-point query needs the estimator cache — now it hydrates.
-	if _, err := db.QueryByFunction(genus.FuncSTORAGE, AtWidth(8)); err != nil {
+	if _, err := db.FindAll(Query{Functions: []genus.Function{genus.FuncSTORAGE}, Width: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if pending(store, TableEstimators) {

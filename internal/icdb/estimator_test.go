@@ -32,11 +32,12 @@ func TestNonFiniteEstimateIsAnError(t *testing.T) {
 		}
 		want := "icdb: estimator " + tc.attr + "(add_ripple) at width 8: result is not a finite number"
 
-		_, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{Attr: "area"}, 2, AtWidth(8))
+		add := Query{Functions: []genus.Function{genus.FuncADD}, Width: 8}
+		_, err := db.FindAll(Query{Functions: add.Functions, Width: 8, Order: Order{Attr: "area"}, Limit: 2})
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: ranked find error = %v, want %s", tc.expr, err, want)
 		}
-		err = db.QueryByFunctionScan(genus.FuncADD, func(Candidate) bool { return true }, AtWidth(8))
+		err = db.Find(add, func(Candidate) bool { return true })
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: streamed find error = %v, want %s", tc.expr, err, want)
 		}
@@ -52,7 +53,7 @@ func TestNonFiniteEstimateIsAnError(t *testing.T) {
 			t.Errorf("%s: a refused estimate recorded %d exploration point(s)", tc.expr, after-before)
 		}
 		// A width-free query never evaluates the estimator and still answers.
-		if _, err := db.QueryByFunction(genus.FuncADD); err != nil {
+		if _, err := db.FindAll(Query{Functions: add.Functions, Order: Order{Attr: OrderKeyCost}}); err != nil {
 			t.Errorf("%s: scalar find: %v", tc.expr, err)
 		}
 	}
@@ -63,7 +64,7 @@ func TestNonFiniteEstimateIsAnError(t *testing.T) {
 // 8 to exactly what the interpreter computes from its expression.
 func TestFiniteCatalogAnswersUnchanged(t *testing.T) {
 	db := openDB(t)
-	cands, err := db.QueryOrdered(Order{}, 0, AtWidth(8))
+	cands, err := db.FindAll(Query{Width: 8, Order: Order{Attr: OrderKeyCost}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 package icdb
 
+import "icdb/internal/iif"
+
 // InternedPrograms reports how many estimator programs the intern table
 // holds, for the external cost-contract tests (cost_test.go).
 func (db *DB) InternedPrograms() int {
@@ -7,3 +9,24 @@ func (db *DB) InternedPrograms() int {
 	defer db.cmu.RUnlock()
 	return len(db.progs)
 }
+
+// FindAll runs q to completion and returns its answer in delivery order
+// with caller-owned implementations: ranked queries best first, streamed
+// ones in stream order.
+func (db *DB) FindAll(q Query) ([]Candidate, error) {
+	var out []Candidate
+	err := db.Find(q, func(c Candidate) bool {
+		c.Impl = c.Impl.Clone()
+		out = append(out, c)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EvalAttr interprets the parsed attribute expression e over a with the
+// tree-walking evaluator (evalAttr), for the full-scan reference the
+// external tests hold the compiled engine to.
+func EvalAttr(e iif.Expr, a Attrs) (float64, error) { return evalAttr(e, a) }

@@ -4,7 +4,7 @@
 // predict an implementation's area/delay as a function of its parameters
 // instead of a flat scalar. This file implements both relations on the
 // relational store plus the evaluation machinery the query engine uses
-// to rank candidates at a width point (see AtWidth in query.go).
+// to rank candidates at a width point (see Query.Width).
 package icdb
 
 import (
@@ -358,7 +358,7 @@ func (db *DB) Generate(name string, params map[string]int) (im Impl, reused bool
 		return Impl{}, false, fmt.Errorf("icdb: generate %s: %w", g.Name, err)
 	}
 	// Attach the generator's estimators so the generated implementation
-	// stays width-aware under AtWidth queries and estimate commands.
+	// stays width-aware under width-point queries and estimate commands.
 	if err := db.RegisterEstimator(implName, "area", g.AreaExpr); err != nil {
 		return Impl{}, false, err
 	}
@@ -387,7 +387,7 @@ func EstimatorAttrs() []string { return []string{"area", "delay"} }
 // RegisterEstimator validates and upserts one estimator row: an IIF
 // expression predicting attr ("area" or "delay") for implementation
 // implName. The expression is evaluated over the implementation's scalar
-// attributes plus "width" — the query's evaluation point (see AtWidth) —
+// attributes plus "width" — the query's evaluation point (Query.Width) —
 // so "area * width" scales the per-bit estimate, and a bare "area" or
 // constant is the degenerate scalar-compatible case.
 func (db *DB) RegisterEstimator(implName, attr, expr string) error {
@@ -448,7 +448,7 @@ func (db *DB) EstimateImpl(name string, width int) (area, delay, cost float64, e
 		return 0, 0, 0, fmt.Errorf("icdb: estimate %s: width %d outside implementation width range [%d,%d]",
 			name, width, im.WidthMin, im.WidthMax)
 	}
-	ev, err := db.newAttrEval(nil, width)
+	ev, err := db.newAttrEval(nil, width, nil, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -59,8 +59,7 @@ func TestAtWidthEvaluatesEstimators(t *testing.T) {
 		{16, "flat_add", 20}, // 2*16 = 32 loses to 20
 		{10, "flat_add", 20}, // tie at 2*10=20 broken by name
 	} {
-		cands, err := db.QueryByFunctionsOrdered(
-			[]genus.Function{genus.FuncADD}, Order{Attr: "area"}, 0, AtWidth(c.width))
+		cands, err := db.FindAll(Query{Functions: []genus.Function{genus.FuncADD}, Width: c.width, Order: Order{Attr: "area"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +77,11 @@ func TestAtWidthEvaluatesEstimators(t *testing.T) {
 	}
 }
 
-// TestAtWidthFiltersCoverage: AtWidth keeps only implementations whose
-// width range covers the point, like ForWidth.
+// TestAtWidthFiltersCoverage: a width point keeps only implementations
+// whose width range covers it, like ForWidth.
 func TestAtWidthFiltersCoverage(t *testing.T) {
 	db := openTestDB(t)
-	cands, err := db.QueryOrdered(Order{}, 0, AtWidth(65)) // builtins stop at 64
+	cands, err := db.FindAll(Query{Width: 65, Order: Order{Attr: OrderKeyCost}}) // builtins stop at 64
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +109,14 @@ func TestAtWidthConstraintsSeeEvaluatedValues(t *testing.T) {
 		return false
 	}
 	// At width 4 the evaluated area is 8 <= 10; at width 8 it is 16.
-	in4, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{}, 0, AtWidth(4), le)
+	add := func(width int, c Constraint) ([]Candidate, error) {
+		return db.FindAll(Query{Functions: []genus.Function{genus.FuncADD}, Constraints: []Constraint{c}, Width: width, Order: Order{Attr: OrderKeyCost}})
+	}
+	in4, err := add(4, le)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in8, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{}, 0, AtWidth(8), le)
+	in8, err := add(8, le)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestAtWidthConstraintsSeeEvaluatedValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byW, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{}, 0, AtWidth(8), wq)
+	byW, err := add(8, wq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +143,13 @@ func TestAtWidthTopKMatchesUnbounded(t *testing.T) {
 	db := openTestDB(t)
 	regScaled(t, db, "flat_add", 20, 3, "area", "delay")
 	regScaled(t, db, "scaled_add", 2, 1, "area * width", "delay * width")
-	all, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{Attr: "delay"}, 0, AtWidth(16))
+	q := Query{Functions: []genus.Function{genus.FuncADD}, Width: 16, Order: Order{Attr: "delay"}}
+	all, err := db.FindAll(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncADD}, Order{Attr: "delay"}, 2, AtWidth(16))
+	q.Limit = 2
+	top, err := db.FindAll(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,19 +161,22 @@ func TestAtWidthTopKMatchesUnbounded(t *testing.T) {
 	}
 }
 
-// TestAtWidthRejectsConflictsAndInvalid: invalid or conflicting width
-// points fail eagerly on ranked and streaming paths.
+// TestAtWidthRejectsConflictsAndInvalid: an invalid width point fails
+// eagerly, with the same text, on the ranked, streaming and frontier
+// paths. (A single Query.Width cannot hold two conflicting points.)
 func TestAtWidthRejectsConflictsAndInvalid(t *testing.T) {
 	db := openTestDB(t)
-	if _, err := db.QueryOrdered(Order{}, 0, AtWidth(0)); err == nil ||
-		!strings.Contains(err.Error(), "at least 1") {
-		t.Errorf("AtWidth(0): %v", err)
+	const want = "icdb: at width -1: width must be at least 1"
+	if _, err := db.FindAll(Query{Width: -1, Order: Order{Attr: OrderKeyCost}}); err == nil || err.Error() != want {
+		t.Errorf("ranked Width -1: %v, want %s", err, want)
 	}
-	if _, err := db.QueryOrdered(Order{}, 0, AtWidth(4), AtWidth(8)); err == nil ||
-		!strings.Contains(err.Error(), "conflicting") {
-		t.Errorf("conflicting widths: %v", err)
+	if err := db.Find(Query{Width: -1}, func(Candidate) bool { return true }); err == nil || err.Error() != want {
+		t.Errorf("streamed Width -1: %v, want %s", err, want)
 	}
-	if err := db.QueryScan(func(Candidate) bool { return true }, AtWidth(-3)); err == nil {
+	if err := db.Pareto(ParetoQuery{Width: -1}, func(ParetoPoint) bool { return true }); err == nil || err.Error() != want {
+		t.Errorf("frontier Width -1: %v, want %s", err, want)
+	}
+	if err := db.Find(Query{Width: -3}, func(Candidate) bool { return true }); err == nil {
 		t.Error("streaming path accepted an invalid width point")
 	}
 }
@@ -204,11 +211,11 @@ func TestConstantEstimatorsMatchScalarEngine(t *testing.T) {
 	}
 	for _, order := range []Order{{}, {Attr: "area"}, {Attr: "delay", Desc: true}, {Attr: "cost"}} {
 		for _, k := range []int{0, 3} {
-			want, err := scalar.QueryOrdered(order, k, ForWidth(8))
+			want, err := scalar.FindAll(Query{Constraints: []Constraint{ForWidth(8)}, Order: order, Limit: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := est.QueryOrdered(order, k, AtWidth(8))
+			got, err := est.FindAll(Query{Width: 8, Order: order, Limit: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +310,7 @@ func TestGenerateRegistersQueryableImpl(t *testing.T) {
 		t.Errorf("generated estimates = (%g, %g), want (80, 14)", im.Area, im.Delay)
 	}
 	// Queryable by function, and ranked width-aware.
-	cands, err := db.QueryByFunction(genus.FuncSUB, AtWidth(8))
+	cands, err := db.FindAll(Query{Functions: []genus.Function{genus.FuncSUB}, Width: 8, Order: Order{Attr: OrderKeyCost}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +349,8 @@ func TestGeneratorPersistenceRoundTrip(t *testing.T) {
 	if _, _, err := db.Generate("gen_cnt", map[string]int{"size": 24}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncCOUNTER}, Order{Attr: "area"}, 0, AtWidth(24))
+	q := Query{Functions: []genus.Function{genus.FuncCOUNTER}, Width: 24, Order: Order{Attr: "area"}}
+	want, err := db.FindAll(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +372,7 @@ func TestGeneratorPersistenceRoundTrip(t *testing.T) {
 		if err != nil || g.AreaExpr != "12 * width" {
 			t.Fatalf("%s: generator lost: %+v (%v)", path, g, err)
 		}
-		got, err := re.QueryByFunctionsOrdered([]genus.Function{genus.FuncCOUNTER}, Order{Attr: "area"}, 0, AtWidth(24))
+		got, err := re.FindAll(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,12 +26,12 @@ func TestQueryOrderedByAttr(t *testing.T) {
 	for _, key := range OrderKeys() {
 		for _, desc := range []bool{false, true} {
 			order := Order{Attr: key, Desc: desc}
-			cands, err := db.QueryOrdered(order, 0)
+			cands, err := db.FindAll(Query{Order: order})
 			if err != nil {
-				t.Fatalf("QueryOrdered(%+v): %v", order, err)
+				t.Fatalf("Find(%+v): %v", order, err)
 			}
 			if len(cands) == 0 {
-				t.Fatalf("QueryOrdered(%+v): no candidates", order)
+				t.Fatalf("Find(%+v): no candidates", order)
 			}
 			key, err := order.resolve()
 			if err != nil {
@@ -45,11 +45,11 @@ func TestQueryOrderedByAttr(t *testing.T) {
 				}
 				return cands[i].Impl.Name < cands[j].Impl.Name
 			}) {
-				t.Errorf("QueryOrdered(%+v): result not sorted", order)
+				t.Errorf("Find(%+v): result not sorted", order)
 			}
 			for _, c := range cands {
 				if want := c.Impl.Area + c.Impl.Delay; c.Cost != want {
-					t.Errorf("QueryOrdered(%+v): %s Cost = %g, want weighted %g",
+					t.Errorf("Find(%+v): %s Cost = %g, want weighted %g",
 						order, c.Impl.Name, c.Cost, want)
 				}
 			}
@@ -66,14 +66,16 @@ func TestOrderedTopKMatchesUnbounded(t *testing.T) {
 		{Attr: "delay"},
 		{Attr: "delay", Desc: true},
 		{Attr: "area"},
-		{},
+		{Attr: OrderKeyCost},
 	} {
-		all, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncSTORAGE}, order, 0)
+		q := Query{Functions: []genus.Function{genus.FuncSTORAGE}, Order: order}
+		all, err := db.FindAll(q)
 		if err != nil {
 			t.Fatalf("unbounded: %v", err)
 		}
 		for k := 1; k <= len(all)+1; k++ {
-			got, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncSTORAGE}, order, k)
+			q.Limit = k
+			got, err := db.FindAll(q)
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
@@ -94,15 +96,16 @@ func TestOrderedTopKMatchesUnbounded(t *testing.T) {
 	}
 }
 
-// TestOrderedDefaultEqualsTopK pins the compatibility contract: the zero
-// Order is exactly the pre-existing cost ranking.
+// TestOrderedDefaultEqualsTopK pins the default ranking: a Limit under
+// the zero Order ranks exactly like OrderKeyCost.
 func TestOrderedDefaultEqualsTopK(t *testing.T) {
 	db := openTestDB(t)
-	legacy, err := db.QueryByFunctionTopK(genus.FuncSTORAGE, 3)
+	storage := []genus.Function{genus.FuncSTORAGE}
+	legacy, err := db.FindAll(Query{Functions: storage, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered, err := db.QueryByFunctionsOrdered([]genus.Function{genus.FuncSTORAGE}, Order{}, 3)
+	ordered, err := db.FindAll(Query{Functions: storage, Order: Order{Attr: OrderKeyCost}, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,21 +124,19 @@ func TestOrderedDefaultEqualsTopK(t *testing.T) {
 // Counter, and the bound applies after the type filter.
 func TestQueryByFunctionsOfTypeOrdered(t *testing.T) {
 	db := openTestDB(t)
-	got, err := db.QueryByFunctionsOfTypeOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, genus.CompCounter, Order{Attr: "delay"}, 1)
+	storage := []genus.Function{genus.FuncSTORAGE}
+	got, err := db.FindAll(Query{Functions: storage, Type: genus.CompCounter, Order: Order{Attr: "delay"}, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Impl.Name != "cnt_up" {
 		t.Fatalf("got %+v, want [cnt_up]", got)
 	}
-	if _, err := db.QueryByFunctionsOfTypeOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, "Bogus", Order{}, 0); err == nil {
+	if _, err := db.FindAll(Query{Functions: storage, Type: "Bogus"}); err == nil {
 		t.Error("want error for unknown component type")
 	}
 	// Case-insensitive type, like every CQL-facing entry point.
-	got, err = db.QueryByFunctionsOfTypeOrdered(
-		[]genus.Function{genus.FuncSTORAGE}, "counter", Order{}, 0)
+	got, err = db.FindAll(Query{Functions: storage, Type: "counter", Order: Order{Attr: OrderKeyCost}})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("lower-case type: %v, %v", got, err)
 	}
@@ -143,14 +144,14 @@ func TestQueryByFunctionsOfTypeOrdered(t *testing.T) {
 
 func TestOrderValidate(t *testing.T) {
 	db := openTestDB(t)
-	_, err := db.QueryOrdered(Order{Attr: "cots"}, 0)
+	_, err := db.FindAll(Query{Order: Order{Attr: "cots"}})
 	if err == nil {
 		t.Fatal("want error for unknown order key")
 	}
 	if !strings.Contains(err.Error(), `"cots"`) || !strings.Contains(err.Error(), "cost") {
 		t.Errorf("error %q should name the bad key and the vocabulary", err)
 	}
-	if _, err := db.QueryByComponentOrdered(genus.CompCounter, Order{Attr: "width_min", Desc: true}, 0); err != nil {
+	if _, err := db.FindAll(Query{Type: genus.CompCounter, Order: Order{Attr: "width_min", Desc: true}}); err != nil {
 		t.Errorf("width_min is a valid order key: %v", err)
 	}
 }
@@ -197,23 +198,26 @@ func TestAttrCmpRejectsUnknown(t *testing.T) {
 }
 
 // TestAttrCmpConstrainsQueries runs AttrCmp through a real query, mixed
-// with the pre-existing constraint constructors.
+// with ForWidth, against the same bound spelled as a Where expression.
 func TestAttrCmpConstrainsQueries(t *testing.T) {
 	db := openTestDB(t)
 	lt, err := AttrCmp("area", CmpLE, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCmp, err := db.QueryByFunction(genus.FuncSTORAGE, lt, ForWidth(8))
+	storage := func(cs ...Constraint) ([]Candidate, error) {
+		return db.FindAll(Query{Functions: []genus.Function{genus.FuncSTORAGE}, Constraints: cs, Order: Order{Attr: OrderKeyCost}})
+	}
+	viaCmp, err := storage(lt, ForWidth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMax, err := db.QueryByFunction(genus.FuncSTORAGE, MaxArea(10), ForWidth(8))
+	viaMax, err := storage(mustWhere(t, "area <= 10"), ForWidth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(viaCmp) == 0 || len(viaCmp) != len(viaMax) {
-		t.Fatalf("AttrCmp path found %d candidates, MaxArea path %d", len(viaCmp), len(viaMax))
+		t.Fatalf("AttrCmp path found %d candidates, Where path %d", len(viaCmp), len(viaMax))
 	}
 	for i := range viaCmp {
 		if viaCmp[i].Impl.Name != viaMax[i].Impl.Name {

@@ -67,6 +67,13 @@ type ParetoQuery struct {
 	// Dominance is decided among the points that survive, so constraining
 	// the space re-shapes the frontier rather than punching holes in it.
 	Constraints []Constraint
+	// Width, when non-zero, keeps only the points explored at exactly that
+	// width (they are already evaluated). A negative Width is an error.
+	Width int
+	// AreaWeight and DelayWeight, when non-nil, override the weights of the
+	// reported Cost, each on its own (see RankWeights); dominance is
+	// decided on the raw axes.
+	AreaWeight, DelayWeight *float64
 	// Dominated streams dominated points too (flagged, with their
 	// dominator and margins) instead of the frontier alone.
 	Dominated bool
@@ -80,17 +87,18 @@ type ParetoQuery struct {
 // with an explanation. Dominance needs the whole surviving point set,
 // so the stream runs over one immutable view of the query's scope
 // (scopeView) and holds no lock while visit runs; a query without
-// constraints also reuses the view's cached sweep, and one that wants
-// neither constraints nor dominated points streams the scope's
+// constraints or width pin also reuses the view's cached sweep, and one
+// that wants none of those nor dominated points streams the scope's
 // maintained frontier.
 func (db *DB) Pareto(q ParetoQuery, visit func(ParetoPoint) bool) error {
-	if _, err := evalWidth(q.Constraints); err != nil {
-		// An invalid AtWidth point is a query error, same as on the find
+	if err := checkWidth(q.Width); err != nil {
+		// An invalid width point is a query error, same as on the find
 		// path — not an empty answer.
 		return err
 	}
-	wa, wd := db.queryWeights(q.Constraints)
-	frontOnly := !q.Dominated && len(q.Constraints) == 0
+	wa, wd := db.weights(q.AreaWeight, q.DelayWeight)
+	filtered := len(q.Constraints) != 0 || q.Width != 0
+	frontOnly := !q.Dominated && !filtered
 	view, frontier, err := db.scopeView(q, frontOnly)
 	if err != nil {
 		return err
@@ -105,12 +113,12 @@ func (db *DB) Pareto(q ParetoQuery, visit func(ParetoPoint) bool) error {
 	}
 	pts := view.pts
 	var front, domBy []int32
-	if len(q.Constraints) == 0 {
+	if !filtered {
 		front, domBy = view.sweep()
 	} else {
 		// Filtering the sorted scope preserves its order; dominance is
 		// then decided among the survivors alone.
-		if pts, err = paretoFilter(pts, q.Constraints); err != nil {
+		if pts, err = paretoFilter(pts, q.Constraints, q.Width); err != nil {
 			return err
 		}
 		front, domBy = paretoSweep(pts)
@@ -533,12 +541,12 @@ func (sc *explScope) frontier() []*Exploration {
 }
 
 // paretoFilter returns the points of a sorted scope that survive the
-// query constraints, order preserved.
-func paretoFilter(all []*Exploration, cs []Constraint) ([]*Exploration, error) {
+// query constraints and width pin, order preserved.
+func paretoFilter(all []*Exploration, cs []Constraint, width int) ([]*Exploration, error) {
 	var pts []*Exploration
 	var s slots
 	for _, e := range all {
-		ok, err := paretoAccept(cs, e, &s)
+		ok, err := paretoAccept(cs, width, e, &s)
 		if err != nil {
 			return nil, err
 		}
@@ -575,11 +583,9 @@ func samePoint(a, b *Exploration) bool {
 // range collapsed to the single explored width, so the "width = 8"
 // sugar and width_min/width_max comparisons mean the obvious thing.
 // Like the find path, it loads the caller's one slot vector — all six
-// slots: an explored point always has a width.
-func paretoAccept(cs []Constraint, e *Exploration, s *slots) (bool, error) {
-	if len(cs) == 0 {
-		return true, nil
-	}
+// slots: an explored point always has a width — and checks the width pin
+// after the constraints.
+func paretoAccept(cs []Constraint, width int, e *Exploration, s *slots) (bool, error) {
 	w := float64(e.Width)
 	s.v = [numSlots]float64{
 		slotWidthMin: w, slotWidthMax: w, slotWidth: w,
@@ -587,19 +593,12 @@ func paretoAccept(cs []Constraint, e *Exploration, s *slots) (bool, error) {
 	}
 	s.have = haveAll
 	for i := range cs {
-		c := &cs[i]
-		if c.atWidth != 0 && c.atWidth != e.Width {
-			// An AtWidth constraint on a frontier query pins the explored
-			// width exactly; estimator re-evaluation does not apply to
-			// already-evaluated points.
-			return false, nil
-		}
-		pass, err := c.accept(s)
+		pass, err := cs[i].accept(s)
 		if err != nil || !pass {
 			return false, err
 		}
 	}
-	return true, nil
+	return width == 0 || width == e.Width, nil
 }
 
 // paretoSweep partitions sorted points into frontier and dominated in

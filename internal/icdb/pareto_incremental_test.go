@@ -91,7 +91,7 @@ func checkAgainstOracle(t *testing.T, db *DB, when string) {
 			var keep func(*Exploration) bool
 			switch mode {
 			case "constrained":
-				q.Constraints = []Constraint{MaxArea(areaCap)}
+				q.Constraints = []Constraint{mustAttrCmp(t, "area", CmpLE, areaCap)}
 				q.Dominated = true
 				keep = func(e *Exploration) bool { return e.Area <= areaCap }
 			case "dominated":

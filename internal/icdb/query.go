@@ -20,27 +20,14 @@ type Attrs map[string]float64
 
 // Constraint restricts the implementations a query may return. Build one
 // with Where (an IIF attribute expression, the CQL layer of §5) or with
-// the typed helpers ForWidth / MaxArea / MaxDelay / AtWidth. Either way
-// it is compiled at construction: the typed helpers to slot comparisons,
-// Where to a closure tree over the slot vector (compileExpr).
+// the typed helpers ForWidth / AttrCmp. Either way it is compiled at
+// construction: the typed helpers to slot comparisons, Where to a closure
+// tree over the slot vector (compileExpr).
 type Constraint struct {
 	src string
 	// cmps must all hold; where, when non-nil, must evaluate non-zero.
 	cmps  []slotCmp
 	where slotFn
-	// atWidth, when non-zero, marks the constraint as the query's width
-	// evaluation point (see AtWidth): the engine evaluates estimator
-	// expressions there before filtering and ranking. Negative values
-	// record an invalid requested width, rejected when the query runs.
-	atWidth int
-	// weights, when non-nil, overrides the ranking weights for the query
-	// carrying the constraint (see Weights).
-	weights *rankW
-}
-
-// rankW is one pair of ranking weights: cost = Area*area + Delay*delay.
-type rankW struct {
-	area, delay float64
 }
 
 // String returns the constraint's source form, for diagnostics.
@@ -86,15 +73,6 @@ func Where(expr string) (Constraint, error) {
 	return Constraint{src: expr, where: compileExpr(e)}, nil
 }
 
-// MustWhere is Where for static expressions; it panics on a parse error.
-func MustWhere(expr string) Constraint {
-	c, err := Where(expr)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // ForWidth keeps implementations whose width range covers n bits.
 func ForWidth(n int) Constraint {
 	return Constraint{
@@ -106,79 +84,13 @@ func ForWidth(n int) Constraint {
 	}
 }
 
-// AtWidth sets the query's attribute-evaluation point: candidates must
-// cover width n (like ForWidth), and every area/delay value the query
-// filters, ranks, or reports is the implementation's estimator
-// expression evaluated at n — implementations without a registered
-// estimator keep their scalar estimates, the degenerate
-// constant-expression case. The attribute environment also gains a
-// "width" attribute holding n, so Where expressions may reference it.
-func AtWidth(n int) Constraint {
-	c := ForWidth(n)
-	c.src = fmt.Sprintf("at width %d", n)
-	c.atWidth = n
-	if n < 1 {
-		c.atWidth = -1
+// checkWidth rejects an invalid width evaluation point (zero means none)
+// before any row is visited.
+func checkWidth(w int) error {
+	if w < 0 {
+		return fmt.Errorf("icdb: at width %d: width must be at least 1", w)
 	}
-	return c
-}
-
-// evalWidth extracts the width evaluation point from a query's
-// constraints: 0 when no AtWidth constraint is present. Conflicting or
-// invalid points are rejected before any row is visited.
-func evalWidth(cs []Constraint) (int, error) {
-	w := 0
-	for _, c := range cs {
-		switch {
-		case c.atWidth == 0:
-		case c.atWidth < 0:
-			return 0, fmt.Errorf("icdb: %s: width must be at least 1", c.src)
-		case w != 0 && w != c.atWidth:
-			return 0, fmt.Errorf("icdb: conflicting width evaluation points %d and %d", w, c.atWidth)
-		default:
-			w = c.atWidth
-		}
-	}
-	return w, nil
-}
-
-// Weights overrides the ranking weights for the query carrying the
-// constraint: candidates are scored Area*area + Delay*delay instead of
-// using the database-wide tool parameters (see RankWeights). It filters
-// nothing. When a query carries several Weights constraints the last
-// one wins.
-func Weights(area, delay float64) Constraint {
-	return Constraint{
-		src:     fmt.Sprintf("weights area=%g delay=%g", area, delay),
-		weights: &rankW{area: area, delay: delay},
-	}
-}
-
-// queryWeights resolves the ranking weights of one query: the last
-// Weights constraint if any, otherwise the database defaults.
-func (db *DB) queryWeights(cs []Constraint) (wa, wd float64) {
-	for i := len(cs) - 1; i >= 0; i-- {
-		if w := cs[i].weights; w != nil {
-			return w.area, w.delay
-		}
-	}
-	return db.rankWeights()
-}
-
-// MaxArea keeps implementations whose per-bit area estimate is at most a.
-func MaxArea(area float64) Constraint {
-	return Constraint{
-		src:  fmt.Sprintf("area <= %g", area),
-		cmps: []slotCmp{{slot: slotArea, op: cmpLE, v: area}},
-	}
-}
-
-// MaxDelay keeps implementations whose delay estimate is at most d.
-func MaxDelay(d float64) Constraint {
-	return Constraint{
-		src:  fmt.Sprintf("delay <= %g", d),
-		cmps: []slotCmp{{slot: slotDelay, op: cmpLE, v: d}},
-	}
+	return nil
 }
 
 // CmpOp is a comparison operator accepted by AttrCmp.
@@ -294,37 +206,70 @@ func attrNames(a Attrs) []string {
 	return names
 }
 
-// Candidate is one ranked query answer. The implementation's component
-// type is available as Impl.Component.
+// Query is the engine's one implementation query, the paper's central
+// operation: which implementations execute these functions, of this
+// type, under these constraints, at this width, cheapest first. Every
+// field is optional; the zero Query streams the whole catalog. Run one
+// with DB.Find.
+type Query struct {
+	// Functions keeps the implementations executing every listed function
+	// (§4.1's merged-component query: COUNTER+STORAGE finds counters but
+	// not pure incrementers), served by intersecting posting lists.
+	Functions []genus.Function
+	// Type, when set, keeps the implementations of one component type. It
+	// is served from the component inverted index when Functions is empty
+	// and filtered inline otherwise.
+	Type genus.ComponentType
+	// Constraints must all accept a candidate.
+	Constraints []Constraint
+	// Width, when non-zero, is the query's attribute-evaluation point:
+	// candidates must cover it (like ForWidth), every area/delay the query
+	// filters, ranks, or reports is the estimator expression evaluated
+	// there (the scalar where none is registered), and Where expressions
+	// see a "width" attribute holding it. A negative Width is an error.
+	Width int
+	// AreaWeight and DelayWeight, when non-nil, override the ranking
+	// weights for this query: candidates are scored
+	// AreaWeight*area + DelayWeight*delay. Each nil weight falls back to
+	// the database default on its own (see RankWeights).
+	AreaWeight, DelayWeight *float64
+	// Order and Limit rank the answer. A query is ranked when Order.Attr
+	// is set or Limit is positive; a positive Limit keeps only the best
+	// Limit candidates.
+	Order Order
+	Limit int
+}
+
+// Candidate is one query answer. The implementation's component type is
+// available as Impl.Component.
 type Candidate struct {
-	// Impl is a caller-owned copy of the matching implementation (see
-	// Impl.Clone), except in the streaming Scan queries, which share the
-	// cache's backing and document the read-only contract themselves.
+	// Impl is the matching implementation: a caller-owned copy on a
+	// ranked query, the cache's shared backing on a streamed one (see
+	// DB.Find).
 	Impl Impl
 	// Area and Delay are the cost estimates the query evaluated for this
-	// candidate: under an AtWidth evaluation point they are the estimator
+	// candidate: at a width point (Query.Width) they are the estimator
 	// expressions evaluated at that width, otherwise the implementation's
 	// scalar per-bit estimates (Impl.Area / Impl.Delay).
 	Area  float64
 	Delay float64
 	// Cost is the ranking score: Area*area_weight + Delay*delay_weight,
-	// with weights taken from tool parameters (tool "icdb", defaulting to
-	// 1). Lower is better. Cost carries the weighted score even when a
-	// query is Ordered by a different attribute.
+	// with weights taken from the query or else the tool parameters (tool
+	// "icdb", defaulting to 1). Lower is better. Cost carries the weighted
+	// score even when a query is ordered by a different attribute.
 	Cost float64
 }
 
-// OrderKeyCost is the Order.Attr value (also the zero value's meaning)
-// that ranks by the weighted cost score rather than a raw attribute.
+// OrderKeyCost is the Order.Attr value that ranks by the weighted cost
+// score rather than a raw attribute.
 const OrderKeyCost = "cost"
 
-// Order selects the sort key of a ranked (non-Scan) query. The zero
-// Order is the engine's default ranking: weighted cost, cheapest first.
-// Attr may be OrderKeyCost or any attribute in ConstraintAttrs; Desc
-// reverses the direction. Ties are always broken by implementation name,
-// ascending, regardless of direction — so an order is total and a
-// bounded (TopK) query returns the same candidates as an unbounded one
-// truncated.
+// Order selects the sort key of a ranked query. The zero Order ranks
+// like OrderKeyCost: weighted cost, cheapest first. Attr may be
+// OrderKeyCost or any attribute in ConstraintAttrs; Desc reverses the
+// direction. Ties are always broken by implementation name, ascending,
+// regardless of direction — so an order is total and a bounded query
+// returns the same candidates as an unbounded one truncated.
 type Order struct {
 	Attr string
 	Desc bool
@@ -361,7 +306,7 @@ func (o Order) resolve() (sortKey, error) {
 // rank computes im's sort key: the value candidates are compared by,
 // negated for descending orders so ranking logic is always ascending.
 // area and delay are the query-evaluated estimates (see Candidate.Area),
-// so ordering by them is width-aware under AtWidth.
+// so ordering by them is width-aware at a width point.
 func (k sortKey) rank(im *Impl, area, delay, cost float64) float64 {
 	v := cost
 	switch k.slot {
@@ -385,14 +330,17 @@ func (k sortKey) rank(im *Impl, area, delay, cost float64) float64 {
 // RankWeights returns the database-default ranking weights: the tool
 // parameters area_weight and delay_weight of tool "icdb", each
 // defaulting to 1 when unset. Queries score candidates
-// Area*area + Delay*delay with these weights unless a Weights
-// constraint overrides them.
+// Area*area + Delay*delay with these weights unless the query overrides
+// them (Query.AreaWeight, Query.DelayWeight).
 func (db *DB) RankWeights() (area, delay float64) { return db.rankWeights() }
 
 // rankWeights reads the ranking weights from the tool-parameters
 // relation. They are cached on the DB and refreshed after SetToolParam,
 // so a query pays for at most one tool-parameter read, not one per
-// candidate or per call.
+// candidate or per call. A reader installs what it read only if no
+// invalidation (wVer) came between its check and its install: otherwise
+// a SetToolParam committing after the store read could have its new
+// value overwritten by the old one, cached until the next write.
 func (db *DB) rankWeights() (wa, wd float64) {
 	db.cmu.RLock()
 	if db.wOK {
@@ -400,6 +348,7 @@ func (db *DB) rankWeights() (wa, wd float64) {
 		db.cmu.RUnlock()
 		return wa, wd
 	}
+	ver := db.wVer
 	db.cmu.RUnlock()
 	wa, wd = 1, 1
 	if v, ok := db.ToolParam("icdb", "area_weight"); ok {
@@ -409,122 +358,130 @@ func (db *DB) rankWeights() (wa, wd float64) {
 		wd = v
 	}
 	db.cmu.Lock()
-	db.wa, db.wd, db.wOK = wa, wd, true
+	if db.wVer == ver {
+		db.wa, db.wd, db.wOK = wa, wd, true
+	}
 	db.cmu.Unlock()
 	return wa, wd
 }
 
-// QueryByFunction answers the paper's central query: which component
-// implementations can execute function fn, subject to attribute
-// constraints? Results are ranked by cost, cheapest first.
-func (db *DB) QueryByFunction(fn genus.Function, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByFunctions([]genus.Function{fn}, cs...)
-}
-
-// QueryByFunctions returns implementations that execute every function in
-// fns (the merged-component query of §4.1: COUNTER+STORAGE finds
-// counters but not pure incrementers), ranked by cost. Candidates come
-// from intersecting the function inverted index's posting lists, not
-// from scanning the implementations relation.
-func (db *DB) QueryByFunctions(fns []genus.Function, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByFunctionsTopK(fns, 0, cs...)
-}
-
-// QueryByFunctionTopK is QueryByFunction bounded to the k cheapest
-// candidates (k <= 0 means unbounded). Bounded queries rank with a
-// fixed-size heap instead of sorting every match.
-func (db *DB) QueryByFunctionTopK(fn genus.Function, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByFunctionsTopK([]genus.Function{fn}, k, cs...)
-}
-
-// QueryByFunctionsTopK is QueryByFunctions bounded to the k cheapest
-// candidates (k <= 0 means unbounded).
-func (db *DB) QueryByFunctionsTopK(fns []genus.Function, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByFunctionsOrdered(fns, Order{}, k, cs...)
-}
-
-// QueryByFunctionsOrdered is QueryByFunctionsTopK under an explicit sort
-// key: candidates executing every function in fns, ranked by order,
-// bounded to the best k (k <= 0 means unbounded). It is the engine entry
-// point for CQL "find … order by …" commands.
-func (db *DB) QueryByFunctionsOrdered(fns []genus.Function, order Order, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.rankSeq(func(d *derived, visit func(*Impl) bool) error {
-		return forEachByFunctions(d, fns, visit)
-	}, cs, k, order)
-}
-
-// QueryByFunctionsOfTypeOrdered is QueryByFunctionsOrdered restricted
-// to one component type: candidates must execute every function in fns
-// and be implementations of ct. The type filter applies in-stream,
-// before the TopK heap, so a bounded query clones O(k) implementations
-// like every other ranked path. It serves CQL find commands combining
-// "of type" with "executing".
-func (db *DB) QueryByFunctionsOfTypeOrdered(fns []genus.Function, ct genus.ComponentType, order Order, k int, cs ...Constraint) ([]Candidate, error) {
-	nct, ok := genus.NormalizeComponentType(string(ct))
-	if !ok {
-		return nil, fmt.Errorf("icdb: unknown component type %q", ct)
+// weights resolves one query's ranking weights: each override when set,
+// otherwise the database default.
+func (db *DB) weights(area, delay *float64) (wa, wd float64) {
+	wa, wd = db.rankWeights()
+	if area != nil {
+		wa = *area
 	}
-	return db.rankSeq(func(d *derived, visit func(*Impl) bool) error {
-		return forEachByFunctions(d, fns, func(im *Impl) bool {
-			if im.Component != nct {
-				return true
-			}
-			return visit(im)
-		})
-	}, cs, k, order)
+	if delay != nil {
+		wd = *delay
+	}
+	return wa, wd
 }
 
-// QueryByComponent returns the ranked implementations of one component
-// type, served from the component inverted index.
-func (db *DB) QueryByComponent(ct genus.ComponentType, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByComponentTopK(ct, 0, cs...)
-}
-
-// QueryByComponentTopK is QueryByComponent bounded to the k cheapest
-// candidates (k <= 0 means unbounded).
-func (db *DB) QueryByComponentTopK(ct genus.ComponentType, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.QueryByComponentOrdered(ct, Order{}, k, cs...)
-}
-
-// QueryByComponentOrdered is QueryByComponentTopK under an explicit sort
-// key (see Order).
-func (db *DB) QueryByComponentOrdered(ct genus.ComponentType, order Order, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.rankSeq(func(d *derived, visit func(*Impl) bool) error {
-		return forEachByComponent(d, ct, visit)
-	}, cs, k, order)
-}
-
-// QueryOrdered ranks the whole catalog: every registered implementation
-// passing cs, sorted by order, bounded to the best k (k <= 0 means
-// unbounded). It serves CQL "find component" commands that select by
-// attribute alone, with no function or component-type filter.
-func (db *DB) QueryOrdered(order Order, k int, cs ...Constraint) ([]Candidate, error) {
-	return db.rankSeq(forEachImpl, cs, k, order)
-}
-
-// ---- streaming core ----
+// Find runs q, yielding each answer to visit; visit returning false stops
+// the delivery.
 //
-// Every query path is built on an implSeq: a function streaming cached
-// *Impl values from one pinned derived snapshot to a visitor. The
-// snapshot is copy-on-write (see derivedSnap), so the stream holds no
-// lock: visitors may run arbitrarily long and may call back into the
-// DB — including registering implementations, which land in a fresh
-// snapshot without disturbing the one mid-stream. Cached *Impl values
-// are never mutated in place (re-registration swaps pointers), so
-// consumers may retain one past the stream — but must copy (Clone)
-// anything they hand to callers.
+// A ranked query (Order.Attr set, or Limit > 0) ranks before it yields —
+// bounded by a Limit-sized heap, so a bounded query clones O(Limit)
+// implementations — and visit receives caller-owned candidates, best
+// first. An unranked query streams: candidates arrive as they are found,
+// in unspecified order, without being materialized or copied, and the
+// yielded Impl shares the cache's backing slices — treat it as read-only
+// and call Impl.Clone before retaining it past the visit.
+//
+// Either way the query runs over a pinned copy-on-write snapshot and
+// holds no lock while visit runs, so visit may take arbitrarily long and
+// may call back into the DB: re-entrant queries and registrations proceed
+// normally, and a registration made meanwhile lands in a fresh snapshot
+// the query in flight does not see.
+func (db *DB) Find(q Query, visit func(Candidate) bool) error {
+	key, err := q.Order.resolve() // an unranked query's zero Order always resolves
+	if err != nil {
+		return err
+	}
+	ev, err := db.newAttrEval(q.Constraints, q.Width, q.AreaWeight, q.DelayWeight)
+	if err != nil {
+		return err
+	}
+	d, err := db.derivedSnap()
+	if err != nil {
+		return err
+	}
+	if q.Order.Attr == "" && q.Limit <= 0 {
+		return ev.scan(d, &q, func(im *Impl, area, delay, cost float64) bool {
+			return visit(Candidate{Impl: *im, Area: area, Delay: delay, Cost: cost})
+		})
+	}
+	// The usual limits (5 to 20) fit the first allocation; a larger one
+	// grows like any slice, so an enormous limit costs nothing until used.
+	h := candHeap{limit: q.Limit, items: make([]heapItem, 0, min(q.Limit, 32))}
+	err = ev.scan(d, &q, func(im *Impl, area, delay, cost float64) bool {
+		h.offer(heapItem{im: im, area: area, delay: delay, cost: cost, rank: key.rank(im, area, delay, cost)})
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	// a sorts before b exactly when b ranks strictly after a. Cloning waits
+	// until here: cached *Impl values are immutable and outlive the stream.
+	slices.SortStableFunc(h.items, func(a, b heapItem) int {
+		switch {
+		case worse(b, a):
+			return -1
+		case worse(a, b):
+			return 1
+		}
+		return 0
+	})
+	for _, it := range h.items {
+		if !visit(Candidate{Impl: it.im.Clone(), Area: it.area, Delay: it.delay, Cost: it.cost}) {
+			return nil
+		}
+	}
+	return nil
+}
 
-// implSeq streams implementations out of snapshot d to visit, stopping
-// early when visit returns false.
-type implSeq func(d *derived, visit func(*Impl) bool) error
+// each streams the cached implementations q selects from snapshot d to
+// visit, stopping early when visit returns false. The source is the
+// narrowest index the selectors allow: the function posting lists'
+// intersection with Type filtered inline, else Type's posting map, else
+// the whole cache in insertion order. The snapshot is copy-on-write and
+// its *Impl values are never mutated in place (re-registration swaps
+// pointers), so the stream holds no lock and may outlive a writer.
+func (q *Query) each(d *derived, visit func(*Impl) bool) error {
+	var ct genus.ComponentType
+	if q.Type != "" {
+		nct, ok := genus.NormalizeComponentType(string(q.Type))
+		if !ok {
+			return fmt.Errorf("icdb: unknown component type %q", q.Type)
+		}
+		ct = nct
+	}
+	switch {
+	case len(q.Functions) > 0:
+		return forEachByFunctions(d, q.Functions, func(im *Impl) bool {
+			return (ct != "" && im.Component != ct) || visit(im)
+		})
+	case ct != "":
+		for _, im := range d.byCt[ct] {
+			if !visit(im) {
+				return nil
+			}
+		}
+	default:
+		for _, im := range d.order {
+			if !visit(im) {
+				return nil
+			}
+		}
+	}
+	return nil
+}
 
 // forEachByFunctions intersects the function inverted index's posting
 // lists smallest-first: it iterates the rarest function's postings and
-// yields implementations present in all others.
+// yields implementations present in all others. fns must be non-empty.
 func forEachByFunctions(d *derived, fns []genus.Function, visit func(*Impl) bool) error {
-	if len(fns) == 0 {
-		return fmt.Errorf("icdb: query with no functions")
-	}
 	want := make([]genus.Function, 0, len(fns))
 	for _, f := range fns {
 		nf, err := genus.NormalizeFunction(string(f))
@@ -558,31 +515,6 @@ outer:
 	return nil
 }
 
-// forEachByComponent streams one component type's posting map.
-func forEachByComponent(d *derived, ct genus.ComponentType, visit func(*Impl) bool) error {
-	nct, ok := genus.NormalizeComponentType(string(ct))
-	if !ok {
-		return fmt.Errorf("icdb: unknown component type %q", ct)
-	}
-	for _, im := range d.byCt[nct] {
-		if !visit(im) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// forEachImpl streams the whole decoded-implementation cache in
-// insertion order.
-func forEachImpl(d *derived, visit func(*Impl) bool) error {
-	for _, im := range d.order {
-		if !visit(im) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // attrEval is the evaluation context of one query (or one EstimateImpl
 // call): the constraints, the ranking weights, the width point — zero is
 // the scalar engine, attributes read straight off the implementation; a
@@ -599,19 +531,16 @@ type attrEval struct {
 }
 
 // newAttrEval resolves what every evaluating path needs before its first
-// candidate: the width point (width, or cs's AtWidth when width is 0),
-// the ranking weights, and — only at a width point, so a width-free
-// query never builds or, lazily, decodes the estimators relation — the
-// pinned estimator snapshot.
-func (db *DB) newAttrEval(cs []Constraint, width int) (*attrEval, error) {
-	if width == 0 {
-		var err error
-		if width, err = evalWidth(cs); err != nil {
-			return nil, err
-		}
+// candidate: the validated width point, the ranking weights (the
+// overrides where set, see weights), and — only at a width point, so a
+// width-free query never builds or, lazily, decodes the estimators
+// relation — the pinned estimator snapshot.
+func (db *DB) newAttrEval(cs []Constraint, width int, wArea, wDelay *float64) (*attrEval, error) {
+	if err := checkWidth(width); err != nil {
+		return nil, err
 	}
 	ev := &attrEval{cs: cs, width: width}
-	ev.wa, ev.wd = db.queryWeights(cs)
+	ev.wa, ev.wd = db.weights(wArea, wDelay)
 	if width != 0 {
 		es, err := db.estSnap()
 		if err != nil {
@@ -666,9 +595,10 @@ func (ev *attrEval) estimate(p *estProg, attr string, im *Impl) (float64, error)
 }
 
 // evalAccept evaluates im at ev's width point and runs the constraints
-// over the slot vector. Nothing is allocated per candidate: the vector
-// lives in ev and the constraints are compiled (slot comparisons and
-// closure trees), so a constrained stream costs O(1) allocations in all.
+// over the slot vector, then the width point's coverage filter. Nothing
+// is allocated per candidate: the vector lives in ev and the constraints
+// are compiled (slot comparisons and closure trees), so a constrained
+// stream costs O(1) allocations in all.
 func (ev *attrEval) evalAccept(im *Impl) (area, delay float64, ok bool, err error) {
 	if len(ev.cs) == 0 && ev.width == 0 {
 		return im.Area, im.Delay, true, nil
@@ -683,81 +613,25 @@ func (ev *attrEval) evalAccept(im *Impl) (area, delay float64, ok bool, err erro
 			return 0, 0, false, err
 		}
 	}
+	if ev.width != 0 && (im.WidthMin > ev.width || im.WidthMax < ev.width) {
+		return 0, 0, false, nil
+	}
 	return area, delay, true, nil
 }
 
-// rankSeq materializes the ranked answer of one streamed query:
-// survivors of the constraints, scored, and returned best-first under
-// order (ties broken by name). With k > 0 it keeps a worst-on-top heap
-// of k entries fed directly from the stream, so an unbounded result set
-// is never materialized or fully sorted. Cloning the retained
-// implementations is deferred until after the stream: cached *Impl
-// values are immutable and stay valid past the index lock.
-func (db *DB) rankSeq(seq implSeq, cs []Constraint, k int, order Order) ([]Candidate, error) {
-	key, err := order.resolve()
-	if err != nil {
-		return nil, err
-	}
-	var kept []heapItem
-	// The usual limits (5 to 20) fit the first allocation; a larger k grows
-	// like any slice, so an enormous limit costs nothing until it is used.
-	h := candHeap{limit: k, items: make([]heapItem, 0, min(k, 32))}
-	err = db.scanSeq(seq, cs, func(im *Impl, area, delay, cost float64) bool {
-		it := heapItem{im: im, area: area, delay: delay, cost: cost, rank: key.rank(im, area, delay, cost)}
-		if k > 0 {
-			h.offer(it)
-		} else {
-			kept = append(kept, it)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if k > 0 {
-		kept = h.items
-	}
-	// a sorts before b exactly when b ranks strictly after a.
-	slices.SortStableFunc(kept, func(a, b heapItem) int {
-		switch {
-		case worse(b, a):
-			return -1
-		case worse(a, b):
-			return 1
-		}
-		return 0
-	})
-	out := make([]Candidate, len(kept))
-	for i, it := range kept {
-		out[i] = Candidate{Impl: it.im.Clone(), Area: it.area, Delay: it.delay, Cost: it.cost}
-	}
-	return out, nil
-}
-
-// scanSeq drives one streamed query end to end: constraint filtering,
+// scan drives one query's stream end to end: constraint filtering,
 // costing, and delivery of each survivor (the cache's own *Impl and its
 // evaluated estimates) to visit, allocating O(1) total beyond what the
 // visitor itself does.
-func (db *DB) scanSeq(seq implSeq, cs []Constraint, visit func(im *Impl, area, delay, cost float64) bool) error {
-	ev, err := db.newAttrEval(cs, 0)
-	if err != nil {
-		return err
-	}
-	d, err := db.derivedSnap()
-	if err != nil {
-		return err
-	}
+func (ev *attrEval) scan(d *derived, q *Query, visit func(im *Impl, area, delay, cost float64) bool) error {
 	var cerr error
-	err = seq(d, func(im *Impl) bool {
+	err := q.each(d, func(im *Impl) bool {
 		area, delay, ok, err := ev.evalAccept(im)
 		if err != nil {
 			cerr = err
 			return false
 		}
-		if !ok {
-			return true
-		}
-		return visit(im, area, delay, area*ev.wa+delay*ev.wd)
+		return !ok || visit(im, area, delay, area*ev.wa+delay*ev.wd)
 	})
 	if err != nil {
 		return err
@@ -765,58 +639,9 @@ func (db *DB) scanSeq(seq implSeq, cs []Constraint, visit func(im *Impl, area, d
 	return cerr
 }
 
-// candidateVisitor adapts a public Scan visitor to scanSeq: the yielded
-// Candidate's Impl shares the cache's backing (see QueryByFunctionScan).
-func candidateVisitor(visit func(Candidate) bool) func(*Impl, float64, float64, float64) bool {
-	return func(im *Impl, area, delay, cost float64) bool {
-		return visit(Candidate{Impl: *im, Area: area, Delay: delay, Cost: cost})
-	}
-}
-
-// QueryByFunctionScan is the streaming form of QueryByFunction: it
-// yields each candidate executing fn (and passing cs) to visit as it is
-// found, without materializing, ranking, or copying the result set.
-// Candidates arrive in unspecified order; visit returning false stops
-// the scan.
-//
-// The yielded Candidate's Impl shares the cache's backing slices: treat
-// it as read-only and call Impl.Clone before retaining it past the
-// visit. The stream runs over a pinned copy-on-write snapshot and holds
-// no lock, so visit MAY take arbitrarily long and MAY call back into
-// the DB — re-entrant queries and registrations proceed normally; the
-// stream keeps yielding the snapshot it pinned and concurrent writers
-// are never blocked by a slow visitor.
-func (db *DB) QueryByFunctionScan(fn genus.Function, visit func(Candidate) bool, cs ...Constraint) error {
-	return db.QueryByFunctionsScan([]genus.Function{fn}, visit, cs...)
-}
-
-// QueryByFunctionsScan is QueryByFunctionScan over a function set: it
-// streams the implementations executing every function in fns. See
-// QueryByFunctionScan for the visitor contract.
-func (db *DB) QueryByFunctionsScan(fns []genus.Function, visit func(Candidate) bool, cs ...Constraint) error {
-	return db.scanSeq(func(d *derived, v func(*Impl) bool) error {
-		return forEachByFunctions(d, fns, v)
-	}, cs, candidateVisitor(visit))
-}
-
-// QueryByComponentScan streams the implementations of one component type.
-// See QueryByFunctionScan for the visitor contract.
-func (db *DB) QueryByComponentScan(ct genus.ComponentType, visit func(Candidate) bool, cs ...Constraint) error {
-	return db.scanSeq(func(d *derived, v func(*Impl) bool) error {
-		return forEachByComponent(d, ct, v)
-	}, cs, candidateVisitor(visit))
-}
-
-// QueryScan streams every registered implementation passing cs — the
-// whole-catalog walk for tools that want their own filtering or
-// aggregation without paying for a materialized copy. See
-// QueryByFunctionScan for the visitor contract.
-func (db *DB) QueryScan(visit func(Candidate) bool, cs ...Constraint) error {
-	return db.scanSeq(forEachImpl, cs, candidateVisitor(visit))
-}
-
 // candHeap is a bounded worst-on-top heap over (rank, name): the root is
 // the worst candidate retained, so a better offer evicts it in O(log k).
+// A limit <= 0 keeps every offer, unordered, for one sort at the end.
 type candHeap struct {
 	limit int
 	items []heapItem
@@ -843,16 +668,16 @@ func worse(a, b heapItem) bool {
 }
 
 func (h *candHeap) offer(it heapItem) {
-	if len(h.items) < h.limit {
+	switch {
+	case h.limit <= 0:
+		h.items = append(h.items, it)
+	case len(h.items) < h.limit:
 		h.items = append(h.items, it)
 		h.up(len(h.items) - 1)
-		return
+	case worse(h.items[0], it):
+		h.items[0] = it
+		h.down(0)
 	}
-	if !worse(h.items[0], it) {
-		return
-	}
-	h.items[0] = it
-	h.down(0)
 }
 
 func (h *candHeap) up(i int) {

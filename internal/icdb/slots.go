@@ -18,7 +18,7 @@ import (
 
 // The attribute slots, in slotNames order. The first five are an
 // implementation's own attributes; width is the query's evaluation point
-// and is only present under AtWidth (and on explored design points).
+// and is only present at a width point (and on explored design points).
 const (
 	slotWidthMin = iota
 	slotWidthMax
@@ -268,7 +268,7 @@ type estProg struct {
 }
 
 // slotCmp is one "attribute op value" comparison over a slot: the
-// compiled form of AttrCmp, ForWidth, MaxArea, MaxDelay and AtWidth. An
+// compiled form of AttrCmp and ForWidth. An
 // absent slot reads as zero, as a missing map key did.
 type slotCmp struct {
 	slot uint8

@@ -1,9 +1,9 @@
 package icdb_test
 
-// Streaming query tests: the Scan variants must yield exactly the
-// candidate set their materializing counterparts return (same impls,
-// same costs), honor constraints and early stop, and hand out Impls
-// that Clone into independent copies.
+// Streaming query tests: an unranked Find must yield exactly the
+// candidate set its ranked counterpart returns (same impls, same costs),
+// honor constraints and early stop, and hand out Impls that Clone into
+// independent copies.
 
 import (
 	"path/filepath"
@@ -24,16 +24,12 @@ func openTestDB(t *testing.T) *icdb.DB {
 	return db
 }
 
-// collectScan drains a streamed query into a cost-sorted slice, cloning
-// each yielded Impl as the visitor contract requires.
-func collectScan(t *testing.T, scan func(func(icdb.Candidate) bool) error) []icdb.Candidate {
+// collectScan drains the streamed (unranked) query q into a cost-sorted
+// slice, cloning each yielded Impl as the visitor contract requires.
+func collectScan(t *testing.T, db *icdb.DB, q icdb.Query) []icdb.Candidate {
 	t.Helper()
-	var out []icdb.Candidate
-	if err := scan(func(c icdb.Candidate) bool {
-		c.Impl = c.Impl.Clone()
-		out = append(out, c)
-		return true
-	}); err != nil {
+	out, err := db.FindAll(q)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -42,6 +38,18 @@ func collectScan(t *testing.T, scan func(func(icdb.Candidate) bool) error) []icd
 		}
 		return out[i].Impl.Name < out[j].Impl.Name
 	})
+	return out
+}
+
+// ranked is q ranked by cost, unbounded: the materialized counterpart
+// of the streamed q.
+func ranked(t *testing.T, db *icdb.DB, q icdb.Query) []icdb.Candidate {
+	t.Helper()
+	q.Order = icdb.Order{Attr: icdb.OrderKeyCost}
+	out, err := db.FindAll(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return out
 }
 
@@ -63,51 +71,34 @@ func TestQueryByFunctionScanMatchesMaterialized(t *testing.T) {
 	for _, cs := range [][]icdb.Constraint{
 		nil,
 		{icdb.ForWidth(8)},
-		{icdb.MaxArea(6), icdb.MaxDelay(50)},
-		{icdb.MustWhere("width_min <= 4 && area <= 10")},
+		{attrCmp(t, "area", icdb.CmpLE, 6), attrCmp(t, "delay", icdb.CmpLE, 50)},
+		{where(t, "width_min <= 4 && area <= 10")},
 	} {
-		want, err := db.QueryByFunction(genus.FuncADD, cs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectScan(t, func(visit func(icdb.Candidate) bool) error {
-			return db.QueryByFunctionScan(genus.FuncADD, visit, cs...)
-		})
-		assertSameCandidates(t, got, want)
+		q := icdb.Query{Functions: []genus.Function{genus.FuncADD}, Constraints: cs}
+		assertSameCandidates(t, collectScan(t, db, q), ranked(t, db, q))
 	}
 }
 
 func TestQueryByFunctionsScanIntersection(t *testing.T) {
 	db := openTestDB(t)
-	fns := []genus.Function{genus.FuncCOUNTER, genus.FuncSTORE}
-	want, err := db.QueryByFunctions(fns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectScan(t, func(visit func(icdb.Candidate) bool) error {
-		return db.QueryByFunctionsScan(fns, visit)
-	})
-	assertSameCandidates(t, got, want)
+	q := icdb.Query{Functions: []genus.Function{genus.FuncCOUNTER, genus.FuncSTORE}}
+	got := collectScan(t, db, q)
+	assertSameCandidates(t, got, ranked(t, db, q))
 	if len(got) == 0 {
 		t.Fatal("COUNT+STORE intersection is empty; test is vacuous")
 	}
-	// Streaming an empty function list is the same error as querying one.
-	if err := db.QueryByFunctionsScan(nil, func(icdb.Candidate) bool { return true }); err == nil {
-		t.Error("empty function list accepted")
+	// Streaming an unknown function is the same error as ranking one.
+	bad := icdb.Query{Functions: []genus.Function{genus.FuncCOUNTER, "FROB"}}
+	if err := db.Find(bad, func(icdb.Candidate) bool { return true }); err == nil {
+		t.Error("unknown function accepted")
 	}
 }
 
 func TestQueryByComponentScanMatchesMaterialized(t *testing.T) {
 	db := openTestDB(t)
-	want, err := db.QueryByComponent(genus.CompCounter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectScan(t, func(visit func(icdb.Candidate) bool) error {
-		return db.QueryByComponentScan(genus.CompCounter, visit)
-	})
-	assertSameCandidates(t, got, want)
-	if err := db.QueryByComponentScan("NoSuchComponent", func(icdb.Candidate) bool { return true }); err == nil {
+	q := icdb.Query{Type: genus.CompCounter}
+	assertSameCandidates(t, collectScan(t, db, q), ranked(t, db, q))
+	if err := db.Find(icdb.Query{Type: "NoSuchComponent"}, func(icdb.Candidate) bool { return true }); err == nil {
 		t.Error("unknown component type accepted")
 	}
 }
@@ -119,23 +110,24 @@ func TestQueryScanWalksWholeCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	if err := db.QueryScan(func(c icdb.Candidate) bool {
+	if err := db.Find(icdb.Query{}, func(c icdb.Candidate) bool {
 		seen[c.Impl.Name] = true
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(impls) {
-		t.Fatalf("QueryScan visited %d impls, catalog has %d", len(seen), len(impls))
+		t.Fatalf("Find visited %d impls, catalog has %d", len(seen), len(impls))
 	}
 	for _, im := range impls {
 		if !seen[im.Name] {
-			t.Errorf("QueryScan missed %s", im.Name)
+			t.Errorf("Find missed %s", im.Name)
 		}
 	}
 	// Constrained walk matches a manual filter of the materialized list.
 	n := 0
-	if err := db.QueryScan(func(c icdb.Candidate) bool { n++; return true }, icdb.MaxArea(4)); err != nil {
+	q := icdb.Query{Constraints: []icdb.Constraint{attrCmp(t, "area", icdb.CmpLE, 4)}}
+	if err := db.Find(q, func(c icdb.Candidate) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	wantN := 0
@@ -145,14 +137,15 @@ func TestQueryScanWalksWholeCatalog(t *testing.T) {
 		}
 	}
 	if n != wantN {
-		t.Errorf("constrained QueryScan yielded %d, want %d", n, wantN)
+		t.Errorf("constrained Find yielded %d, want %d", n, wantN)
 	}
 }
 
 func TestScanEarlyStop(t *testing.T) {
 	db := openTestDB(t)
 	n := 0
-	if err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+	add := icdb.Query{Functions: []genus.Function{genus.FuncADD}}
+	if err := db.Find(add, func(c icdb.Candidate) bool {
 		n++
 		return false
 	}); err != nil {
@@ -162,27 +155,26 @@ func TestScanEarlyStop(t *testing.T) {
 		t.Errorf("visitor called %d times after returning false, want 1", n)
 	}
 	// The DB is fully usable afterwards (the index lock was released).
-	if _, err := db.QueryByFunction(genus.FuncADD); err != nil {
-		t.Fatal(err)
-	}
+	ranked(t, db, add)
 }
 
 func TestScanConstraintErrorPropagates(t *testing.T) {
 	db := openTestDB(t)
-	bad := icdb.MustWhere("no_such_attr > 1")
+	q := icdb.Query{Functions: []genus.Function{genus.FuncADD}, Constraints: []icdb.Constraint{where(t, "no_such_attr > 1")}}
 	called := false
-	err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+	err := db.Find(q, func(c icdb.Candidate) bool {
 		called = true
 		return true
-	}, bad)
+	})
 	if err == nil {
 		t.Fatal("constraint referencing an unknown attribute: want error")
 	}
 	if called {
 		t.Error("visitor ran despite the constraint error")
 	}
-	// The materialized path reports the same failure.
-	if _, err := db.QueryByFunction(genus.FuncADD, bad); err == nil {
+	// The ranked path reports the same failure.
+	q.Order = icdb.Order{Attr: icdb.OrderKeyCost}
+	if _, err := db.FindAll(q); err == nil {
 		t.Error("materialized query swallowed the constraint error")
 	}
 }
@@ -190,7 +182,7 @@ func TestScanConstraintErrorPropagates(t *testing.T) {
 func TestScanCloneIndependence(t *testing.T) {
 	db := openTestDB(t)
 	var kept icdb.Impl
-	if err := db.QueryByFunctionScan(genus.FuncADD, func(c icdb.Candidate) bool {
+	if err := db.Find(icdb.Query{Functions: []genus.Function{genus.FuncADD}}, func(c icdb.Candidate) bool {
 		kept = c.Impl.Clone()
 		return false
 	}); err != nil {
@@ -244,7 +236,7 @@ OUTORDER: O[size];
 		t.Fatal(err)
 	}
 	found := false
-	if err := db.QueryByFunctionScan(genus.FuncCOUNTER, func(c icdb.Candidate) bool {
+	if err := db.Find(icdb.Query{Functions: []genus.Function{genus.FuncCOUNTER}}, func(c icdb.Candidate) bool {
 		if c.Impl.Name == "stream_probe" {
 			found = true
 			return false
@@ -266,9 +258,10 @@ func TestDBSnapshotRoundTrip(t *testing.T) {
 	if err := db.SetToolParam("icdb", "area_weight", 3); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.QueryByFunction(genus.FuncADD, icdb.ForWidth(8))
-	if err != nil || len(want) == 0 {
-		t.Fatalf("seed query: %d candidates, %v", len(want), err)
+	q := icdb.Query{Functions: []genus.Function{genus.FuncADD}, Constraints: []icdb.Constraint{icdb.ForWidth(8)}}
+	want := ranked(t, db, q)
+	if len(want) == 0 {
+		t.Fatal("seed query: no candidates")
 	}
 
 	path := filepath.Join(t.TempDir(), "icdb.snap")
@@ -283,12 +276,28 @@ func TestDBSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db2.QueryByFunction(genus.FuncADD, icdb.ForWidth(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCandidates(t, got, want)
+	assertSameCandidates(t, ranked(t, db2, q), want)
 	if v, ok := db2.ToolParam("icdb", "area_weight"); !ok || v != 3 {
 		t.Errorf("tool param after snapshot reload = %v, %v", v, ok)
 	}
+}
+
+// where is icdb.Where for the tests' static expressions.
+func where(t testing.TB, expr string) icdb.Constraint {
+	t.Helper()
+	c, err := icdb.Where(expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// attrCmp is icdb.AttrCmp for the tests' static comparisons.
+func attrCmp(t testing.TB, attr string, op icdb.CmpOp, v float64) icdb.Constraint {
+	t.Helper()
+	c, err := icdb.AttrCmp(attr, op, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -11,11 +11,16 @@ package icdb_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"icdb/internal/genus"
 	"icdb/internal/icdb"
+	"icdb/internal/iif"
 	"icdb/internal/relstore"
 )
 
@@ -106,54 +111,130 @@ func newSynthDB(n int) (*icdb.DB, error) {
 	return db, nil
 }
 
-// fullScanQueryByFunction reproduces the pre-index query path exactly:
-// select and decode every implementation row, filter by function
-// membership and constraints per row, then sort the survivors. It is the
-// reference TestIndexedQueryMatchesFullScanReference holds the indexed
-// engine to.
-func fullScanQueryByFunction(db *icdb.DB, fn genus.Function, cs ...icdb.Constraint) ([]icdb.Candidate, error) {
+// fullScan is the pre-index query path, reproduced for any Query as the
+// reference TestIndexedQueryMatchesFullScanReference holds the engine to:
+// every implementation row decoded through Impls, estimator sources read
+// through Estimators and evaluated by the interpreter (never through
+// EstimateImpl, which records explorations), filtered per row and sorted
+// per query. It loads the catalog once; the catalog must not change
+// while it is in use.
+type fullScan struct {
+	impls  []icdb.Impl
+	ests   map[string]map[string]iif.Expr // impl -> attr -> parsed estimator
+	wa, wd float64                        // the database-default weights
+}
+
+func newFullScan(db *icdb.DB) (*fullScan, error) {
 	impls, err := db.Impls()
 	if err != nil {
 		return nil, err
 	}
-	wa, wd := 1.0, 1.0
+	f := &fullScan{impls: impls, ests: map[string]map[string]iif.Expr{}, wa: 1, wd: 1}
 	if v, ok := db.ToolParam("icdb", "area_weight"); ok {
-		wa = v
+		f.wa = v
 	}
 	if v, ok := db.ToolParam("icdb", "delay_weight"); ok {
-		wd = v
+		f.wd = v
+	}
+	for _, im := range impls {
+		srcs, err := db.Estimators(im.Name)
+		if err != nil {
+			return nil, err
+		}
+		f.ests[im.Name] = map[string]iif.Expr{}
+		for attr, src := range srcs {
+			if f.ests[im.Name][attr], err = iif.ParseExpr(src); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return f, nil
+}
+
+// attrs is im's attribute environment at width (0 for none): the scalar
+// attributes, or at a width point the estimators evaluated over them
+// plus the width itself.
+func (f *fullScan) attrs(im *icdb.Impl, width int) (icdb.Attrs, error) {
+	a := im.Attrs()
+	if width == 0 {
+		return a, nil
+	}
+	a["width"] = float64(width)
+	evaluated := map[string]float64{"area": im.Area, "delay": im.Delay}
+	for attr, e := range f.ests[im.Name] {
+		v, err := icdb.EvalAttr(e, a)
+		if err != nil {
+			return nil, fmt.Errorf("icdb: estimator %s(%s): %w", attr, im.Name, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("icdb: estimator %s(%s) at width %d: result is not a finite number", attr, im.Name, width)
+		}
+		evaluated[attr] = v
+	}
+	a["area"], a["delay"] = evaluated["area"], evaluated["delay"]
+	return a, nil
+}
+
+// query answers q by brute force: ranked answers best first (ties by
+// name), streamed answers in catalog order.
+func (f *fullScan) query(q icdb.Query) ([]icdb.Candidate, error) {
+	wa, wd := f.wa, f.wd
+	if q.AreaWeight != nil {
+		wa = *q.AreaWeight
+	}
+	if q.DelayWeight != nil {
+		wd = *q.DelayWeight
 	}
 	var out []icdb.Candidate
-	for _, im := range impls {
-		has := make(map[genus.Function]bool, len(im.Functions))
-		for _, f := range im.Functions {
-			has[f] = true
+	keys := map[string]icdb.Attrs{} // name -> attributes plus cost
+rows:
+	for _, im := range f.impls {
+		for _, fn := range q.Functions {
+			if !slices.Contains(im.Functions, fn) {
+				continue rows
+			}
 		}
-		if !has[fn] {
+		if q.Type != "" && im.Component != q.Type {
 			continue
 		}
-		ok := true
-		for _, c := range cs {
-			pass, err := c.Accept(im.Attrs())
+		a, err := f.attrs(&im, q.Width)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range q.Constraints {
+			ok, err := c.Accept(a)
 			if err != nil {
 				return nil, err
 			}
-			if !pass {
-				ok = false
-				break
+			if !ok {
+				continue rows
 			}
 		}
-		if !ok {
+		if q.Width != 0 && (im.WidthMin > q.Width || im.WidthMax < q.Width) {
 			continue
 		}
-		out = append(out, icdb.Candidate{Impl: im, Area: im.Area, Delay: im.Delay, Cost: im.Area*wa + im.Delay*wd})
+		cost := a["area"]*wa + a["delay"]*wd
+		out = append(out, icdb.Candidate{Impl: im, Area: a["area"], Delay: a["delay"], Cost: cost})
+		a[icdb.OrderKeyCost] = cost
+		keys[im.Name] = a
+	}
+	if q.Order.Attr == "" && q.Limit <= 0 {
+		return out, nil
+	}
+	key := q.Order.Attr
+	if key == "" {
+		key = icdb.OrderKeyCost
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Cost != out[j].Cost {
-			return out[i].Cost < out[j].Cost
+		vi, vj := keys[out[i].Impl.Name][key], keys[out[j].Impl.Name][key]
+		if vi != vj {
+			return vi < vj != q.Order.Desc
 		}
 		return out[i].Impl.Name < out[j].Impl.Name
 	})
+	if q.Limit > 0 && len(out) > q.Limit {
+		out = out[:q.Limit]
+	}
 	return out, nil
 }
 
@@ -165,42 +246,137 @@ func fullScanImplRow(db *icdb.DB, name string) (relstore.Row, error) {
 		relstore.Func(func(r relstore.Row) bool { return r["name"] == name }))
 }
 
-// TestIndexedQueryMatchesFullScanReference cross-validates the two query
-// engines: on a synthetic catalog, the indexed path must return exactly
-// the candidates (and order) of the pre-index full-scan reference, for a
-// spread of functions and constraints.
+// TestIndexedQueryMatchesFullScanReference cross-validates the engine
+// against the full-scan reference over the whole query shape, on a
+// synthetic catalog with estimators and a non-default tool weight: a
+// seeded matrix of {0, 1, 2 functions} × {type, none} × {no constraint,
+// AttrCmp, ForWidth, Where} × {no width, width W} × {no order, each key
+// ascending and descending} × {no limit, limit k} × {default, overridden
+// weights}. Ranked answers must be identical, ties and estimates
+// included; streamed answers must be the same multiset.
 func TestIndexedQueryMatchesFullScanReference(t *testing.T) {
 	db, err := newSynthDB(300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	constraints := [][]icdb.Constraint{
-		nil,
-		{icdb.MaxArea(40)},
-		{icdb.ForWidth(16)},
-		{icdb.MustWhere("area + delay < 60 && stages >= 1")},
+	if err := populateEstimators(db, 300); err != nil {
+		t.Fatal(err)
 	}
-	for _, fn := range []genus.Function{genus.FuncADD, genus.FuncSTORAGE, genus.FuncAND, genus.FuncMuxSCL} {
-		for _, cs := range constraints {
-			want, err := fullScanQueryByFunction(db, fn, cs...)
-			if err != nil {
-				t.Fatal(err)
+	if err := db.SetToolParam("icdb", "delay_weight", 3); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newFullScan(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(min int) icdb.Impl {
+		for {
+			if im := ref.impls[rng.Intn(len(ref.impls))]; len(im.Functions) >= min {
+				return im
 			}
-			got, err := db.QueryByFunction(fn, cs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s %v: indexed %d candidates, full scan %d", fn, cs, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Impl.Name != want[i].Impl.Name || got[i].Cost != want[i].Cost {
-					t.Fatalf("%s %v: [%d] indexed %s/%g, full scan %s/%g",
-						fn, cs, i, got[i].Impl.Name, got[i].Cost, want[i].Impl.Name, want[i].Cost)
+		}
+	}
+	ops := []icdb.CmpOp{icdb.CmpLE, icdb.CmpLT, icdb.CmpGE, icdb.CmpGT, icdb.CmpEQ, icdb.CmpNE}
+	orders := []icdb.Order{{}}
+	for _, k := range icdb.OrderKeys() {
+		orders = append(orders, icdb.Order{Attr: k}, icdb.Order{Attr: k, Desc: true})
+	}
+	ranked, streamed, rows := 0, 0, 0
+	for nFns := 0; nFns <= 2; nFns++ {
+		for _, typed := range []bool{false, true} {
+			for cons := 0; cons < 4; cons++ {
+				for _, withWidth := range []bool{false, true} {
+					for _, order := range orders {
+						for _, limited := range []bool{false, true} {
+							for _, weighted := range []bool{false, true} {
+								var q icdb.Query
+								seed := pick(nFns)
+								q.Functions = seed.Functions[:nFns]
+								if typed {
+									q.Type = seed.Component
+								}
+								if withWidth {
+									q.Width = 1 + rng.Intn(128)
+								}
+								// Thresholds come from a candidate's own attributes, so
+								// comparisons land on equalities and split the catalog.
+								probe := pick(0)
+								pa, err := ref.attrs(&probe, q.Width)
+								if err != nil {
+									t.Fatal(err)
+								}
+								var c icdb.Constraint
+								switch cons {
+								case 1:
+									attr := icdb.ConstraintAttrs()[rng.Intn(5)]
+									c, err = icdb.AttrCmp(attr, ops[rng.Intn(len(ops))], pa[attr])
+								case 2:
+									c = icdb.ForWidth(1 + rng.Intn(128))
+								case 3:
+									src := fmt.Sprintf("area + delay < %d && stages >= %d", int(pa["area"]+pa["delay"]), rng.Intn(3))
+									if withWidth {
+										src = fmt.Sprintf("width_max - width >= %d || area * 2 < %d", rng.Intn(64), int(pa["area"]))
+									}
+									c, err = icdb.Where(src)
+								}
+								if err != nil {
+									t.Fatal(err)
+								}
+								if cons > 0 {
+									q.Constraints = []icdb.Constraint{c}
+								}
+								q.Order = order
+								if limited {
+									q.Limit = 1 + rng.Intn(15)
+								}
+								if weighted {
+									wa := float64(rng.Intn(4)) / 2
+									q.AreaWeight = &wa
+									if rng.Intn(2) == 0 {
+										wd := float64(rng.Intn(4))
+										q.DelayWeight = &wd
+									}
+								}
+								want, err := ref.query(q)
+								if err != nil {
+									t.Fatal(err)
+								}
+								got, err := db.FindAll(q)
+								if err != nil {
+									t.Fatalf("%+v: %v", q, err)
+								}
+								if q.Order.Attr == "" && q.Limit == 0 {
+									streamed++
+									byName := func(cs []icdb.Candidate) {
+										sort.Slice(cs, func(i, j int) bool { return cs[i].Impl.Name < cs[j].Impl.Name })
+									}
+									byName(got)
+									byName(want)
+								} else {
+									ranked++
+								}
+								rows += len(got)
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("%+v (constraint %v):\n engine   %v\n full scan %v", q, c, cands(got), cands(want))
+								}
+							}
+						}
+					}
 				}
 			}
 		}
 	}
+	t.Logf("%d ranked and %d streamed queries, %d candidates, agree with the full scan", ranked, streamed, rows)
+}
+
+// cands renders candidates as name/area/delay/cost, for diagnostics.
+func cands(cs []icdb.Candidate) []string {
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		out[i] = fmt.Sprintf("%s/%g/%g/%g", c.Impl.Name, c.Area, c.Delay, c.Cost)
+	}
+	return out
 }
 
 // TestSyntheticCatalogDeterminism: implementation i is identical across calls, and the
