@@ -277,13 +277,16 @@ func setWeight(s *SetStmt) *float64 {
 // showSession prints the session parameters, marking which are session
 // overrides and which fall through to the database defaults.
 func (env *Env) showSession() error {
+	dwa, dwd, err := env.DB.RankWeights()
+	if err != nil {
+		return err
+	}
 	w := env.Out
 	if env.width > 0 {
 		fmt.Fprintf(w, "width:        %d (default evaluation point for find)\n", env.width)
 	} else {
 		fmt.Fprintln(w, "width:        off (find uses scalar estimates unless 'at width' is given)")
 	}
-	dwa, dwd := env.DB.RankWeights()
 	if env.wArea != nil {
 		fmt.Fprintf(w, "area_weight:  %g (session override; database default %g)\n", *env.wArea, dwa)
 	} else {

@@ -411,8 +411,8 @@ func TestWeightsConstraint(t *testing.T) {
 		}
 	}
 	// RankWeights reports the database defaults, not the override.
-	if wa, wd := db.RankWeights(); wa != 100 || wd != 1 {
-		t.Errorf("RankWeights = (%g, %g), want (100, 1)", wa, wd)
+	if wa, wd, err := db.RankWeights(); err != nil || wa != 100 || wd != 1 {
+		t.Errorf("RankWeights = (%g, %g, %v), want (100, 1)", wa, wd, err)
 	}
 }
 
@@ -443,7 +443,7 @@ func TestRankWeightsSurvivesRacingSetToolParam(t *testing.T) {
 		}()
 		close(start)
 		wg.Wait()
-		if wa, _ := db.RankWeights(); wa != float64(round) {
+		if wa, _, _ := db.RankWeights(); wa != float64(round) {
 			t.Fatalf("round %d: RankWeights area = %g after SetToolParam committed %d", round, wa, round)
 		}
 	}

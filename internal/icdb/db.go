@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"icdb/internal/genus"
 	"icdb/internal/iif"
@@ -182,14 +181,13 @@ func (im Impl) Attrs() Attrs {
 // DB is the component database engine. It wraps a relstore.Store holding
 // the four ICDB relations and serializes read-modify-write sequences.
 //
-// On top of the store, a DB maintains derived read-path state: a cache of
-// decoded implementations plus inverted indexes from function and
-// component type to the implementations carrying them, so query-by-
-// function intersects posting lists instead of scanning and re-decoding
-// the implementations relation. The derived state is built lazily, kept
-// current by RegisterImpl and SetToolParam, and dropped wholesale by
-// InvalidateCaches; writes that bypass the DB (directly through Store())
-// must call InvalidateCaches to be seen by queries.
+// On top of the store, a DB keeps read-path caches, each derived from one
+// relation and stamped with its generation (see stamped): decoded
+// implementations with inverted indexes from function and component type,
+// so query-by-function intersects posting lists instead of scanning the
+// implementations relation; the compiled estimators; the ranking weights;
+// the frontier's design-point scopes. A query rebuilds any cache whose
+// stamp has fallen behind, so every write is seen, whichever path it took.
 type DB struct {
 	store *relstore.Store
 	mu    sync.Mutex
@@ -197,68 +195,44 @@ type DB struct {
 	// computed from the store (guarded by mu).
 	nextInstID int
 
-	// cmu guards the der/est pointers and the weight cache below. The
-	// derived state itself lives in copy-on-write snapshots (same
-	// discipline as relstore's tableData): readers pin the current
-	// snapshot under a brief RLock and iterate it lock-free, so streamed
-	// query visitors may take as long as they like — and re-enter the DB —
-	// without blocking RegisterImpl or each other.
-	//
-	// The two pieces build independently, each from a scan of only its
-	// own relation (ensureIndexes / ensureEstimators): a width-free query
-	// touches implementations but never estimators, and a lazily opened
-	// store (relstore.OpenLazy) hydrates only the relations the session's
-	// queries actually reach.
-	cmu sync.RWMutex
-	der *derived  // impl cache + inverted indexes; nil until built
-	est *estCache // per-implementation estimators; nil until built
-	// progs interns estimator expressions by source text: one parsed and
-	// compiled program per distinct expression, shared by every
-	// implementation (estCache) and generator (GeneratorCost) that carries
-	// it. A program is a pure function of its source, so the table is never
-	// stale and InvalidateCaches leaves it alone; it holds what the
+	// The stamped caches, each built from a scan of only its own relation:
+	// a width-free query touches implementations but never estimators, and
+	// a lazily opened store (relstore.OpenLazy) hydrates only the relations
+	// the session's queries actually reach.
+	der  *stamped[*derived]    // impl cache + inverted indexes (implementations)
+	est  *stamped[estMap]      // per-implementation estimator programs (estimators)
+	rank *stamped[rankWeights] // database-default ranking weights (tool_params)
+	wmu  sync.Mutex            // their shared writer mutex (see stamped.wmu)
+
+	// cmu guards progs, which interns estimator expressions by source
+	// text: one parsed and compiled program per distinct expression, shared
+	// by every implementation (est) and generator (GeneratorCost) that
+	// carries it. A program is a pure function of its source, so the table
+	// is never stale and InvalidateCaches leaves it alone; it holds what the
 	// estimators and generators relations hold, de-duplicated. Programs are
 	// immutable once published; the map is written under cmu.Lock only.
+	cmu   sync.RWMutex
 	progs map[string]*estProg
-	// Cached ranking weights (tool "icdb"), refreshed after SetToolParam.
-	// wVer counts the invalidations (SetToolParam, InvalidateCaches), so a
-	// reader whose tool-parameter read raced one does not cache what it
-	// read (see rankWeights).
-	wa, wd float64
-	wOK    bool
-	wVer   uint64
 
 	// pmu guards the frontier engine's design-point cache and its
 	// counters: decoded, sweep-ordered exploration sets per query scope,
-	// stamped with the explorations relation's own generation. Frontier
-	// queries rebuild a scope whose stamp has fallen behind;
-	// RecordExploration advances the stamp together with its own delta;
-	// nobody else writes it, so a mutation made any other way — directly
-	// through Store() included — invalidates the cache without a hook
-	// (the contract is spelled out at explCache in pareto.go). Queries
-	// hold pmu only for pointer swaps, folds and frontier merges, never
-	// across a store call or a visitor; RecordExploration holds it across
-	// its one upsert, so that upsert and delta are one step to everybody
-	// else.
+	// stamped with the explorations relation's own generation — the same
+	// rule as the stamped caches, kept per scope (the contract is spelled
+	// out at explCache in pareto.go). Queries hold pmu only for pointer
+	// swaps, folds and frontier merges, never across a store call or a
+	// visitor; RecordExploration holds it across its one upsert, so that
+	// upsert and delta are one step to everybody else.
 	pmu      sync.Mutex
 	expl     *explCache
 	explInfo ParetoCacheInfo
-
-	// rmu serializes RegisterImpl's store write with its cache update.
-	rmu sync.Mutex
 }
 
-// derived is one immutable-once-shared snapshot of the DB's derived
-// read-path state over the implementations relation: the decoded-
-// implementation cache and the two inverted indexes. Cached *Impl
-// values are shared between snapshots and treated as immutable;
-// mutators swap in fresh values instead of editing in place.
-//
-// shared flips to true the moment a reader pins the snapshot
-// (derivedSnap, under cmu.RLock); mutators (under cmu.Lock) then clone
-// before writing (writableDerived). RLock and Lock are mutually
-// exclusive, so the flag is always seen by a would-be writer before the
-// maps are touched.
+// derived is one snapshot of the DB's read-path state over the
+// implementations relation: the decoded-implementation cache and the two
+// inverted indexes. Cached *Impl values are shared between snapshots and
+// treated as immutable; RegisterImpl's delta swaps in fresh values
+// instead of editing in place, on a clone once a reader has pinned the
+// snapshot (see stamped).
 type derived struct {
 	impls map[string]*Impl                         // name -> decoded implementation
 	byFn  map[genus.Function]map[string]*Impl      // function -> posting map
@@ -267,8 +241,7 @@ type derived struct {
 	// relation's insertion order (a re-registered name keeps its place,
 	// like the row it upserts), so whole-catalog walks need neither the
 	// store's rows nor a sort.
-	order  []*Impl
-	shared atomic.Bool
+	order []*Impl
 }
 
 func newDerived() *derived {
@@ -310,78 +283,58 @@ func (d *derived) clone() *derived {
 	return nd
 }
 
-// estCache is the estimator half of the derived state: which compiled
-// program predicts each implementation's area and delay. It is built
-// from a scan of only the estimators relation (ensureEstimators) —
-// independently of the implementation indexes, so width-free queries
-// and sessions that never evaluate a width point leave the estimators
-// relation untouched (and, under a lazy open, undecoded). The entries are
-// by-value pointer pairs into DB.progs: a catalog of 100k implementations
-// sharing three expressions holds three programs, not 200k syntax trees.
-// Same copy-on-write discipline as derived.
-type estCache struct {
-	ests   map[string]estPair // impl name -> its estimator programs
-	shared atomic.Bool
+// scanImpls builds the decoded-implementation cache and the inverted
+// indexes from one stamped no-copy scan of the implementations relation.
+func (db *DB) scanImpls() (*derived, uint64, error) {
+	d := newDerived()
+	gen, err := db.store.ScanStamped(TableImplementations, nil, func(r relstore.Row) bool {
+		im := rowImpl(r)
+		d.index(&im)
+		return true
+	})
+	return d, gen, err
 }
 
-func (e *estCache) clone() *estCache {
-	return &estCache{ests: maps.Clone(e.ests)}
-}
+// estMap is the estimator half of the derived state: which compiled
+// program predicts each implementation's area and delay, by
+// implementation name. It is built from a scan of only the estimators
+// relation (scanEstimators) — independently of the implementation
+// indexes, so width-free queries and sessions that never evaluate a
+// width point leave the estimators relation untouched (and, under a lazy
+// open, undecoded). The entries are by-value pointer pairs into
+// DB.progs: a catalog of 100k implementations sharing three expressions
+// holds three programs, not 200k syntax trees.
+type estMap map[string]estPair
 
-// derivedSnap pins and returns the live derived snapshot, building it
-// first when necessary. The returned snapshot is safe to read without
-// any lock: concurrent mutators clone instead of editing it. The loop
-// closes the window between a successful build and the read lock in
-// which a concurrent InvalidateCaches could nil the pointer out.
-func (db *DB) derivedSnap() (*derived, error) {
-	for {
-		db.cmu.RLock()
-		if d := db.der; d != nil {
-			d.shared.Store(true)
-			db.cmu.RUnlock()
-			return d, nil
-		}
-		db.cmu.RUnlock()
-		if err := db.ensureIndexes(); err != nil {
-			return nil, err
-		}
+func (m estMap) clone() estMap { return maps.Clone(m) }
+
+// scanEstimators builds the estimator cache from one stamped scan of the
+// estimators relation. Each row costs a lookup of its expression in the
+// intern table; only a source text not seen before is parsed and
+// compiled.
+func (db *DB) scanEstimators() (estMap, uint64, error) {
+	// Sized up front (one entry per implementation, a row per attribute):
+	// growing a map to catalog size leaves as much garbage as the map.
+	rows, err := db.store.Count(TableEstimators, nil)
+	if err != nil {
+		return nil, 0, err
 	}
-}
-
-// estSnap pins and returns the live estimator cache, building it first
-// when necessary — same protocol as derivedSnap, over the estimators
-// relation alone.
-func (db *DB) estSnap() (*estCache, error) {
-	for {
-		db.cmu.RLock()
-		if e := db.est; e != nil {
-			e.shared.Store(true)
-			db.cmu.RUnlock()
-			return e, nil
+	m := make(estMap, rows/len(EstimatorAttrs()))
+	var estErr error
+	gen, err := db.store.ScanStamped(TableEstimators, nil, func(r relstore.Row) bool {
+		impl, attr := asString(r["impl"]), asString(r["attr"])
+		p, perr := db.intern(asString(r["expr"]))
+		if perr != nil {
+			estErr = fmt.Errorf("icdb: estimator %s(%s): %w", attr, impl, perr)
+			return false
 		}
-		db.cmu.RUnlock()
-		if err := db.ensureEstimators(); err != nil {
-			return nil, err
-		}
+		m[impl] = m[impl].with(attr, p)
+		return true
+	})
+	if err == nil {
+		err = estErr
 	}
-}
-
-// writableDerived returns a derived snapshot the caller may mutate.
-// Must be called with cmu held exclusively; if the live snapshot has
-// been pinned by a reader it is cloned first and the clone installed.
-func (db *DB) writableDerived() *derived {
-	if db.der.shared.Load() {
-		db.der = db.der.clone()
-	}
-	return db.der
-}
-
-// writableEsts is writableDerived for the estimator cache.
-func (db *DB) writableEsts() *estCache {
-	if db.est.shared.Load() {
-		db.est = db.est.clone()
-	}
-	return db.est
+	return m, gen, err
 }
 
 // estPair holds one implementation's estimator programs; a nil program
@@ -405,6 +358,9 @@ type estPair struct {
 // seeding probes, which is also what backfills the new relations.
 func Open(store *relstore.Store) (*DB, error) {
 	db := &DB{store: store}
+	db.der = newStamped(store, &db.wmu, TableImplementations, db.scanImpls)
+	db.est = newStamped(store, &db.wmu, TableEstimators, db.scanEstimators)
+	db.rank = newStamped(store, &db.wmu, TableToolParams, db.scanWeights)
 	complete := true
 	for _, sc := range Schemas() {
 		if _, err := store.SchemaOf(sc.Table); err == nil {
@@ -466,100 +422,22 @@ func Open(store *relstore.Store) (*DB, error) {
 
 // Store returns the underlying relational store (for persistence:
 // store.SaveSnapshot / relstore.OpenSnapshot round-trips the whole
-// database). Writing to the implementations or tool_params relations
-// directly through the store bypasses the DB's derived indexes; call
-// InvalidateCaches afterwards so queries observe the change.
+// database). Writes made directly through it are seen by the next query
+// like any other: each cache notices its relation's generation moved on
+// and rebuilds.
 func (db *DB) Store() *relstore.Store { return db.store }
 
-// InvalidateCaches drops every piece of derived read-path state (the
-// decoded-implementation cache, the function and component inverted
-// indexes, the cached ranking weights, and the frontier engine's
-// design-point scopes). It is rebuilt lazily on the next query. Only
-// needed after mutating the store directly; RegisterImpl, SetToolParam
-// and RecordExploration keep the caches current themselves.
+// InvalidateCaches drops every read-path cache; each is rebuilt by the
+// next query that needs it. Correctness never depends on it — a cache
+// whose relation changed behind its back rebuilds by itself — so it only
+// releases memory or forces a cold start.
 func (db *DB) InvalidateCaches() {
-	db.cmu.Lock()
-	db.der = nil
-	db.est = nil
-	db.wOK = false
-	db.wVer++
-	db.cmu.Unlock()
+	db.der.drop()
+	db.est.drop()
+	db.rank.drop()
 	db.pmu.Lock()
 	db.expl = nil
 	db.pmu.Unlock()
-}
-
-// ensureIndexes builds the decoded-implementation cache and the inverted
-// indexes from one no-copy scan of the implementations relation, if they
-// are not already live. The estimator cache builds separately
-// (ensureEstimators): each piece touches only its own relation.
-func (db *DB) ensureIndexes() error {
-	db.cmu.RLock()
-	built := db.der != nil
-	db.cmu.RUnlock()
-	if built {
-		return nil
-	}
-	db.cmu.Lock()
-	defer db.cmu.Unlock()
-	if db.der != nil {
-		return nil
-	}
-	d := newDerived()
-	err := db.store.Scan(TableImplementations, nil, func(r relstore.Row) bool {
-		im := rowImpl(r)
-		d.index(&im)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	db.der = d
-	return nil
-}
-
-// ensureEstimators builds the estimator cache from one scan of the
-// estimators relation, if it is not already live. Each row costs a
-// lookup of its expression in the intern table; only a source text not
-// seen before is parsed and compiled.
-func (db *DB) ensureEstimators() error {
-	db.cmu.RLock()
-	built := db.est != nil
-	db.cmu.RUnlock()
-	if built {
-		return nil
-	}
-	db.cmu.Lock()
-	defer db.cmu.Unlock()
-	if db.est != nil {
-		return nil
-	}
-	// Sized up front (one entry per implementation, a row per attribute):
-	// growing a map to catalog size leaves as much garbage as the map.
-	rows, err := db.store.Count(TableEstimators, nil)
-	if err != nil {
-		return err
-	}
-	ec := &estCache{ests: make(map[string]estPair, rows/len(EstimatorAttrs()))}
-	var estErr error
-	err = db.store.Scan(TableEstimators, nil, func(r relstore.Row) bool {
-		impl, attr := asString(r["impl"]), asString(r["attr"])
-		p, perr := db.internLocked(asString(r["expr"]))
-		if perr != nil {
-			estErr = fmt.Errorf("icdb: estimator %s(%s): %w", attr, impl, perr)
-			return false
-		}
-		ec.ests[impl] = ec.ests[impl].with(attr, p)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if estErr != nil {
-		return estErr
-	}
-	db.est = ec
-	return nil
 }
 
 // with returns p filed under attr. Pairs are values: a pinned snapshot's
@@ -586,11 +464,6 @@ func (db *DB) intern(src string) (*estProg, error) {
 	}
 	db.cmu.Lock()
 	defer db.cmu.Unlock()
-	return db.internLocked(src)
-}
-
-// internLocked is intern for callers holding cmu exclusively.
-func (db *DB) internLocked(src string) (*estProg, error) {
 	if p := db.progs[src]; p != nil {
 		return p, nil
 	}
@@ -598,25 +471,12 @@ func (db *DB) internLocked(src string) (*estProg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &estProg{expr: e, eval: compileExpr(e)}
+	p = &estProg{expr: e, eval: compileExpr(e)}
 	if db.progs == nil {
 		db.progs = make(map[string]*estProg)
 	}
 	db.progs[src] = p
 	return p, nil
-}
-
-// noteEstimator records a freshly registered estimator in the live cache
-// (a no-op while the estimator cache is unbuilt — the next
-// ensureEstimators picks the row up from the store).
-func (db *DB) noteEstimator(impl, attr string, p *estProg) {
-	db.cmu.Lock()
-	defer db.cmu.Unlock()
-	if db.est == nil {
-		return
-	}
-	ests := db.writableEsts().ests
-	ests[impl] = ests[impl].with(attr, p)
 }
 
 // index files im under its name, functions, and component type. An
@@ -665,18 +525,6 @@ func (d *derived) unindex(im *Impl) {
 	}
 }
 
-// noteImpl records a freshly decoded or registered implementation in the
-// live caches (a no-op while they are unbuilt — the next ensureIndexes
-// picks the row up from the store).
-func (db *DB) noteImpl(im Impl) {
-	db.cmu.Lock()
-	defer db.cmu.Unlock()
-	if db.der == nil {
-		return
-	}
-	db.writableDerived().index(&im)
-}
-
 // RegisterImpl validates and upserts an implementation row. The IIF
 // source must parse, its NAME must equal the implementation name, its
 // PARAMETER list must match Params, and the declared functions must be a
@@ -716,21 +564,15 @@ func (db *DB) RegisterImpl(im Impl) error {
 	}
 	im.Component = ct
 	row := implRow(im)
-	// The store write and the cache update are one step with respect to
-	// other registrations, so the cache's order slice matches the
-	// relation's insertion order however writers interleave.
-	db.rmu.Lock()
-	defer db.rmu.Unlock()
-	if err := db.store.Upsert(TableImplementations, row); err != nil {
-		return err
-	}
-	// Keep the derived indexes current: the registered implementation
-	// replaces any previous posting-list entries under its name. It is
-	// cached as decoded from the row just stored (function set in
-	// canonical order, caller-independent slices), exactly what a cache
-	// rebuilt from the relation would hold.
-	db.noteImpl(rowImpl(row))
-	return nil
+	// The registered implementation replaces any previous posting-list
+	// entries under its name, and keeps its place in order. It is cached
+	// as decoded from the row just stored (function set in canonical
+	// order, caller-independent slices), exactly what a cache rebuilt
+	// from the relation would hold.
+	return db.der.upsert(row, func(d *derived) {
+		im := rowImpl(row)
+		d.index(&im)
+	})
 }
 
 func sameNameSet(a, b []string) bool {
@@ -831,27 +673,20 @@ func asFloat(v any) float64 {
 }
 
 // ImplByName fetches one implementation by its exact name. It is a point
-// lookup: served from the decoded cache when possible, otherwise one
-// keyed Get against the store (never a scan).
+// lookup: served from the decoded cache while that is current and holds
+// the name, otherwise one keyed Get against the store (never a scan, and
+// never a rebuild).
 func (db *DB) ImplByName(name string) (Impl, error) {
-	db.cmu.RLock()
 	var p *Impl
-	if db.der != nil {
-		p = db.der.impls[name]
-	}
-	db.cmu.RUnlock()
+	db.der.peek(func(d *derived) { p = d.impls[name] })
 	if p != nil {
-		return p.Clone(), nil
+		return p.Clone(), nil // cached *Impl values are immutable
 	}
 	row, err := db.store.Get(TableImplementations, name)
 	if err != nil {
 		return Impl{}, fmt.Errorf("icdb: implementation %q: %w", name, err)
 	}
-	im := rowImpl(row)
-	db.noteImpl(im)
-	// noteImpl cached a struct copy sharing im's slices; hand the caller
-	// its own copy so mutating the result cannot corrupt the cache.
-	return im.Clone(), nil
+	return rowImpl(row), nil
 }
 
 // Impls returns every registered implementation in insertion order. It
@@ -878,7 +713,7 @@ func (db *DB) Impls() ([]Impl, error) {
 // own value (read-only; Clone to retain), and visit may call back into
 // the DB (see Find).
 func (db *DB) ImplsScan(visit func(*Impl) bool) error {
-	d, err := db.derivedSnap()
+	d, err := db.der.get()
 	if err != nil {
 		return err
 	}
@@ -903,24 +738,34 @@ func (db *DB) ComponentFunctions(ct genus.ComponentType) ([]genus.Function, erro
 
 // SetToolParam records a synthesis-tool parameter (the paper's tool
 // parameters relation, §3): e.g. ranking weights or per-tool defaults.
+// It applies no delta: the cached ranking weights fall behind the
+// relation's generation and the next query rebuilds them.
 func (db *DB) SetToolParam(tool, param string, value float64) error {
-	if err := db.store.Upsert(TableToolParams, relstore.Row{
+	return db.store.Upsert(TableToolParams, relstore.Row{
 		"tool": tool, "param": param, "value": value,
-	}); err != nil {
-		return err
-	}
-	db.cmu.Lock()
-	db.wOK = false
-	db.wVer++
-	db.cmu.Unlock()
-	return nil
+	})
 }
 
-// ToolParam looks up a tool parameter; ok is false when unset.
-func (db *DB) ToolParam(tool, param string) (value float64, ok bool) {
-	row, err := db.store.Get(TableToolParams, tool, param)
-	if err != nil {
-		return 0, false
-	}
-	return asFloat(row["value"]), true
+// rankWeights is the database-default ranking weight pair.
+type rankWeights struct{ area, delay float64 }
+
+func (w rankWeights) clone() rankWeights { return w }
+
+// scanWeights reads the database-default ranking weights — tool "icdb"'s
+// area_weight and delay_weight, each 1 when unset — from one stamped
+// scan of the tool-parameters relation, so a relation that cannot be
+// read (a corrupt lazy section) fails the query instead of ranking with
+// the defaults.
+func (db *DB) scanWeights() (rankWeights, uint64, error) {
+	w := rankWeights{area: 1, delay: 1}
+	gen, err := db.store.ScanStamped(TableToolParams, relstore.Eq("tool", "icdb"), func(r relstore.Row) bool {
+		switch asString(r["param"]) {
+		case "area_weight":
+			w.area = asFloat(r["value"])
+		case "delay_weight":
+			w.delay = asFloat(r["value"])
+		}
+		return true
+	})
+	return w, gen, err
 }

@@ -287,11 +287,8 @@ func TestToolParamsAffectRanking(t *testing.T) {
 	if cands[0].Impl.Name != "cnt_ripple" {
 		t.Fatalf("area-weighted ranking = %v, want cnt_ripple first", names(cands))
 	}
-	if v, ok := db.ToolParam("icdb", "delay_weight"); !ok || v != 0 {
-		t.Errorf("ToolParam = %v,%v", v, ok)
-	}
-	if _, ok := db.ToolParam("icdb", "nope"); ok {
-		t.Error("unset tool param reported ok")
+	if wa, wd, err := db.RankWeights(); err != nil || wa != 1 || wd != 0 {
+		t.Errorf("RankWeights = %v, %v, %v; want 1, 0", wa, wd, err)
 	}
 }
 

@@ -198,41 +198,47 @@ func TestEstimatorCacheInternsPrograms(t *testing.T) {
 			}
 		}
 	}
-	es, err := db.estSnap()
+	es, err := db.est.get()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(db.progs) != 3 {
 		t.Fatalf("intern table holds %d program(s), want 3", len(db.progs))
 	}
-	if len(es.ests) != n {
-		t.Fatalf("estimator cache covers %d implementation(s), want %d", len(es.ests), n)
+	if len(es) != n {
+		t.Fatalf("estimator cache covers %d implementation(s), want %d", len(es), n)
 	}
-	for impl, p := range es.ests {
+	for impl, p := range es {
 		if p.area != db.progs[sources[0]] || (p.delay != db.progs[sources[1]] && p.delay != db.progs[sources[2]]) {
 			t.Fatalf("%s holds programs outside the intern table", impl)
 		}
 	}
 	// Registering a known source adds no program; a new one adds one.
-	db.noteEstimator("syn_000000", "delay", mustIntern(t, db, sources[2]))
+	// Both reach the cache as deltas, not rebuilds.
+	if err := store.Insert(TableImplementations, implRow(Impl{Name: "syn_000000"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterEstimator("syn_000000", "delay", sources[2]); err != nil {
+		t.Fatal(err)
+	}
 	if len(db.progs) != 3 {
 		t.Fatalf("a known source grew the intern table to %d", len(db.progs))
 	}
-	db.noteEstimator("syn_000000", "delay", mustIntern(t, db, "delay + 1"))
+	if err := db.RegisterEstimator("syn_000000", "delay", "delay + 1"); err != nil {
+		t.Fatal(err)
+	}
 	if len(db.progs) != 4 {
 		t.Fatalf("a new source left the intern table at %d, want 4", len(db.progs))
 	}
-	// The pinned snapshot kept the pair it had.
-	if es.ests["syn_000000"].delay != db.progs[sources[1]] {
-		t.Fatal("noteEstimator wrote through a pinned snapshot")
-	}
-}
-
-func mustIntern(t *testing.T, db *DB, src string) *estProg {
-	t.Helper()
-	p, err := db.intern(src)
+	now, err := db.est.get()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	if now["syn_000000"].delay != db.progs["delay + 1"] || db.est.rebuilds.Load() != 1 {
+		t.Fatalf("registration did not reach the cache as a delta (%d builds)", db.est.rebuilds.Load())
+	}
+	// The pinned snapshot kept the pair it had.
+	if es["syn_000000"].delay != db.progs[sources[1]] {
+		t.Fatal("a delta wrote through a pinned snapshot")
+	}
 }

@@ -194,7 +194,10 @@ func (db *DB) Explore(gen string, lo, hi, step int, fixed map[string]int, materi
 			if err != nil {
 				return nil, err
 			}
-			wa, wd := db.rankWeights()
+			wa, wd, err := db.RankWeights()
+			if err != nil {
+				return nil, err
+			}
 			pt.Area, pt.Delay, pt.Cost = im.Area, im.Delay, im.Area*wa+im.Delay*wd
 			pt.Impl, pt.Reused = im.Name, reused
 		} else {

@@ -10,6 +10,19 @@ func (db *DB) InternedPrograms() int {
 	return len(db.progs)
 }
 
+// CacheRebuilds reports, by relation, how many times the cache derived
+// from it has been built from a scan: the three stamped caches, and the
+// frontier cache's scope builds (cold and foreign) for explorations.
+func (db *DB) CacheRebuilds() map[string]uint64 {
+	info := db.ParetoCacheInfo()
+	return map[string]uint64{
+		TableImplementations: db.der.rebuilds.Load(),
+		TableEstimators:      db.est.rebuilds.Load(),
+		TableToolParams:      db.rank.rebuilds.Load(),
+		TableExplorations:    info.RebuildsCold + info.RebuildsForeign,
+	}
+}
+
 // FindAll runs q to completion and returns its answer in delivery order
 // with caller-owned implementations: ranked queries best first, streamed
 // ones in stream order.

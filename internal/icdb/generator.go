@@ -264,7 +264,10 @@ func (db *DB) GeneratorCost(g Generator, params map[string]int) (area, delay, co
 		vals[i] = v
 	}
 	area, delay = vals[0], vals[1]
-	wa, wd := db.rankWeights()
+	wa, wd, err := db.RankWeights()
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	return area, delay, area*wa + delay*wd, nil
 }
 
@@ -407,13 +410,9 @@ func (db *DB) RegisterEstimator(implName, attr, expr string) error {
 	if _, err := db.ImplByName(implName); err != nil {
 		return fmt.Errorf("icdb: estimator %s(%s): %w", attr, implName, err)
 	}
-	if err := db.store.Upsert(TableEstimators, relstore.Row{
-		"impl": implName, "attr": attr, "expr": expr,
-	}); err != nil {
-		return err
-	}
-	db.noteEstimator(implName, attr, p)
-	return nil
+	return db.est.upsert(relstore.Row{"impl": implName, "attr": attr, "expr": expr}, func(m estMap) {
+		m[implName] = m[implName].with(attr, p)
+	})
 }
 
 // Estimators returns the estimator expressions registered for one

@@ -96,7 +96,10 @@ func (db *DB) Pareto(q ParetoQuery, visit func(ParetoPoint) bool) error {
 		// path — not an empty answer.
 		return err
 	}
-	wa, wd := db.weights(q.AreaWeight, q.DelayWeight)
+	wa, wd, err := db.weights(q.AreaWeight, q.DelayWeight)
+	if err != nil {
+		return err
+	}
 	filtered := len(q.Constraints) != 0 || q.Width != 0
 	frontOnly := !q.Dominated && !filtered
 	view, frontier, err := db.scopeView(q, frontOnly)
@@ -180,28 +183,18 @@ func (db *DB) ParetoFrontier(q ParetoQuery) ([]ParetoPoint, error) {
 // engine keeps each query scope it has served — the whole relation, one
 // component type's points, one generator's — decoded and pointLess-
 // sorted, and keeps those scopes current across the database's own
-// writes instead of rebuilding them. The contract:
+// writes instead of rebuilding them. It follows the engine's one
+// cache-validity rule (see stamped), with the explorations relation's
+// generation as the stamp of every cached scope at once:
 //
-//   - explCache.gen is the explorations relation's generation
-//     (relstore.Store.TableGeneration) at which every cached scope
-//     equals the relation's contents. Writes to other relations never
-//     move that generation, so they never touch the cache.
-//   - Exactly two parties may set the stamp. A rebuild installs a scope
-//     it scanned together with the generation read off the very snapshot
-//     it scanned (ScanStamped). RecordExploration — the single funnel
-//     for Generate, EstimateImpl and Explore — advances the stamp from
-//     its upsert's Before to its After, and only when the stamp equals
-//     Before: no other mutation lies between the two, so appending the
-//     upsert's own delta to every cached scope the point belongs to
-//     keeps the invariant. It holds pmu from before the upsert until the
-//     delta is in: concurrent calls cannot reach the cache out of
-//     order, and no query can see the new generation with the old stamp.
-//   - Every other write — a direct Store() mutation, a delete, an
-//     update, a deferred journal replay at hydration — leaves the stamp
-//     behind the relation's generation. A query serves a scope only
-//     while the stamp has caught up with the generation it reads first;
-//     otherwise it rebuilds. The cache can therefore be stale
-//     (unusable), never wrong.
+//   - A rebuild installs a scope with the generation of the snapshot it
+//     scanned (ScanStamped); RecordExploration — the single funnel for
+//     Generate, EstimateImpl and Explore — moves the stamp from its
+//     upsert's Before to its After, appending its own delta to every
+//     cached scope the point belongs to, only when the stamp equals
+//     Before. It holds pmu from before the upsert until the delta is in,
+//     so no query sees the new generation with the old stamp. Any other
+//     write leaves the stamp behind, and the next query rebuilds.
 //   - Readers need no lock while streaming: a scope's folded state is an
 //     immutable explView. A delta is appended to the scope's pending
 //     lists (O(1) per write) and folded copy-on-write into a fresh view

@@ -48,7 +48,10 @@ func oracleAnswer(t *testing.T, db *DB, q ParetoQuery, keep func(*Exploration) b
 	if err := CheckFrontier(pts, mask); err != nil {
 		t.Fatalf("oracle frontier: %v", err)
 	}
-	wa, wd := db.RankWeights()
+	wa, wd, err := db.RankWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []ParetoPoint
 	for i := range pts {
 		p := ParetoPoint{Exploration: pts[i], Cost: pts[i].Area*wa + pts[i].Delay*wd}

@@ -331,51 +331,28 @@ func (k sortKey) rank(im *Impl, area, delay, cost float64) float64 {
 // parameters area_weight and delay_weight of tool "icdb", each
 // defaulting to 1 when unset. Queries score candidates
 // Area*area + Delay*delay with these weights unless the query overrides
-// them (Query.AreaWeight, Query.DelayWeight).
-func (db *DB) RankWeights() (area, delay float64) { return db.rankWeights() }
-
-// rankWeights reads the ranking weights from the tool-parameters
-// relation. They are cached on the DB and refreshed after SetToolParam,
-// so a query pays for at most one tool-parameter read, not one per
-// candidate or per call. A reader installs what it read only if no
-// invalidation (wVer) came between its check and its install: otherwise
-// a SetToolParam committing after the store read could have its new
-// value overwritten by the old one, cached until the next write.
-func (db *DB) rankWeights() (wa, wd float64) {
-	db.cmu.RLock()
-	if db.wOK {
-		wa, wd = db.wa, db.wd
-		db.cmu.RUnlock()
-		return wa, wd
-	}
-	ver := db.wVer
-	db.cmu.RUnlock()
-	wa, wd = 1, 1
-	if v, ok := db.ToolParam("icdb", "area_weight"); ok {
-		wa = v
-	}
-	if v, ok := db.ToolParam("icdb", "delay_weight"); ok {
-		wd = v
-	}
-	db.cmu.Lock()
-	if db.wVer == ver {
-		db.wa, db.wd, db.wOK = wa, wd, true
-	}
-	db.cmu.Unlock()
-	return wa, wd
+// them (Query.AreaWeight, Query.DelayWeight). They are a stamped cache
+// over the tool-parameters relation, so a query reads them once per
+// SetToolParam or direct write, not once per call; a relation that
+// cannot be read is an error, never the defaults.
+func (db *DB) RankWeights() (area, delay float64, err error) {
+	w, err := db.rank.get()
+	return w.area, w.delay, err
 }
 
 // weights resolves one query's ranking weights: each override when set,
 // otherwise the database default.
-func (db *DB) weights(area, delay *float64) (wa, wd float64) {
-	wa, wd = db.rankWeights()
+func (db *DB) weights(area, delay *float64) (wa, wd float64, err error) {
+	if wa, wd, err = db.RankWeights(); err != nil {
+		return 0, 0, err
+	}
 	if area != nil {
 		wa = *area
 	}
 	if delay != nil {
 		wd = *delay
 	}
-	return wa, wd
+	return wa, wd, nil
 }
 
 // Find runs q, yielding each answer to visit; visit returning false stops
@@ -403,7 +380,7 @@ func (db *DB) Find(q Query, visit func(Candidate) bool) error {
 	if err != nil {
 		return err
 	}
-	d, err := db.derivedSnap()
+	d, err := db.der.get()
 	if err != nil {
 		return err
 	}
@@ -520,7 +497,7 @@ outer:
 // the scalar engine, attributes read straight off the implementation; a
 // positive width evaluates estimator expressions there — and the one
 // slot vector every candidate is loaded into in turn. It reads the
-// compiled estimators of one pinned estCache snapshot, so one query sees
+// compiled estimators of one pinned estMap snapshot, so one query sees
 // one consistent (implementation, estimator) pairing end to end.
 type attrEval struct {
 	cs     []Constraint
@@ -540,13 +517,14 @@ func (db *DB) newAttrEval(cs []Constraint, width int, wArea, wDelay *float64) (*
 		return nil, err
 	}
 	ev := &attrEval{cs: cs, width: width}
-	ev.wa, ev.wd = db.weights(wArea, wDelay)
+	var err error
+	if ev.wa, ev.wd, err = db.weights(wArea, wDelay); err != nil {
+		return nil, err
+	}
 	if width != 0 {
-		es, err := db.estSnap()
-		if err != nil {
+		if ev.ests, err = db.est.get(); err != nil {
 			return nil, err
 		}
-		ev.ests = es.ests
 	}
 	return ev, nil
 }

@@ -62,7 +62,9 @@ func TestInvertedIndexFollowsReRegistration(t *testing.T) {
 }
 
 // TestInvalidateCachesSeesDirectStoreWrites: a row written behind the
-// DB's back is invisible to function queries until InvalidateCaches.
+// DB's back — inserted, updated, deleted directly through Store() — is
+// seen by the very next query, with no InvalidateCaches: the indexes'
+// stamp falls behind the relation's generation and the query rebuilds.
 func TestInvalidateCachesSeesDirectStoreWrites(t *testing.T) {
 	db := openDB(t)
 	// Warm the indexes.
@@ -78,29 +80,47 @@ func TestInvalidateCachesSeesDirectStoreWrites(t *testing.T) {
 		Params: []string{"size"},
 		Source: "NAME: rogue_add; PARAMETER: size; INORDER: a; OUTORDER: s; { s = a; }",
 	}
+	// rogueArea is rogue_add's area in the cost-ranked ADD answer, or -1
+	// when it is absent.
+	rogueArea := func() float64 {
+		t.Helper()
+		cands, err := db.FindAll(byCost(genus.FuncADD))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cands {
+			if c.Impl.Name == "rogue_add" {
+				return c.Area
+			}
+		}
+		return -1
+	}
 	if err := db.Store().Upsert(TableImplementations, implRow(rogue)); err != nil {
 		t.Fatal(err)
 	}
-	cands, err := db.FindAll(byCost(genus.FuncADD))
-	if err != nil {
+	if a := rogueArea(); a != 0.5 {
+		t.Fatalf("after a direct upsert rogue_add has area %g, want 0.5", a)
+	}
+	if _, err := db.Store().Update(TableImplementations, relstore.Eq("name", "rogue_add"), func(r relstore.Row) relstore.Row {
+		r["area"] = 7.0
+		return r
+	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cands {
-		if c.Impl.Name == "rogue_add" {
-			t.Fatal("stale index already serves the direct write (test premise broken)")
-		}
+	if a := rogueArea(); a != 7 {
+		t.Fatalf("after a direct update rogue_add has area %g, want 7", a)
 	}
-	db.InvalidateCaches()
-	cands, err = db.FindAll(byCost(genus.FuncADD))
-	if err != nil {
+	if im, err := db.ImplByName("rogue_add"); err != nil || im.Area != 7 {
+		t.Fatalf("ImplByName after a direct update = %+v, %v", im, err)
+	}
+	if _, err := db.Store().Delete(TableImplementations, relstore.Eq("name", "rogue_add")); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, c := range cands {
-		found = found || c.Impl.Name == "rogue_add"
+	if a := rogueArea(); a != -1 {
+		t.Fatalf("after a direct delete rogue_add still answers, area %g", a)
 	}
-	if !found {
-		t.Error("rogue_add invisible after InvalidateCaches")
+	if _, err := db.ImplByName("rogue_add"); err == nil {
+		t.Fatal("ImplByName still finds rogue_add after a direct delete")
 	}
 }
 

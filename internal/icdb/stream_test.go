@@ -277,8 +277,8 @@ func TestDBSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameCandidates(t, ranked(t, db2, q), want)
-	if v, ok := db2.ToolParam("icdb", "area_weight"); !ok || v != 3 {
-		t.Errorf("tool param after snapshot reload = %v, %v", v, ok)
+	if wa, _, err := db2.RankWeights(); err != nil || wa != 3 {
+		t.Errorf("area weight after snapshot reload = %v, %v", wa, err)
 	}
 }
 

@@ -130,11 +130,17 @@ func newFullScan(db *icdb.DB) (*fullScan, error) {
 		return nil, err
 	}
 	f := &fullScan{impls: impls, ests: map[string]map[string]iif.Expr{}, wa: 1, wd: 1}
-	if v, ok := db.ToolParam("icdb", "area_weight"); ok {
-		f.wa = v
+	params, err := db.Store().Select(icdb.TableToolParams, relstore.Eq("tool", "icdb"))
+	if err != nil {
+		return nil, err
 	}
-	if v, ok := db.ToolParam("icdb", "delay_weight"); ok {
-		f.wd = v
+	for _, r := range params {
+		switch r["param"] {
+		case "area_weight":
+			f.wa = r["value"].(float64)
+		case "delay_weight":
+			f.wd = r["value"].(float64)
+		}
 	}
 	for _, im := range impls {
 		srcs, err := db.Estimators(im.Name)

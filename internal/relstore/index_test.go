@@ -40,7 +40,7 @@ func checkIndexConsistency(t *testing.T, s *Store, tableName string) {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d := s.tables[tableName].data
+	d := s.tableMap()[tableName].data
 	if len(d.ids) != len(d.rows) {
 		t.Fatalf("ids slice has %d entries, rows map %d", len(d.ids), len(d.rows))
 	}

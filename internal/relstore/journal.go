@@ -478,7 +478,7 @@ func OpenDurable(path string, opt DurableOptions) (*Durable, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("relstore: open durable: %w", err)
 	}
-	for name, t := range s.tables {
+	for name, t := range s.tableMap() {
 		if t.pending != nil && t.pending.err != nil {
 			// A poisoned lazy stub carries a placeholder schema; its real
 			// one is unreadable. Let the open proceed — the section's
@@ -565,7 +565,7 @@ func OpenDurable(path string, opt DurableOptions) (*Durable, error) {
 		// (create/drop table) and records for live tables apply now; a
 		// record naming a missing table still fails loudly here.
 		if name, ok := walRecordTarget(payload); ok {
-			if t, exists := s.tables[name]; exists && t.pending != nil {
+			if t, exists := s.tableMap()[name]; exists && t.pending != nil {
 				t.pending.deferred = append(t.pending.deferred, payload)
 				s.deferredPending++
 				deferredCount++
@@ -1061,7 +1061,7 @@ func (s *Store) replayUpdateBatchLocked(name string, oldKeys []string, rows []Ro
 		wd.indexAdd(c.id, c.nr)
 	}
 	wd.keyIndex = newKeys
-	s.touch(wd)
+	s.touch(t)
 	return nil
 }
 
@@ -1099,6 +1099,6 @@ func (s *Store) replayDeleteBatchLocked(name string, keys []string) error {
 		}
 	}
 	wd.ids = live
-	s.touch(wd)
+	s.touch(t)
 	return nil
 }

@@ -50,7 +50,7 @@ type pendingSection struct {
 func (s *Store) hydrate(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tables[name]; ok {
+	if t, ok := s.tableMap()[name]; ok {
 		return s.hydrateLocked(t)
 	}
 	return nil
@@ -108,7 +108,7 @@ func (s *Store) hydrateLocked(t *table) error {
 // tableLocked returns the named table, hydrated. It is the lookup every
 // mutator goes through; the caller holds the write lock.
 func (s *Store) tableLocked(name string) (*table, error) {
-	t, ok := s.tables[name]
+	t, ok := s.tableMap()[name]
 	if !ok {
 		return nil, fmt.Errorf("relstore: no table %q", name)
 	}
@@ -132,15 +132,15 @@ func (s *Store) HydrateAll() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.tables))
-	for n, t := range s.tables {
+	names := make([]string, 0, len(s.tableMap()))
+	for n, t := range s.tableMap() {
 		if t.pending != nil {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if err := s.hydrateLocked(s.tables[n]); err != nil {
+		if err := s.hydrateLocked(s.tableMap()[n]); err != nil {
 			return err
 		}
 	}
@@ -176,8 +176,8 @@ type LazyInfo struct {
 func (s *Store) LazyInfo() LazyInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	li := LazyInfo{Lazy: s.lazy, Tables: len(s.tables)}
-	for n, t := range s.tables {
+	li := LazyInfo{Lazy: s.lazy, Tables: len(s.tableMap())}
+	for n, t := range s.tableMap() {
 		if t.pending != nil {
 			li.PendingTables = append(li.PendingTables, n)
 		}

@@ -47,13 +47,15 @@
 //
 // Generation counts effective mutations store-wide; TableGeneration is
 // the same counter's value at one table's own last effective mutation,
-// carried inside the table's read snapshot. A caller that derives state
-// from one relation stamps it with that relation's generation —
-// ScanStamped returns the stamp of exactly the snapshot it iterated,
-// UpsertStamped the stamps on either side of its write plus the row it
-// replaced — and can then keep the derived state current across its own
-// writes, and detect anyone else's, without being disturbed by writes
-// to other tables.
+// carried inside the table's read snapshot and published beside it, so
+// TableGeneration reads it without the store lock: checking a stamp
+// never waits for a writer, even one holding the write lock across a
+// journal fsync. A caller that derives state from one relation stamps
+// it with that relation's generation — ScanStamped returns the stamp of
+// exactly the snapshot it iterated, UpsertStamped the stamps on either
+// side of its write plus the row it replaced — and can then keep the
+// derived state current across its own writes, and detect anyone
+// else's, without being disturbed by writes to other tables.
 //
 // Invariants the index machinery maintains (and tests assert):
 //
@@ -73,6 +75,7 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -223,6 +226,9 @@ type table struct {
 	// the store's write lock, so readers may check it under the read
 	// lock before pinning data.
 	pending *pendingSection
+	// gen publishes data.gen for TableGeneration, which reads it with no
+	// lock; touch stores both.
+	gen atomic.Uint64
 }
 
 // writable returns the table's data for in-place mutation, first cloning
@@ -240,7 +246,7 @@ func (t *table) writable() *tableData {
 // the iterating reads.
 type Store struct {
 	mu     sync.RWMutex
-	tables map[string]*table
+	tables atomic.Pointer[map[string]*table] // see tableMap
 
 	// gen counts effective mutations (see Generation). It is bumped
 	// under the write lock, after a mutation applies; every bump but
@@ -281,19 +287,38 @@ func (s *Store) Generation() uint64 { return s.gen.Load() }
 // so a cache of one relation's contents stamped with this value is
 // current exactly while the value still reads the same. A lazily opened
 // table that nothing has touched reports its stamp without hydrating.
+// It takes no lock (see the package comment, Generations).
 func (s *Store) TableGeneration(tableName string) (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[tableName]
+	t, ok := s.tableMap()[tableName]
 	if !ok {
 		return 0, fmt.Errorf("relstore: no table %q", tableName)
 	}
-	return t.data.gen, nil
+	return t.gen.Load(), nil
 }
 
-// touch stamps d — the writable data of the table a mutation just
-// applied to — with a fresh generation. The caller holds the write lock.
-func (s *Store) touch(d *tableData) { d.gen = s.gen.Add(1) }
+// touch stamps t's data — writable, a mutation just applied to it — with
+// a fresh generation and publishes it. The caller holds the write lock.
+func (s *Store) touch(t *table) {
+	t.data.gen = s.gen.Add(1)
+	t.gen.Store(t.data.gen)
+}
+
+// tableMap returns the published name -> table map. It is never mutated
+// once published — create, drop and the snapshot decoders install a
+// copy — so it may be read with or without the store lock.
+func (s *Store) tableMap() map[string]*table { return *s.tables.Load() }
+
+// setTable publishes a copy of the table map with name bound to t, or
+// unbound when t is nil. The caller holds the write lock.
+func (s *Store) setTable(name string, t *table) {
+	m := maps.Clone(s.tableMap())
+	if t == nil {
+		delete(m, name)
+	} else {
+		m[name] = t
+	}
+	s.tables.Store(&m)
+}
 
 // rowsEqual reports whether two canonical rows hold identical values.
 // Canonical values are comparable scalars (string, int, float64,
@@ -312,7 +337,9 @@ func rowsEqual(a, b Row) bool {
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{tables: make(map[string]*table)}
+	s := &Store{}
+	s.tables.Store(&map[string]*table{})
+	return s
 }
 
 // snapshot pins and returns the current read snapshot of tableName. From
@@ -322,7 +349,7 @@ func New() *Store {
 // types) the planner needs.
 func (s *Store) snapshot(tableName string) (*table, *tableData, error) {
 	s.mu.RLock()
-	t, ok := s.tables[tableName]
+	t, ok := s.tableMap()[tableName]
 	if ok && t.pending != nil {
 		// Cold table: hydrate under the write lock, then re-pin. pending
 		// only transitions non-nil -> nil (under the write lock), so the
@@ -334,7 +361,7 @@ func (s *Store) snapshot(tableName string) (*table, *tableData, error) {
 			return nil, nil, err
 		}
 		s.mu.RLock()
-		t, ok = s.tables[tableName]
+		t, ok = s.tableMap()[tableName]
 	}
 	defer s.mu.RUnlock()
 	if !ok {
@@ -358,7 +385,7 @@ func (s *Store) createTableLocked(sc Schema) error {
 	if sc.Table == "" {
 		return fmt.Errorf("relstore: empty table name")
 	}
-	if _, ok := s.tables[sc.Table]; ok {
+	if _, ok := s.tableMap()[sc.Table]; ok {
 		return fmt.Errorf("relstore: table %q already exists", sc.Table)
 	}
 	t, err := newTable(sc)
@@ -374,8 +401,10 @@ func (s *Store) createTableLocked(sc Schema) error {
 	}); err != nil {
 		return err
 	}
-	s.tables[sc.Table] = t
-	s.touch(t.data)
+	// Stamp before publishing: a lock-free TableGeneration must never see
+	// the new table before its stamp exceeds its predecessor's.
+	s.touch(t)
+	s.setTable(sc.Table, t)
 	return nil
 }
 
@@ -495,7 +524,7 @@ func (s *Store) createIndexLocked(tableName string, cols []string) error {
 	}
 	// Record the index in the schema so a snapshot round-trip rebuilds it.
 	t.schema.Indexes = append(t.schema.Indexes, Index{Columns: append([]string(nil), cols...)})
-	s.touch(d)
+	s.touch(t)
 	return nil
 }
 
@@ -508,7 +537,7 @@ func (s *Store) DropTable(name string) error {
 }
 
 func (s *Store) dropTableLocked(name string) error {
-	t, ok := s.tables[name]
+	t, ok := s.tableMap()[name]
 	if !ok {
 		return fmt.Errorf("relstore: no table %q", name)
 	}
@@ -524,28 +553,21 @@ func (s *Store) dropTableLocked(name string) error {
 	if t.pending != nil {
 		s.deferredPending -= int64(len(t.pending.deferred))
 	}
-	delete(s.tables, name)
+	s.setTable(name, nil)
 	s.gen.Add(1)
 	return nil
 }
 
 // Tables returns the table names in sorted order.
 func (s *Store) Tables() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(s.tableMap()))
 }
 
 // SchemaOf returns the schema of table name.
 func (s *Store) SchemaOf(name string) (Schema, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, ok := s.tables[name]
+	t, ok := s.tableMap()[name]
 	if !ok {
 		return Schema{}, fmt.Errorf("relstore: no table %q", name)
 	}
@@ -754,7 +776,7 @@ func (s *Store) insertLocked(tableName string, r Row) error {
 	d.ids = append(d.ids, t.nextID)
 	d.indexAdd(t.nextID, cr)
 	t.nextID++
-	s.touch(d)
+	s.touch(t)
 	return nil
 }
 
@@ -832,7 +854,7 @@ func (s *Store) upsertLocked(tableName string, r Row) (UpsertResult, error) {
 	}
 	d.rows[id] = cr
 	d.indexAdd(id, cr)
-	s.touch(d)
+	s.touch(t)
 	res.After = d.gen
 	return res, nil
 }
@@ -893,7 +915,7 @@ func (s *Store) SelectOne(tableName string, p Pred) (Row, error) {
 // pinned — a point lookup runs no user code and finishes immediately).
 func (s *Store) Get(tableName string, keyVals ...any) (Row, error) {
 	s.mu.RLock()
-	t, ok := s.tables[tableName]
+	t, ok := s.tableMap()[tableName]
 	if ok && t.pending != nil {
 		// Cold table: hydrate and retry, same dance as snapshot().
 		s.mu.RUnlock()
@@ -901,7 +923,7 @@ func (s *Store) Get(tableName string, keyVals ...any) (Row, error) {
 			return nil, err
 		}
 		s.mu.RLock()
-		t, ok = s.tables[tableName]
+		t, ok = s.tableMap()[tableName]
 	}
 	defer s.mu.RUnlock()
 	if !ok {
@@ -1059,7 +1081,7 @@ func (s *Store) updateLocked(tableName string, p Pred, fn func(Row) Row) (int, e
 	if len(t.schema.Key) > 0 {
 		wd.keyIndex = newKeys
 	}
-	s.touch(wd)
+	s.touch(t)
 	return len(changes), nil
 }
 
@@ -1125,7 +1147,7 @@ func (s *Store) deleteLocked(tableName string, p Pred) (int, error) {
 		}
 	}
 	wd.ids = live
-	s.touch(wd)
+	s.touch(t)
 	return len(removed), nil
 }
 

@@ -130,7 +130,7 @@ func (s *Store) SaveSnapshot(path string) error {
 // encoded rows) and zero otherwise — a plain store has no journal to
 // cover.
 func (s *Store) encodeSnapshot() ([]byte, error) {
-	for name, t := range s.tables {
+	for name, t := range s.tableMap() {
 		if t.pending != nil {
 			return nil, fmt.Errorf("table %q is still pending hydration (HydrateAll before encoding)", name)
 		}
@@ -140,8 +140,8 @@ func (s *Store) encodeSnapshot() ([]byte, error) {
 		base, records, _ := s.wal.position()
 		lsn = uint64(base + records)
 	}
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
+	names := make([]string, 0, len(s.tableMap()))
+	for n := range s.tableMap() {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -153,7 +153,7 @@ func (s *Store) encodeSnapshot() ([]byte, error) {
 	secSize := make([]int, len(names))
 	total := snapHeaderLen + 8 + 4 // header + covered LSN + table count
 	for i, n := range names {
-		sz, err := s.tables[n].sectionSize()
+		sz, err := s.tableMap()[n].sectionSize()
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +184,7 @@ func (s *Store) encodeSnapshot() ([]byte, error) {
 	w.u32(0) // directory CRC, backpatched
 	for i, n := range names {
 		start := buf.Len()
-		if err := s.tables[n].encodeSection(w); err != nil {
+		if err := s.tableMap()[n].encodeSection(w); err != nil {
 			return nil, err
 		}
 		if got := buf.Len() - start; got != secSize[i] {
@@ -411,11 +411,13 @@ func decodeSnapshot(data []byte, opt SnapshotOptions) (*Store, uint64, error) {
 		return nil, 0, err
 	}
 	s := New()
+	m := make(map[string]*table, len(entries))
 	if opt.Mode == OpenLazy {
 		s.lazy = true
 		for _, e := range entries {
-			s.tables[e.name] = lazyStub(e, data[e.off:e.off+e.len])
+			m[e.name] = lazyStub(e, data[e.off:e.off+e.len])
 		}
+		s.tables.Store(&m)
 		return s, lsn, nil
 	}
 	workers := opt.Workers
@@ -463,8 +465,9 @@ func decodeSnapshot(data []byte, opt SnapshotOptions) (*Store, uint64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		s.tables[entries[i].name] = tables[i]
+		m[entries[i].name] = tables[i]
 	}
+	s.tables.Store(&m)
 	return s, lsn, nil
 }
 

@@ -108,6 +108,55 @@ func TestTableGenerationMonotonicAcrossDropRecreate(t *testing.T) {
 	}
 }
 
+// TestTableGenerationStampMonotoneUnderCreateDrop reads stamps with no
+// lock while a writer drops, re-creates and fills a table: every read of
+// a live table is at least the last one, across re-creations too.
+func TestTableGenerationStampMonotoneUnderCreateDrop(t *testing.T) {
+	s := concStore(t, 4)
+	sc, err := s.SchemaOf("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g, err := s.TableGeneration("t")
+				if err != nil {
+					continue // between drop and create
+				}
+				if g < last {
+					t.Errorf("stamp went back from %d to %d", last, g)
+					return
+				}
+				last = g
+			}
+		}()
+	}
+	for round := 0; round < 200; round++ {
+		if err := s.DropTable("t"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateTable(sc); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert("t", Row{"name": "x", "grp": round, "val": 1.0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestUpsertStampedReportsDelta pins UpsertStamped's three outcomes.
 func TestUpsertStampedReportsDelta(t *testing.T) {
 	s := concStore(t, 2)
