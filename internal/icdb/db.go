@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"icdb/internal/genus"
 	"icdb/internal/iif"
@@ -181,13 +181,15 @@ func (im Impl) Attrs() Attrs {
 // DB is the component database engine. It wraps a relstore.Store holding
 // the four ICDB relations and serializes read-modify-write sequences.
 //
-// On top of the store, a DB keeps read-path caches, each derived from one
-// relation and stamped with its generation (see stamped): decoded
+// On top of the store, a DB keeps its read state in one catalog, a part
+// per relation stamped with that relation's generation: decoded
 // implementations with inverted indexes from function and component type,
 // so query-by-function intersects posting lists instead of scanning the
 // implementations relation; the compiled estimators; the ranking weights;
-// the frontier's design-point scopes. A query rebuilds any cache whose
-// stamp has fallen behind, so every write is seen, whichever path it took.
+// the frontier's design-point scopes. A query pins the catalog once and
+// checks every part it reads after the pin, so every write is seen,
+// whichever path it took, and every answer comes from one state of the
+// store (see catalog).
 type DB struct {
 	store *relstore.Store
 	mu    sync.Mutex
@@ -195,36 +197,38 @@ type DB struct {
 	// computed from the store (guarded by mu).
 	nextInstID int
 
-	// The stamped caches, each built from a scan of only its own relation:
-	// a width-free query touches implementations but never estimators, and
-	// a lazily opened store (relstore.OpenLazy) hydrates only the relations
-	// the session's queries actually reach.
-	der  *stamped[*derived]    // impl cache + inverted indexes (implementations)
-	est  *stamped[estMap]      // per-implementation estimator programs (estimators)
-	rank *stamped[rankWeights] // database-default ranking weights (tool_params)
-	wmu  sync.Mutex            // their shared writer mutex (see stamped.wmu)
+	// catMu guards cat, held only to pin, swap or (unshared) update its
+	// parts; wmu serializes what moves a stamp (see catalog). rebuilds
+	// counts the scan builds per part.
+	catMu    sync.RWMutex
+	cat      catalog
+	wmu      sync.Mutex
+	rebuilds [numParts]atomic.Uint64
+	// afterPin, when set, runs in every read between its pin and its
+	// checks: the seam the one-version tests write through.
+	afterPin func()
 
 	// cmu guards progs, which interns estimator expressions by source
 	// text: one parsed and compiled program per distinct expression, shared
-	// by every implementation (est) and generator (GeneratorCost) that
-	// carries it. A program is a pure function of its source, so the table
-	// is never stale and InvalidateCaches leaves it alone; it holds what the
-	// estimators and generators relations hold, de-duplicated. Programs are
-	// immutable once published; the map is written under cmu.Lock only.
+	// by every implementation (the estimators part) and generator
+	// (GeneratorCost) that carries it. A program is a pure function of its
+	// source, so the table is never stale and InvalidateCaches leaves it
+	// alone; it holds what the estimators and generators relations hold,
+	// de-duplicated. Programs are immutable once published; the map is
+	// written under cmu.Lock only.
 	cmu   sync.RWMutex
 	progs map[string]*estProg
 
 	// pmu guards the frontier engine's design-point cache and its
 	// counters: decoded, sweep-ordered exploration sets per query scope,
-	// stamped with the explorations relation's own generation — the same
-	// rule as the stamped caches, kept per scope (the contract is spelled
-	// out at explCache in pareto.go). Queries hold pmu only for pointer
-	// swaps, folds and frontier merges, never across a store call or a
-	// visitor; RecordExploration holds it across its one upsert, so that
-	// upsert and delta are one step to everybody else.
+	// stamped with the explorations relation's own generation — the
+	// catalog's rule, kept per scope (the contract is spelled out at
+	// explCache in pareto.go). pmu is held only for pointer swaps, folds,
+	// frontier merges and deltas, never across a store call or a visitor.
 	pmu      sync.Mutex
 	expl     *explCache
 	explInfo ParetoCacheInfo
+	explHits atomic.Uint64 // ParetoCacheInfo.Hits, counted by read
 }
 
 // derived is one snapshot of the DB's read-path state over the
@@ -232,7 +236,7 @@ type DB struct {
 // inverted indexes. Cached *Impl values are shared between snapshots and
 // treated as immutable; RegisterImpl's delta swaps in fresh values
 // instead of editing in place, on a clone once a reader has pinned the
-// snapshot (see stamped).
+// snapshot (see catalog).
 type derived struct {
 	impls map[string]*Impl                         // name -> decoded implementation
 	byFn  map[genus.Function]map[string]*Impl      // function -> posting map
@@ -257,85 +261,25 @@ func newDerived() *derived {
 // The clone starts unshared: the writer owns it until the next reader
 // pins it.
 func (d *derived) clone() *derived {
-	nd := &derived{
-		order: slices.Clone(d.order),
-		impls: make(map[string]*Impl, len(d.impls)),
-		byFn:  make(map[genus.Function]map[string]*Impl, len(d.byFn)),
-		byCt:  make(map[genus.ComponentType]map[string]*Impl, len(d.byCt)),
+	nd := &derived{order: slices.Clone(d.order), impls: maps.Clone(d.impls), byFn: maps.Clone(d.byFn), byCt: maps.Clone(d.byCt)}
+	for f, post := range nd.byFn {
+		nd.byFn[f] = maps.Clone(post)
 	}
-	for k, v := range d.impls {
-		nd.impls[k] = v
-	}
-	for f, post := range d.byFn {
-		np := make(map[string]*Impl, len(post))
-		for k, v := range post {
-			np[k] = v
-		}
-		nd.byFn[f] = np
-	}
-	for ct, post := range d.byCt {
-		np := make(map[string]*Impl, len(post))
-		for k, v := range post {
-			np[k] = v
-		}
-		nd.byCt[ct] = np
+	for ct, post := range nd.byCt {
+		nd.byCt[ct] = maps.Clone(post)
 	}
 	return nd
-}
-
-// scanImpls builds the decoded-implementation cache and the inverted
-// indexes from one stamped no-copy scan of the implementations relation.
-func (db *DB) scanImpls() (*derived, uint64, error) {
-	d := newDerived()
-	gen, err := db.store.ScanStamped(TableImplementations, nil, func(r relstore.Row) bool {
-		im := rowImpl(r)
-		d.index(&im)
-		return true
-	})
-	return d, gen, err
 }
 
 // estMap is the estimator half of the derived state: which compiled
 // program predicts each implementation's area and delay, by
 // implementation name. It is built from a scan of only the estimators
-// relation (scanEstimators) — independently of the implementation
-// indexes, so width-free queries and sessions that never evaluate a
-// width point leave the estimators relation untouched (and, under a lazy
-// open, undecoded). The entries are by-value pointer pairs into
+// relation — independently of the implementation indexes, so width-free
+// queries and sessions that never evaluate a width point leave the
+// estimators relation untouched (and, under a lazy open, undecoded). The entries are by-value pointer pairs into
 // DB.progs: a catalog of 100k implementations sharing three expressions
 // holds three programs, not 200k syntax trees.
 type estMap map[string]estPair
-
-func (m estMap) clone() estMap { return maps.Clone(m) }
-
-// scanEstimators builds the estimator cache from one stamped scan of the
-// estimators relation. Each row costs a lookup of its expression in the
-// intern table; only a source text not seen before is parsed and
-// compiled.
-func (db *DB) scanEstimators() (estMap, uint64, error) {
-	// Sized up front (one entry per implementation, a row per attribute):
-	// growing a map to catalog size leaves as much garbage as the map.
-	rows, err := db.store.Count(TableEstimators, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	m := make(estMap, rows/len(EstimatorAttrs()))
-	var estErr error
-	gen, err := db.store.ScanStamped(TableEstimators, nil, func(r relstore.Row) bool {
-		impl, attr := asString(r["impl"]), asString(r["attr"])
-		p, perr := db.intern(asString(r["expr"]))
-		if perr != nil {
-			estErr = fmt.Errorf("icdb: estimator %s(%s): %w", attr, impl, perr)
-			return false
-		}
-		m[impl] = m[impl].with(attr, p)
-		return true
-	})
-	if err == nil {
-		err = estErr
-	}
-	return m, gen, err
-}
 
 // estPair holds one implementation's estimator programs; a nil program
 // means no estimator is registered for that attribute and the scalar
@@ -358,9 +302,6 @@ type estPair struct {
 // seeding probes, which is also what backfills the new relations.
 func Open(store *relstore.Store) (*DB, error) {
 	db := &DB{store: store}
-	db.der = newStamped(store, &db.wmu, TableImplementations, db.scanImpls)
-	db.est = newStamped(store, &db.wmu, TableEstimators, db.scanEstimators)
-	db.rank = newStamped(store, &db.wmu, TableToolParams, db.scanWeights)
 	complete := true
 	for _, sc := range Schemas() {
 		if _, err := store.SchemaOf(sc.Table); err == nil {
@@ -432,9 +373,9 @@ func (db *DB) Store() *relstore.Store { return db.store }
 // whose relation changed behind its back rebuilds by itself — so it only
 // releases memory or forces a cold start.
 func (db *DB) InvalidateCaches() {
-	db.der.drop()
-	db.est.drop()
-	db.rank.drop()
+	db.catMu.Lock()
+	db.cat = catalog{}
+	db.catMu.Unlock()
 	db.pmu.Lock()
 	db.expl = nil
 	db.pmu.Unlock()
@@ -540,12 +481,8 @@ func (db *DB) RegisterImpl(im Impl) error {
 	if len(im.Functions) == 0 {
 		return fmt.Errorf("icdb: %s: implementation executes no functions", im.Name)
 	}
-	allowed := make(map[genus.Function]bool)
-	for _, f := range genus.Functions(ct) {
-		allowed[f] = true
-	}
 	for _, f := range im.Functions {
-		if !allowed[f] {
+		if !slices.Contains(genus.Functions(ct), f) {
 			return fmt.Errorf("icdb: %s: function %s not executable by component type %s", im.Name, f, ct)
 		}
 	}
@@ -569,26 +506,19 @@ func (db *DB) RegisterImpl(im Impl) error {
 	// as decoded from the row just stored (function set in canonical
 	// order, caller-independent slices), exactly what a cache rebuilt
 	// from the relation would hold.
-	return db.der.upsert(row, func(d *derived) {
+	return db.upsert(partImpls, row, func(v any, shared bool) any {
+		d := v.(*derived)
+		if shared {
+			d = d.clone()
+		}
 		im := rowImpl(row)
 		d.index(&im)
+		return d
 	})
 }
 
 func sameNameSet(a, b []string) bool {
-	as := append([]string(nil), a...)
-	bs := append([]string(nil), b...)
-	sort.Strings(as)
-	sort.Strings(bs)
-	if len(as) != len(bs) {
-		return false
-	}
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b)))
 }
 
 func implRow(im Impl) relstore.Row {
@@ -678,7 +608,13 @@ func asFloat(v any) float64 {
 // never a rebuild).
 func (db *DB) ImplByName(name string) (Impl, error) {
 	var p *Impl
-	db.der.peek(func(d *derived) { p = d.impls[name] })
+	if gen, err := db.store.TableGeneration(TableImplementations); err == nil {
+		db.catMu.RLock()
+		if pt := db.cat[partImpls]; pt != nil && pt.gen == gen {
+			p = pt.val.(*derived).impls[name]
+		}
+		db.catMu.RUnlock()
+	}
 	if p != nil {
 		return p.Clone(), nil // cached *Impl values are immutable
 	}
@@ -713,11 +649,11 @@ func (db *DB) Impls() ([]Impl, error) {
 // own value (read-only; Clone to retain), and visit may call back into
 // the DB (see Find).
 func (db *DB) ImplsScan(visit func(*Impl) bool) error {
-	d, err := db.der.get()
+	r, err := db.read(needImpls, nil)
 	if err != nil {
 		return err
 	}
-	return (&Query{}).each(d, visit) // the zero Query walks the cache in insertion order
+	return (&Query{}).each(r.impls(), visit) // the zero Query walks the cache in insertion order
 }
 
 // ComponentFunctions reads the components relation: the function set
@@ -749,23 +685,15 @@ func (db *DB) SetToolParam(tool, param string, value float64) error {
 // rankWeights is the database-default ranking weight pair.
 type rankWeights struct{ area, delay float64 }
 
-func (w rankWeights) clone() rankWeights { return w }
-
-// scanWeights reads the database-default ranking weights — tool "icdb"'s
-// area_weight and delay_weight, each 1 when unset — from one stamped
-// scan of the tool-parameters relation, so a relation that cannot be
-// read (a corrupt lazy section) fails the query instead of ranking with
-// the defaults.
-func (db *DB) scanWeights() (rankWeights, uint64, error) {
-	w := rankWeights{area: 1, delay: 1}
-	gen, err := db.store.ScanStamped(TableToolParams, relstore.Eq("tool", "icdb"), func(r relstore.Row) bool {
-		switch asString(r["param"]) {
-		case "area_weight":
-			w.area = asFloat(r["value"])
-		case "delay_weight":
-			w.delay = asFloat(r["value"])
-		}
-		return true
-	})
-	return w, gen, err
+// with resolves one query's ranking weights: each override when set,
+// otherwise the database default.
+func (w rankWeights) with(area, delay *float64) (wa, wd float64) {
+	wa, wd = w.area, w.delay
+	if area != nil {
+		wa = *area
+	}
+	if delay != nil {
+		wd = *delay
+	}
+	return wa, wd
 }

@@ -198,10 +198,11 @@ func TestEstimatorCacheInternsPrograms(t *testing.T) {
 			}
 		}
 	}
-	es, err := db.est.get()
+	r, err := db.read(needEsts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	es := r.ests()
 	if len(db.progs) != 3 {
 		t.Fatalf("intern table holds %d program(s), want 3", len(db.progs))
 	}
@@ -230,12 +231,12 @@ func TestEstimatorCacheInternsPrograms(t *testing.T) {
 	if len(db.progs) != 4 {
 		t.Fatalf("a new source left the intern table at %d, want 4", len(db.progs))
 	}
-	now, err := db.est.get()
+	r, err = db.read(needEsts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now["syn_000000"].delay != db.progs["delay + 1"] || db.est.rebuilds.Load() != 1 {
-		t.Fatalf("registration did not reach the cache as a delta (%d builds)", db.est.rebuilds.Load())
+	if r.ests()["syn_000000"].delay != db.progs["delay + 1"] || db.rebuilds[partEsts].Load() != 1 {
+		t.Fatalf("registration did not reach the cache as a delta (%d builds)", db.rebuilds[partEsts].Load())
 	}
 	// The pinned snapshot kept the pair it had.
 	if es["syn_000000"].delay != db.progs[sources[1]] {

@@ -82,16 +82,19 @@ func (db *DB) RecordExploration(e Exploration) error {
 		return fmt.Errorf("icdb: exploration %s[%s]: unknown component type %q", e.Generator, e.Bindings, e.Component)
 	}
 	e.Component = ct
-	// pmu from before the upsert until its delta is noted: the deltas
-	// of concurrent calls reach the cache in the order the store applied
-	// them, and a frontier query that has seen this upsert's generation
-	// finds the stamp already there instead of racing the note to it.
-	db.pmu.Lock()
-	defer db.pmu.Unlock()
+	// wmu from before the upsert until its delta is noted, as every
+	// registration (see catalog): the deltas of concurrent calls reach
+	// the cache in the order the store applied them, and a frontier query
+	// that has seen this upsert's generation waits for the delta instead
+	// of rebuilding.
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	res, err := db.store.UpsertStamped(TableExplorations, explRow(e))
 	if err != nil || res.Before == res.After {
 		return err
 	}
+	db.pmu.Lock()
+	defer db.pmu.Unlock()
 	db.noteExploration(res, e)
 	return nil
 }

@@ -10,18 +10,24 @@ func (db *DB) InternedPrograms() int {
 	return len(db.progs)
 }
 
-// CacheRebuilds reports, by relation, how many times the cache derived
-// from it has been built from a scan: the three stamped caches, and the
-// frontier cache's scope builds (cold and foreign) for explorations.
+// CacheRebuilds reports, by relation, how many times the catalog part
+// derived from it has been built from a scan: implementations,
+// estimators and tool_params, and the frontier cache's scope builds
+// (cold and foreign) for explorations.
 func (db *DB) CacheRebuilds() map[string]uint64 {
 	info := db.ParetoCacheInfo()
 	return map[string]uint64{
-		TableImplementations: db.der.rebuilds.Load(),
-		TableEstimators:      db.est.rebuilds.Load(),
-		TableToolParams:      db.rank.rebuilds.Load(),
+		TableImplementations: db.rebuilds[partImpls].Load(),
+		TableEstimators:      db.rebuilds[partEsts].Load(),
+		TableToolParams:      db.rebuilds[partWeights].Load(),
 		TableExplorations:    info.RebuildsCold + info.RebuildsForeign,
 	}
 }
+
+// SetAfterPin makes every read run f between its pin and its checks, or
+// nothing when f is nil: the seam through which the one-version tests
+// write between a reader's pin and its checks.
+func (db *DB) SetAfterPin(f func()) { db.afterPin = f }
 
 // FindAll runs q to completion and returns its answer in delivery order
 // with caller-owned implementations: ranked queries best first, streamed

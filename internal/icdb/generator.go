@@ -9,7 +9,9 @@ package icdb
 
 import (
 	"fmt"
+	"maps"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,12 +54,7 @@ func (g *Generator) Clone() Generator {
 
 // Executes reports whether the generator's function set contains fn.
 func (g *Generator) Executes(fn genus.Function) bool {
-	for _, f := range g.Functions {
-		if f == fn {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(g.Functions, fn)
 }
 
 func genRow(g Generator) relstore.Row {
@@ -115,25 +112,15 @@ func (db *DB) RegisterGenerator(g Generator) error {
 	if len(g.Functions) == 0 {
 		return fmt.Errorf("icdb: generator %s: executes no functions", g.Name)
 	}
-	allowed := make(map[genus.Function]bool)
-	for _, f := range genus.Functions(ct) {
-		allowed[f] = true
-	}
 	for _, f := range g.Functions {
-		if !allowed[f] {
+		if !slices.Contains(genus.Functions(ct), f) {
 			return fmt.Errorf("icdb: generator %s: function %s not executable by component type %s", g.Name, f, ct)
 		}
 	}
 	if g.WidthMin < 1 || g.WidthMax < g.WidthMin {
 		return fmt.Errorf("icdb: generator %s: bad width range [%d,%d]", g.Name, g.WidthMin, g.WidthMax)
 	}
-	hasSize := false
-	for _, p := range g.Params {
-		if p == "size" {
-			hasSize = true
-		}
-	}
-	if !hasSize {
+	if !slices.Contains(g.Params, "size") {
 		return fmt.Errorf("icdb: generator %s: PARAMETER list %v lacks the \"size\" width parameter", g.Name, g.Params)
 	}
 	for i, expr := range g.estimatorExprs() {
@@ -394,13 +381,7 @@ func EstimatorAttrs() []string { return []string{"area", "delay"} }
 // so "area * width" scales the per-bit estimate, and a bare "area" or
 // constant is the degenerate scalar-compatible case.
 func (db *DB) RegisterEstimator(implName, attr, expr string) error {
-	ok := false
-	for _, a := range EstimatorAttrs() {
-		if a == attr {
-			ok = true
-		}
-	}
-	if !ok {
+	if !slices.Contains(EstimatorAttrs(), attr) {
 		return fmt.Errorf("icdb: unknown estimator attribute %q (have %s)", attr, strings.Join(EstimatorAttrs(), ", "))
 	}
 	p, err := db.intern(expr)
@@ -410,8 +391,13 @@ func (db *DB) RegisterEstimator(implName, attr, expr string) error {
 	if _, err := db.ImplByName(implName); err != nil {
 		return fmt.Errorf("icdb: estimator %s(%s): %w", attr, implName, err)
 	}
-	return db.est.upsert(relstore.Row{"impl": implName, "attr": attr, "expr": expr}, func(m estMap) {
+	return db.upsert(partEsts, relstore.Row{"impl": implName, "attr": attr, "expr": expr}, func(v any, shared bool) any {
+		m := v.(estMap)
+		if shared {
+			m = maps.Clone(m)
+		}
 		m[implName] = m[implName].with(attr, p)
+		return m
 	})
 }
 
@@ -434,11 +420,16 @@ func (db *DB) Estimators(implName string) (map[string]string, error) {
 // point: area and delay come from the registered estimator expressions
 // (falling back to the stored scalars when none is registered), and cost
 // is the weighted score queries rank by. The width must lie inside the
-// implementation's width range.
+// implementation's width range. The implementation, its estimators and
+// the weights come from one pin of the catalog: one state of the store.
 func (db *DB) EstimateImpl(name string, width int) (area, delay, cost float64, err error) {
-	im, err := db.ImplByName(name)
+	r, err := db.read(needImpls|needEsts|needWeights, nil)
 	if err != nil {
 		return 0, 0, 0, err
+	}
+	im := r.impls().impls[name]
+	if im == nil {
+		return 0, 0, 0, fmt.Errorf("icdb: implementation %q: not registered", name)
 	}
 	if width < 1 {
 		return 0, 0, 0, fmt.Errorf("icdb: estimate %s: width %d must be at least 1", name, width)
@@ -447,11 +438,8 @@ func (db *DB) EstimateImpl(name string, width int) (area, delay, cost float64, e
 		return 0, 0, 0, fmt.Errorf("icdb: estimate %s: width %d outside implementation width range [%d,%d]",
 			name, width, im.WidthMin, im.WidthMax)
 	}
-	ev, err := db.newAttrEval(nil, width, nil, nil)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	area, delay, err = ev.fill(&im)
+	ev := newAttrEval(&r, nil, width, nil, nil)
+	area, delay, err = ev.fill(im)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -85,39 +85,49 @@ type ParetoQuery struct {
 // returning false stops the delivery. With q.Dominated, dominated
 // points stream too, interleaved in the same global order and flagged
 // with an explanation. Dominance needs the whole surviving point set,
-// so the stream runs over one immutable view of the query's scope
-// (scopeView) and holds no lock while visit runs; a query without
-// constraints or width pin also reuses the view's cached sweep, and one
-// that wants none of those nor dominated points streams the scope's
-// maintained frontier.
+// so the stream runs over one immutable view of the query's scope, read
+// in one pin with the ranking weights (see catalog), and holds no lock
+// while visit runs; a query without constraints or width pin also reuses
+// the view's cached sweep, and one that wants none of those nor
+// dominated points streams the scope's maintained frontier.
 func (db *DB) Pareto(q ParetoQuery, visit func(ParetoPoint) bool) error {
 	if err := checkWidth(q.Width); err != nil {
 		// An invalid width point is a query error, same as on the find
 		// path — not an empty answer.
 		return err
 	}
-	wa, wd, err := db.weights(q.AreaWeight, q.DelayWeight)
-	if err != nil {
-		return err
+	sq := scopeReq{}
+	switch {
+	case q.Component != "":
+		nct, ok := genus.NormalizeComponentType(string(q.Component))
+		if !ok {
+			return fmt.Errorf("icdb: unknown component type %q", q.Component)
+		}
+		sq.key.ct = nct
+		sq.pred = relstore.Eq("component", string(nct))
+	case q.Generator != "":
+		sq.key.gen = q.Generator
+		sq.pred = relstore.Eq("generator", q.Generator)
 	}
 	filtered := len(q.Constraints) != 0 || q.Width != 0
-	frontOnly := !q.Dominated && !filtered
-	view, frontier, err := db.scopeView(q, frontOnly)
+	sq.frontOnly = !q.Dominated && !filtered
+	r, err := db.read(needWeights, &sq)
 	if err != nil {
 		return err
 	}
-	if frontOnly {
-		for _, pt := range frontier {
+	wa, wd := r.weights().with(q.AreaWeight, q.DelayWeight)
+	if sq.frontOnly {
+		for _, pt := range r.front {
 			if !visit(ParetoPoint{Exploration: *pt, Cost: pt.Area*wa + pt.Delay*wd}) {
 				return nil
 			}
 		}
 		return nil
 	}
-	pts := view.pts
+	pts := r.view.pts
 	var front, domBy []int32
 	if !filtered {
-		front, domBy = view.sweep()
+		front, domBy = r.view.sweep()
 	} else {
 		// Filtering the sorted scope preserves its order; dominance is
 		// then decided among the survivors alone.
@@ -183,18 +193,20 @@ func (db *DB) ParetoFrontier(q ParetoQuery) ([]ParetoPoint, error) {
 // engine keeps each query scope it has served — the whole relation, one
 // component type's points, one generator's — decoded and pointLess-
 // sorted, and keeps those scopes current across the database's own
-// writes instead of rebuilding them. It follows the engine's one
-// cache-validity rule (see stamped), with the explorations relation's
-// generation as the stamp of every cached scope at once:
+// writes instead of rebuilding them. It is the catalog's explorations
+// part (see catalog), with the relation's generation as the stamp of
+// every cached scope at once:
 //
-//   - A rebuild installs a scope with the generation of the snapshot it
-//     scanned (ScanStamped); RecordExploration — the single funnel for
-//     Generate, EstimateImpl and Explore — moves the stamp from its
+//   - A frontier query pins its scope and the stamp with the ranking
+//     weights and checks both after the pin; a stale or missing scope is
+//     built from the snapshot its ScanTables pinned (installScope), and
+//     a stale cache dropped for it. RecordExploration — the single funnel
+//     for Generate, EstimateImpl and Explore — moves the stamp from its
 //     upsert's Before to its After, appending its own delta to every
 //     cached scope the point belongs to, only when the stamp equals
-//     Before. It holds pmu from before the upsert until the delta is in,
-//     so no query sees the new generation with the old stamp. Any other
-//     write leaves the stamp behind, and the next query rebuilds.
+//     Before; like every registration it holds wmu from before the upsert
+//     until the delta is in. Any other write leaves the stamp behind, and
+//     the next query rebuilds.
 //   - Readers need no lock while streaming: a scope's folded state is an
 //     immutable explView. A delta is appended to the scope's pending
 //     lists (O(1) per write) and folded copy-on-write into a fresh view
@@ -292,105 +304,17 @@ func (db *DB) ParetoCacheInfo() ParetoCacheInfo {
 	db.pmu.Lock()
 	defer db.pmu.Unlock()
 	info := db.explInfo
+	info.Hits = db.explHits.Load()
 	if db.expl != nil {
 		info.Scopes = len(db.expl.scopes)
 	}
 	return info
 }
 
-// scopeView returns the current state of q's scope: from the cache while
-// its stamp has caught up with the relation's generation, rebuilt from
-// the relation (through the matching secondary index, for a filtered
-// scope) otherwise. A caller that streams the frontier of the whole
-// scope and nothing else says so with frontOnly and gets the frontier in
-// place of the view: the cache answers that without folding (see
-// explScope.frontier).
-func (db *DB) scopeView(q ParetoQuery, frontOnly bool) (*explView, []*Exploration, error) {
-	var key scopeKey
-	var pred relstore.Pred
-	switch {
-	case q.Component != "":
-		nct, ok := genus.NormalizeComponentType(string(q.Component))
-		if !ok {
-			return nil, nil, fmt.Errorf("icdb: unknown component type %q", q.Component)
-		}
-		key.ct = nct
-		pred = relstore.Eq("component", string(nct))
-	case q.Generator != "":
-		key.gen = q.Generator
-		pred = relstore.Eq("generator", q.Generator)
-	}
-	// Read the generation first: a stamp at or past it proves the cache
-	// holds a state the relation reached no earlier than this query began.
-	gen, err := db.store.TableGeneration(TableExplorations)
-	if err != nil {
-		return nil, nil, err
-	}
-	db.pmu.Lock()
-	why := &db.explInfo.RebuildsCold
-	switch c := db.expl; {
-	case c == nil:
-	case c.gen < gen:
-		why = &db.explInfo.RebuildsForeign
-	default:
-		if sc := c.scopes[key]; sc != nil {
-			// A point that left the scope may uncover points it used to
-			// dominate: only a folded view can tell.
-			if (frontOnly && len(sc.dels) == 0) || sc.fold() {
-				db.explInfo.Hits++
-				var front []*Exploration
-				if frontOnly {
-					front = sc.frontier()
-				}
-				v := sc.view
-				db.pmu.Unlock()
-				return v, front, nil
-			}
-			// The deltas did not line up with the view (only unordered
-			// values — NaN axes — can do that): rebuild the scope.
-			delete(c.scopes, key)
-		}
-	}
-	*why++
-	db.pmu.Unlock()
-
-	// One contiguous backing array, sorted, then addressed: a cold view
-	// walks memory in sweep order.
-	var vals []Exploration
-	gen, err = db.store.ScanStamped(TableExplorations, pred, func(r relstore.Row) bool {
-		vals = append(vals, rowExpl(r))
-		return true
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sort.Slice(vals, func(i, j int) bool { return pointLess(&vals[i], &vals[j]) })
-	v := &explView{pts: make([]*Exploration, len(vals))}
-	for i := range vals {
-		v.pts[i] = &vals[i]
-	}
-	sc := &explScope{view: v}
-	var front []*Exploration
-	if frontOnly {
-		front = sc.frontier()
-	}
-
-	db.pmu.Lock()
-	switch c := db.expl; {
-	case c == nil || c.gen < gen:
-		// Scopes stamped earlier are unusable from here on; start over.
-		db.expl = &explCache{gen: gen, scopes: map[scopeKey]*explScope{key: sc}}
-	case c.gen == gen:
-		c.scopes[key] = sc
-		// c.gen > gen: the cache moved past this scan; serve it uncached.
-	}
-	db.pmu.Unlock()
-	return v, front, nil
-}
-
 // noteExploration applies one effective RecordExploration upsert to the
 // frontier cache, when the cache stands exactly where that upsert found
-// the relation. The caller has held pmu since before the upsert.
+// the relation. The caller has held wmu since before the upsert, and
+// holds pmu.
 func (db *DB) noteExploration(res relstore.UpsertResult, e Exploration) {
 	c := db.expl
 	if c == nil || c.gen != res.Before {

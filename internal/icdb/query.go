@@ -331,28 +331,17 @@ func (k sortKey) rank(im *Impl, area, delay, cost float64) float64 {
 // parameters area_weight and delay_weight of tool "icdb", each
 // defaulting to 1 when unset. Queries score candidates
 // Area*area + Delay*delay with these weights unless the query overrides
-// them (Query.AreaWeight, Query.DelayWeight). They are a stamped cache
-// over the tool-parameters relation, so a query reads them once per
+// them (Query.AreaWeight, Query.DelayWeight). They are the catalog's
+// part over the tool-parameters relation, so a query reads them once per
 // SetToolParam or direct write, not once per call; a relation that
 // cannot be read is an error, never the defaults.
 func (db *DB) RankWeights() (area, delay float64, err error) {
-	w, err := db.rank.get()
-	return w.area, w.delay, err
-}
-
-// weights resolves one query's ranking weights: each override when set,
-// otherwise the database default.
-func (db *DB) weights(area, delay *float64) (wa, wd float64, err error) {
-	if wa, wd, err = db.RankWeights(); err != nil {
+	r, err := db.read(needWeights, nil)
+	if err != nil {
 		return 0, 0, err
 	}
-	if area != nil {
-		wa = *area
-	}
-	if delay != nil {
-		wd = *delay
-	}
-	return wa, wd, nil
+	w := r.weights()
+	return w.area, w.delay, nil
 }
 
 // Find runs q, yielding each answer to visit; visit returning false stops
@@ -366,24 +355,29 @@ func (db *DB) weights(area, delay *float64) (wa, wd float64, err error) {
 // yielded Impl shares the cache's backing slices — treat it as read-only
 // and call Impl.Clone before retaining it past the visit.
 //
-// Either way the query runs over a pinned copy-on-write snapshot and
+// Either way the query reads one state of the store (see catalog) and
 // holds no lock while visit runs, so visit may take arbitrarily long and
 // may call back into the DB: re-entrant queries and registrations proceed
-// normally, and a registration made meanwhile lands in a fresh snapshot
-// the query in flight does not see.
+// normally, and a registration made meanwhile lands in a fresh part the
+// query in flight does not see.
 func (db *DB) Find(q Query, visit func(Candidate) bool) error {
 	key, err := q.Order.resolve() // an unranked query's zero Order always resolves
 	if err != nil {
 		return err
 	}
-	ev, err := db.newAttrEval(q.Constraints, q.Width, q.AreaWeight, q.DelayWeight)
+	if err := checkWidth(q.Width); err != nil {
+		return err
+	}
+	n := needImpls | needWeights
+	if q.Width != 0 {
+		n |= needEsts // a width-free query never builds or decodes estimators
+	}
+	r, err := db.read(n, nil)
 	if err != nil {
 		return err
 	}
-	d, err := db.der.get()
-	if err != nil {
-		return err
-	}
+	ev := newAttrEval(&r, q.Constraints, q.Width, q.AreaWeight, q.DelayWeight)
+	d := r.impls()
 	if q.Order.Attr == "" && q.Limit <= 0 {
 		return ev.scan(d, &q, func(im *Impl, area, delay, cost float64) bool {
 			return visit(Candidate{Impl: *im, Area: area, Delay: delay, Cost: cost})
@@ -496,9 +490,10 @@ outer:
 // call): the constraints, the ranking weights, the width point — zero is
 // the scalar engine, attributes read straight off the implementation; a
 // positive width evaluates estimator expressions there — and the one
-// slot vector every candidate is loaded into in turn. It reads the
-// compiled estimators of one pinned estMap snapshot, so one query sees
-// one consistent (implementation, estimator) pairing end to end.
+// slot vector every candidate is loaded into in turn. Its weights and
+// compiled estimators come from the same reading as the implementations
+// it evaluates, so one query sees one consistent (implementation,
+// estimator, weights) state end to end.
 type attrEval struct {
 	cs     []Constraint
 	wa, wd float64
@@ -508,25 +503,15 @@ type attrEval struct {
 }
 
 // newAttrEval resolves what every evaluating path needs before its first
-// candidate: the validated width point, the ranking weights (the
-// overrides where set, see weights), and — only at a width point, so a
-// width-free query never builds or, lazily, decodes the estimators
-// relation — the pinned estimator snapshot.
-func (db *DB) newAttrEval(cs []Constraint, width int, wArea, wDelay *float64) (*attrEval, error) {
-	if err := checkWidth(width); err != nil {
-		return nil, err
-	}
+// candidate from r: the ranking weights (the overrides where set) and, at
+// a width point, the estimators r pinned.
+func newAttrEval(r *reading, cs []Constraint, width int, wArea, wDelay *float64) *attrEval {
 	ev := &attrEval{cs: cs, width: width}
-	var err error
-	if ev.wa, ev.wd, err = db.weights(wArea, wDelay); err != nil {
-		return nil, err
-	}
+	ev.wa, ev.wd = r.weights().with(wArea, wDelay)
 	if width != 0 {
-		if ev.ests, err = db.est.get(); err != nil {
-			return nil, err
-		}
+		ev.ests = r.ests()
 	}
-	return ev, nil
+	return ev
 }
 
 // fill loads im into the slot vector and returns the evaluated area and

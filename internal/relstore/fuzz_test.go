@@ -3,6 +3,8 @@ package relstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"os"
 	"runtime"
 	"testing"
 )
@@ -136,6 +138,177 @@ func FuzzOpenSnapshot(f *testing.F) {
 			}
 			if !bytes.Equal(a, b) {
 				t.Fatal("eager and lazy decodes of one file re-encode differently")
+			}
+		}
+	})
+}
+
+// memFS is a map-backed FS for the journal fuzzer: no disk, no
+// goroutines, every write kept.
+type memFS map[string][]byte
+
+type memFile struct {
+	fs   memFS
+	path string
+}
+
+func (m memFS) ReadFile(path string) ([]byte, error) {
+	b, ok := m[path]
+	if !ok {
+		return nil, fmt.Errorf("memfs: %s: %w", path, os.ErrNotExist)
+	}
+	return b, nil
+}
+
+func (m memFS) Create(path string) (File, error) {
+	m[path] = nil
+	return &memFile{m, path}, nil
+}
+
+func (m memFS) OpenAppend(path string) (File, error) {
+	if _, ok := m[path]; !ok {
+		return nil, fmt.Errorf("memfs: %s: %w", path, os.ErrNotExist)
+	}
+	return &memFile{m, path}, nil
+}
+
+func (m memFS) Rename(oldpath, newpath string) error {
+	m[newpath] = m[oldpath]
+	delete(m, oldpath)
+	return nil
+}
+
+func (m memFS) Remove(path string) error {
+	delete(m, path)
+	return nil
+}
+
+func (f *memFile) Write(b []byte) (int, error) {
+	f.fs[f.path] = append(f.fs[f.path], b...)
+	return len(b), nil
+}
+
+func (f *memFile) Sync() error  { return nil }
+func (f *memFile) Close() error { return nil }
+
+// fuzzJournalSeed returns a small keyed snapshot and a real journal
+// over it: every record kind, including a second table's create, index
+// and drop.
+func fuzzJournalSeed(f *testing.F) (snap, wal []byte) {
+	f.Helper()
+	s := New()
+	if err := s.CreateTable(durableSchema()); err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Insert("impls", Row{"name": fmt.Sprintf("i%d", i), "comp": "alu", "size": i, "area": 1.5 * float64(i), "param": i%2 == 0}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap, err := s.encodeSnapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	fsys := memFS{"cat.snap": snap}
+	d, err := OpenDurable("cat.snap", DurableOptions{FS: fsys, CompactAt: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	steps := []func() error{
+		func() error {
+			return d.Insert("impls", Row{"name": "nul\x00", "comp": "alu", "size": 7, "area": 2.0, "param": true})
+		},
+		func() error {
+			return d.Upsert("impls", Row{"name": "i1", "comp": "alu", "size": 9, "area": 0.5, "param": false})
+		},
+		func() error {
+			_, err := d.Update("impls", Eq("size", 2), func(r Row) Row { r["area"] = 4.0; return r })
+			return err
+		},
+		func() error { _, err := d.Delete("impls", Eq("name", "i0")); return err },
+		func() error { return d.CreateIndex("impls", "size") },
+		func() error {
+			return d.CreateTable(Schema{Table: "t", Columns: []Column{{Name: "k", Type: TString}}, Key: []string{"k"}})
+		},
+		func() error { return d.Insert("t", Row{"k": "v"}) },
+		func() error { return d.DropTable("t") },
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		f.Fatal(err)
+	}
+	return snap, fsys["cat.snap.wal"]
+}
+
+// sealRecord frames payload as the one record of an otherwise valid
+// journal — header, length, CRC — so mutated bytes reach the record
+// decoder and replay instead of dying at a checksum.
+func sealRecord(payload []byte) []byte {
+	var buf bytes.Buffer
+	w := &snapWriter{buf: &buf}
+	w.raw([]byte(walMagic))
+	w.u32(walVersion)
+	w.u64(0)
+	w.u32(uint32(len(payload)))
+	w.u32(crcOf(payload))
+	w.raw(payload)
+	return buf.Bytes()
+}
+
+// FuzzJournalReplay opens a valid snapshot with arbitrary bytes as its
+// journal through OpenDurable, twice — as the whole journal file, and as
+// one record sealed inside valid framing — eager and lazy (then
+// hydrating every table). Either way recovery must return a store or a
+// descriptive error — never panic, never allocate in proportion to a
+// forged length or count rather than to the input — and when the eager
+// open accepts a journal, the lazy one must accept it too and reach the
+// same state.
+func FuzzJournalReplay(f *testing.F) {
+	snap, wal := fuzzJournalSeed(f)
+	f.Add(wal)
+	for _, n := range []int{0, 8, 19, 20, 27, 28, 40, len(wal) / 2, len(wal) - 1} {
+		f.Add(wal[:n])
+	}
+	for _, off := range []int{0, 12, 20, 24, 29, len(wal) / 3, len(wal) / 2, len(wal) - 2} {
+		flipped := append([]byte(nil), wal...)
+		flipped[off] ^= 0x41
+		f.Add(flipped)
+	}
+	for off := walHeaderLen; off < len(wal); {
+		n := int(binary.LittleEndian.Uint32(wal[off:]))
+		f.Add(wal[off+walFrameLen : off+walFrameLen+n]) // a bare record: the sealed leg from a valid start
+		off += walFrameLen + n
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, journal := range [][]byte{data, sealRecord(data)} {
+			var states [2][]byte
+			var errs [2]error
+			for i, mode := range []OpenMode{OpenEager, OpenLazy} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				d, err := OpenDurable("cat.snap", DurableOptions{FS: memFS{"cat.snap": snap, "cat.snap.wal": journal}, CompactAt: -1, Open: mode})
+				if err == nil {
+					if err = d.HydrateAll(); err == nil {
+						states[i] = stateOf(t, d.Store)
+					}
+					d.Close()
+				}
+				runtime.ReadMemStats(&after)
+				// FuzzOpenSnapshot's bound, over snapshot and journal.
+				if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<20+2048*(len(snap)+len(journal))); grew > limit {
+					t.Fatalf("%v recovery of a %d-byte journal allocated %d (limit %d)", mode, len(journal), grew, limit)
+				}
+				if err != nil && err.Error() == "" {
+					t.Fatal("empty error message")
+				}
+				errs[i] = err
+			}
+			if errs[0] == nil && (errs[1] != nil || !bytes.Equal(states[0], states[1])) {
+				t.Fatalf("eager recovery accepted a journal that lazy recovery + hydration does not reproduce: %v", errs[1])
 			}
 		}
 	})

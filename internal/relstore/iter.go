@@ -22,19 +22,8 @@ import "iter"
 // reference) after the iteration advances — copy what outlives the loop.
 func (s *Store) Rows(tableName string, p Pred) iter.Seq2[Row, error] {
 	return func(yield func(Row, error) bool) {
-		t, d, err := s.snapshot(tableName)
-		if err != nil {
+		if err := s.Scan(tableName, p, func(r Row) bool { return yield(r, nil) }); err != nil {
 			yield(nil, err)
-			return
-		}
-		ids, verify := t.plan(d, p)
-		for _, id := range ids {
-			r := d.rows[id]
-			if !verify || p.Match(r) {
-				if !yield(r, nil) {
-					return
-				}
-			}
 		}
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"strings"
@@ -1041,10 +1042,7 @@ func (s *Store) replayUpdateBatchLocked(name string, oldKeys []string, rows []Ro
 		return nil
 	}
 	wd := t.writable()
-	newKeys := make(map[string]int64, len(wd.keyIndex))
-	for k, v := range wd.keyIndex {
-		newKeys[k] = v
-	}
+	newKeys := maps.Clone(wd.keyIndex)
 	for _, c := range changes {
 		delete(newKeys, t.keyOf(wd.rows[c.id]))
 	}

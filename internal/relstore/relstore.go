@@ -50,12 +50,14 @@
 // carried inside the table's read snapshot and published beside it, so
 // TableGeneration reads it without the store lock: checking a stamp
 // never waits for a writer, even one holding the write lock across a
-// journal fsync. A caller that derives state from one relation stamps
-// it with that relation's generation — ScanStamped returns the stamp of
-// exactly the snapshot it iterated, UpsertStamped the stamps on either
-// side of its write plus the row it replaced — and can then keep the
-// derived state current across its own writes, and detect anyone
-// else's, without being disturbed by writes to other tables.
+// journal fsync. Every stamp is a fresh draw from the one counter, so a
+// table never returns to a generation it has left. State derived from
+// relations is stamped per relation — ScanTables returns the stamps of
+// the snapshots it pinned together, UpsertStamped the stamps on either
+// side of its write plus the row it replaced — and read by one rule: pin
+// the parts, then check each stamp against TableGeneration. A stamp
+// still current after the pin proves its relation held that state
+// throughout, so the parts that pass held together at the first check.
 //
 // Invariants the index machinery maintains (and tests assert):
 //
@@ -77,7 +79,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -141,9 +142,7 @@ type Row map[string]any
 // clone deep-copies a row (values are scalars).
 func (r Row) clone() Row {
 	c := make(Row, len(r))
-	for k, v := range r {
-		c[k] = v
-	}
+	maps.Copy(c, r)
 	return c
 }
 
@@ -190,24 +189,11 @@ type tableData struct {
 // are shared: a stored row is never mutated, only replaced (Upsert,
 // Update), so old snapshots keep seeing the rows they pinned.
 func (d *tableData) clone() *tableData {
-	nd := &tableData{
-		rows: make(map[int64]Row, len(d.rows)),
-		ids:  slices.Clone(d.ids),
-		gen:  d.gen,
-	}
-	for id, r := range d.rows {
-		nd.rows[id] = r
-	}
-	if d.keyIndex != nil {
-		nd.keyIndex = make(map[string]int64, len(d.keyIndex))
-		for k, v := range d.keyIndex {
-			nd.keyIndex[k] = v
-		}
-	}
+	nd := &tableData{rows: maps.Clone(d.rows), ids: slices.Clone(d.ids), keyIndex: maps.Clone(d.keyIndex), gen: d.gen}
 	nd.indexes = make([]*secIndex, len(d.indexes))
 	for i, ix := range d.indexes {
-		nix := &secIndex{cols: ix.cols, postings: make(map[string][]int64, len(ix.postings))}
-		for k, p := range ix.postings {
+		nix := &secIndex{cols: ix.cols, postings: maps.Clone(ix.postings)}
+		for k, p := range nix.postings {
 			nix.postings[k] = slices.Clone(p)
 		}
 		nd.indexes[i] = nix
@@ -320,21 +306,6 @@ func (s *Store) setTable(name string, t *table) {
 	s.tables.Store(&m)
 }
 
-// rowsEqual reports whether two canonical rows hold identical values.
-// Canonical values are comparable scalars (string, int, float64,
-// bool), so interface equality is exact.
-func rowsEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
 // New creates an empty store.
 func New() *Store {
 	s := &Store{}
@@ -342,39 +313,34 @@ func New() *Store {
 	return s
 }
 
-// snapshot pins and returns the current read snapshot of tableName. From
-// the moment the snapshot is marked shared, writers copy-on-write around
-// it, so the caller may plan and iterate over it with no lock held. The
-// returned table carries the immutable per-table state (schema, column
-// types) the planner needs.
-func (s *Store) snapshot(tableName string) (*table, *tableData, error) {
+// rlockTable read-locks the store and returns tableName's table, live: a
+// cold lazy table is hydrated first, under the write lock. pending only
+// transitions non-nil -> nil (under the write lock), so the check never
+// sees a stale nil; concurrent first touchers serialize inside hydrate,
+// and the losers find the table already live — no double decode. On
+// error the lock is released.
+func (s *Store) rlockTable(tableName string) (*table, error) {
 	s.mu.RLock()
 	t, ok := s.tableMap()[tableName]
 	if ok && t.pending != nil {
-		// Cold table: hydrate under the write lock, then re-pin. pending
-		// only transitions non-nil -> nil (under the write lock), so the
-		// fast path above never sees a stale nil; concurrent first
-		// touchers serialize on the write lock inside hydrate, and the
-		// losers find the table already live — no double decode.
 		s.mu.RUnlock()
 		if err := s.hydrate(tableName); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s.mu.RLock()
 		t, ok = s.tableMap()[tableName]
 	}
-	defer s.mu.RUnlock()
 	if !ok {
-		return nil, nil, fmt.Errorf("relstore: no table %q", tableName)
+		s.mu.RUnlock()
+		return nil, fmt.Errorf("relstore: no table %q", tableName)
 	}
-	d := t.data
-	d.shared.Store(true)
-	return t, d, nil
+	return t, nil
 }
 
 // CreateTable registers a new table. It fails if the table exists, the
-// schema has no columns, duplicate column names, key columns that are
-// not declared, or malformed secondary-index declarations.
+// schema has no columns, duplicate column names, a column type other
+// than the four declared, key columns that are not declared, or
+// malformed secondary-index declarations.
 func (s *Store) CreateTable(sc Schema) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -411,7 +377,10 @@ func (s *Store) createTableLocked(sc Schema) error {
 // newTable validates sc and builds an empty table for it: CreateTable
 // minus the store-level concerns (name conflicts, journaling), so the
 // snapshot decoders can construct tables standalone — concurrently for
-// the parallel eager path, stub-first for the lazy one.
+// the parallel eager path, stub-first for the lazy one. It is the one
+// schema validator: CreateTable, both snapshot decoders and journal
+// replay all build their tables here, so a schema one of them accepts
+// the others accept too.
 func newTable(sc Schema) (*table, error) {
 	if sc.Table == "" {
 		return nil, fmt.Errorf("relstore: empty table name")
@@ -423,6 +392,9 @@ func newTable(sc Schema) (*table, error) {
 	for _, c := range sc.Columns {
 		if _, dup := cols[c.Name]; dup {
 			return nil, fmt.Errorf("relstore: table %q duplicate column %q", sc.Table, c.Name)
+		}
+		if c.Type < TString || c.Type > TBool {
+			return nil, fmt.Errorf("relstore: table %q column %q: unknown column type %d", sc.Table, c.Name, c.Type)
 		}
 		cols[c.Name] = c.Type
 	}
@@ -614,6 +586,8 @@ func checkType(ct ColType, v any) error {
 		if _, ok := v.(bool); !ok {
 			return fmt.Errorf("want bool, got %T", v)
 		}
+	default:
+		return fmt.Errorf("unknown column type %d", ct)
 	}
 	return nil
 }
@@ -697,18 +671,14 @@ func (t *table) keyOf(r Row) string {
 // insertSorted splices id into ascending slice s (O(1) when id is the
 // largest, the insert-path common case).
 func insertSorted(s []int64, id int64) []int64 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
+	i, _ := slices.BinarySearch(s, id)
+	return slices.Insert(s, i, id)
 }
 
 // removeSorted splices id out of ascending slice s.
 func removeSorted(s []int64, id int64) []int64 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		return append(s[:i], s[i+1:]...)
+	if i, ok := slices.BinarySearch(s, id); ok {
+		return slices.Delete(s, i, i+1)
 	}
 	return s
 }
@@ -832,7 +802,7 @@ func (s *Store) upsertLocked(tableName string, r Row) (UpsertResult, error) {
 		// A value-identical replacement is a no-op: nothing to journal, no
 		// generation bump — so re-seeding an unchanged catalog on open
 		// stays journal-silent and save-skippable.
-		if rowsEqual(res.Replaced, cr) {
+		if maps.Equal(res.Replaced, cr) { // canonical values are comparable scalars
 			return res, nil
 		}
 	}
@@ -864,44 +834,32 @@ func (s *Store) upsertLocked(tableName string, r Row) (UpsertResult, error) {
 // package comment) are served from the corresponding index. Like Scan it
 // reads a pinned snapshot, not the locked store.
 func (s *Store) Select(tableName string, p Pred) ([]Row, error) {
-	t, d, err := s.snapshot(tableName)
-	if err != nil {
-		return nil, err
-	}
-	ids, verify := t.plan(d, p)
 	var out []Row
-	for _, id := range ids {
-		r := d.rows[id]
-		if !verify || p.Match(r) {
-			out = append(out, r.clone())
-		}
-	}
-	return out, nil
+	err := s.Scan(tableName, p, func(r Row) bool {
+		out = append(out, r.clone())
+		return true
+	})
+	return out, err
 }
 
 // SelectOne returns the single row matching p. It fails if zero or more
 // than one row matches.
 func (s *Store) SelectOne(tableName string, p Pred) (Row, error) {
-	t, d, err := s.snapshot(tableName)
-	if err != nil {
-		return nil, err
-	}
-	ids, verify := t.plan(d, p)
 	var match Row
 	n := 0
-	for _, id := range ids {
-		r := d.rows[id]
-		if !verify || p.Match(r) {
-			if n == 0 {
-				match = r
-			}
-			n++
+	err := s.Scan(tableName, p, func(r Row) bool {
+		if n == 0 {
+			match = r
 		}
-	}
-	switch n {
-	case 0:
+		n++
+		return true
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case n == 0:
 		return nil, fmt.Errorf("relstore: table %q: no matching row", tableName)
-	case 1:
+	case n == 1:
 		return match.clone(), nil
 	default:
 		return nil, fmt.Errorf("relstore: table %q: %d rows match, want 1", tableName, n)
@@ -914,21 +872,11 @@ func (s *Store) SelectOne(tableName string, p Pred) (Row, error) {
 // like Eq. Get reads the live store under the read lock (no snapshot is
 // pinned — a point lookup runs no user code and finishes immediately).
 func (s *Store) Get(tableName string, keyVals ...any) (Row, error) {
-	s.mu.RLock()
-	t, ok := s.tableMap()[tableName]
-	if ok && t.pending != nil {
-		// Cold table: hydrate and retry, same dance as snapshot().
-		s.mu.RUnlock()
-		if err := s.hydrate(tableName); err != nil {
-			return nil, err
-		}
-		s.mu.RLock()
-		t, ok = s.tableMap()[tableName]
+	t, err := s.rlockTable(tableName)
+	if err != nil {
+		return nil, err
 	}
 	defer s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("relstore: no table %q", tableName)
-	}
 	if len(t.schema.Key) == 0 {
 		return nil, fmt.Errorf("relstore: table %q has no key; cannot Get", tableName)
 	}
@@ -963,29 +911,73 @@ func (s *Store) Get(tableName string, keyVals ...any) (Row, error) {
 // scan is mid-flight, and the scan is isolated from them — it sees
 // exactly the rows that were live when it started.
 func (s *Store) Scan(tableName string, p Pred, visit func(Row) bool) error {
-	_, err := s.ScanStamped(tableName, p, visit)
-	return err
+	return s.ScanTables([]TableScan{{Table: tableName, Pred: p, Visit: visit}})
 }
 
-// ScanStamped is Scan that also returns the generation
-// (TableGeneration) of the snapshot it iterated. The stamp is read off
-// the pinned snapshot itself, so it names exactly the state visit saw,
-// whatever writers commit while the scan runs.
-func (s *Store) ScanStamped(tableName string, p Pred, visit func(Row) bool) (uint64, error) {
-	t, d, err := s.snapshot(tableName)
-	if err != nil {
-		return 0, err
+// TableScan is one table's share of a ScanTables call: Scan's arguments,
+// plus the generation of a state of the table the caller already holds.
+type TableScan struct {
+	Table string
+	Pred  Pred
+	Visit func(Row) bool
+	// Have points at the generation (TableGeneration) of a state of the
+	// table the caller already holds, nil for none: a table whose
+	// snapshot still carries it is neither pinned nor scanned.
+	Have *uint64
+	// Gen is set to the generation of the table's snapshot at the pin:
+	// the state Visit saw, or, when it equals *Have, the one the caller
+	// holds.
+	Gen uint64
+	t   *table // pinned, from the pin to the end of the scan
+	d   *tableData
+}
+
+// ScanTables pins the snapshots of every scan's table under one read
+// lock — so together they are one store version — hydrating cold lazy
+// tables first as every read path does, and then runs each scan as Scan
+// would, in order, with no lock held: several relations read at one
+// version, whatever writers commit meanwhile.
+func (s *Store) ScanTables(scans []TableScan) error {
+	// pending only goes non-nil -> nil: hydrated one by one, the tables
+	// are all live under the one read lock, taken last, that pins them.
+	for i, sc := range scans {
+		if _, err := s.rlockTable(sc.Table); err != nil {
+			return err
+		}
+		if i < len(scans)-1 {
+			s.mu.RUnlock()
+		}
 	}
-	ids, verify := t.plan(d, p)
-	for _, id := range ids {
-		r := d.rows[id]
-		if !verify || p.Match(r) {
-			if !visit(r) {
+	if len(scans) == 0 {
+		return nil
+	}
+	for i := range scans {
+		sc := &scans[i]
+		t, ok := s.tableMap()[sc.Table]
+		if !ok {
+			s.mu.RUnlock()
+			return fmt.Errorf("relstore: no table %q", sc.Table)
+		}
+		if sc.Gen = t.data.gen; sc.Have == nil || *sc.Have != sc.Gen {
+			t.data.shared.Store(true)
+			sc.t, sc.d = t, t.data
+		}
+	}
+	s.mu.RUnlock()
+	for i := range scans {
+		sc := &scans[i]
+		if sc.t == nil {
+			continue
+		}
+		ids, verify := sc.t.plan(sc.d, sc.Pred)
+		for _, id := range ids {
+			if r := sc.d.rows[id]; (!verify || sc.Pred.Match(r)) && !sc.Visit(r) {
 				break
 			}
 		}
+		sc.t, sc.d = nil, nil
 	}
-	return d.gen, nil
+	return nil
 }
 
 // Update applies fn to every row matching p (in insertion order) and
@@ -1028,7 +1020,7 @@ func (s *Store) updateLocked(tableName string, p Pred, fn func(Row) Row) (int, e
 		// Value-identical rewrites are no-ops: not journaled, not
 		// applied, no generation bump — but still counted in the
 		// return value, which reports rows matched and processed.
-		if !rowsEqual(r, c.nr) {
+		if !maps.Equal(r, c.nr) {
 			eff = append(eff, c)
 		}
 	}
@@ -1039,10 +1031,7 @@ func (s *Store) updateLocked(tableName string, p Pred, fn func(Row) Row) (int, e
 	// so its key, verbatim).
 	newKeys := d.keyIndex
 	if len(t.schema.Key) > 0 && len(eff) > 0 {
-		newKeys = make(map[string]int64, len(d.keyIndex))
-		for k, v := range d.keyIndex {
-			newKeys[k] = v
-		}
+		newKeys = maps.Clone(d.keyIndex)
 		for _, c := range eff {
 			delete(newKeys, t.keyOf(d.rows[c.id]))
 		}
@@ -1154,10 +1143,13 @@ func (s *Store) deleteLocked(tableName string, p Pred) (int, error) {
 // Count returns the number of rows matching p. It plans and verifies like
 // Select but never copies a row.
 func (s *Store) Count(tableName string, p Pred) (int, error) {
-	t, d, err := s.snapshot(tableName)
+	t, err := s.rlockTable(tableName)
 	if err != nil {
 		return 0, err
 	}
+	d := t.data
+	d.shared.Store(true) // pinned: p may run caller code, so not under the lock
+	s.mu.RUnlock()
 	ids, verify := t.plan(d, p)
 	if !verify {
 		return len(ids), nil

@@ -607,11 +607,7 @@ func decodeSectionSchema(r *snapReader) (Schema, int, int, error) {
 	sc := Schema{Table: r.str()}
 	nCols := int(r.u32())
 	for i := 0; i < nCols && r.err == nil; i++ {
-		c := Column{Name: r.str(), Type: ColType(r.u8())}
-		if r.err == nil && (c.Type < TString || c.Type > TBool) {
-			return sc, 0, 0, fmt.Errorf("table %q column %q: unknown column type %d", sc.Table, c.Name, c.Type)
-		}
-		sc.Columns = append(sc.Columns, c)
+		sc.Columns = append(sc.Columns, Column{Name: r.str(), Type: ColType(r.u8())})
 	}
 	nKey := int(r.u32())
 	for i := 0; i < nKey && r.err == nil; i++ {

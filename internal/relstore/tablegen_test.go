@@ -191,10 +191,19 @@ func TestUpsertStampedReportsDelta(t *testing.T) {
 	}
 }
 
+// scanStamped scans all of table in one ScanTables call and returns the
+// stamp it was handed and the rows it visited.
+func scanStamped(s *Store, table string) (gen uint64, n int, err error) {
+	scans := []TableScan{{Table: table, Visit: func(Row) bool { n++; return true }}}
+	err = s.ScanTables(scans)
+	return scans[0].Gen, n, err
+}
+
 // TestScanStampedNamesTheStateScanned: with one writer appending rows
 // and nothing else touching the store, the table's generation is its
 // creation stamp plus its row count — so every concurrent scan can check
-// that the stamp it was handed describes exactly the rows it visited.
+// that the stamp ScanTables handed it describes exactly the rows it
+// visited.
 func TestScanStampedNamesTheStateScanned(t *testing.T) {
 	s := concStore(t, 0)
 	base := tableGen(t, s, "t")
@@ -215,8 +224,7 @@ func TestScanStampedNamesTheStateScanned(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				n := 0
-				gen, err := s.ScanStamped("t", nil, func(Row) bool { n++; return true })
+				gen, n, err := scanStamped(s, "t")
 				if err != nil {
 					t.Error(err)
 					return
@@ -251,7 +259,7 @@ func TestTableGenerationOfPendingLazyTable(t *testing.T) {
 	if li := lz.LazyInfo(); li.Pending != 1 || li.Hydrations != 0 {
 		t.Fatalf("TableGeneration hydrated the table: %+v", li)
 	}
-	gen, err := lz.ScanStamped("t", nil, func(Row) bool { return true })
+	gen, _, err := scanStamped(lz, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,5 +318,76 @@ func TestTableGenerationMovesOnDeferredReplay(t *testing.T) {
 			t.Errorf("%s: deferred replay left the generation at %d (cold stamp %d)", kind, hot, cold)
 		}
 		lz.Close()
+	}
+}
+
+// TestScanTablesPinsOneVersion: a writer inserts row i into table a and
+// then into table b, so every state of the store holds i or i+1 rows in
+// a against i in b. Each concurrent ScanTables over both tables must see
+// one such state, stamped with the generations of exactly what it
+// visited.
+func TestScanTablesPinsOneVersion(t *testing.T) {
+	s := New()
+	for _, name := range []string{"a", "b"} {
+		if err := s.CreateTable(Schema{Table: name, Columns: []Column{{Name: "k", Type: TInt}}, Key: []string{"k"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const writes = 300
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < writes; i++ {
+			for _, name := range []string{"a", "b"} {
+				if err := s.Insert(name, Row{"k": i}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for scans := 0; ; scans++ {
+		var na, nb int
+		pin := []TableScan{
+			{Table: "a", Visit: func(Row) bool { na++; return true }},
+			{Table: "b", Visit: func(Row) bool { nb++; return true }},
+		}
+		if err := s.ScanTables(pin); err != nil {
+			t.Fatal(err)
+		}
+		if na != nb && na != nb+1 {
+			t.Fatalf("scan %d saw %d rows in a and %d in b: no state of the store held both", scans, na, nb)
+		}
+		if g, err := s.TableGeneration("b"); err != nil || pin[1].Gen > g || (na == writes && nb == writes && pin[1].Gen != g) {
+			t.Fatalf("b stamped %d at the pin, now %d (%v)", pin[1].Gen, g, err)
+		}
+		if nb == writes {
+			break
+		}
+	}
+	<-done
+}
+
+// TestScanTablesSkipsTheStateHeld: a table whose snapshot still carries
+// the caller's generation is not scanned and not pinned — the next write
+// to it need not copy it — while the others in the call are.
+func TestScanTablesSkipsTheStateHeld(t *testing.T) {
+	s := concStore(t, 8)
+	g := tableGen(t, s, "t")
+	visited := 0
+	scans := []TableScan{{Table: "t", Have: &g, Visit: func(Row) bool { visited++; return true }}}
+	if err := s.ScanTables(scans); err != nil {
+		t.Fatal(err)
+	}
+	if visited != 0 || scans[0].Gen != g || s.tableMap()["t"].data.shared.Load() {
+		t.Fatalf("held state: visited %d rows, stamped %d (have %d), shared %v", visited, scans[0].Gen, g, s.tableMap()["t"].data.shared.Load())
+	}
+	stale := g - 1
+	scans[0].Have = &stale
+	if err := s.ScanTables(scans); err != nil || visited != 8 || scans[0].Gen != g {
+		t.Fatalf("stale state: visited %d rows, stamped %d, %v", visited, scans[0].Gen, err)
+	}
+	if err := s.ScanTables([]TableScan{{Table: "t", Visit: func(Row) bool { return true }}, {Table: "nope"}}); err == nil {
+		t.Fatal("ScanTables over a missing table did not fail")
 	}
 }
