@@ -127,10 +127,14 @@ func (l *lexer) lexWordOrNumber(col int) Token {
 	}
 	text := l.src[start:l.off]
 	// Only runs that look numeric are candidates for NUMBER: ParseFloat
-	// alone would also accept the words "inf" and "nan".
+	// alone would also accept the words "inf" and "nan", and its error
+	// for any other word would copy the word's text.
 	numeric := unicode.IsDigit(rune(text[0])) ||
 		(len(text) > 1 && (text[0] == '-' || text[0] == '.') && unicode.IsDigit(rune(text[1])))
-	if v, err := strconv.ParseFloat(text, 64); numeric && err == nil {
+	if !numeric {
+		return Token{Kind: WORD, Text: text, Col: col}
+	}
+	if v, err := strconv.ParseFloat(text, 64); err == nil {
 		return Token{
 			Kind:  NUMBER,
 			Text:  text,

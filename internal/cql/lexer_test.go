@@ -136,3 +136,24 @@ func TestLexWhitespaceOnly(t *testing.T) {
 		t.Errorf("EOF.String() = %q", EOF.String())
 	}
 }
+
+// TestLexWordsAllocateNothing: a keyword or name is classified without
+// ParseFloat, whose error for a non-number would copy the word's text.
+func TestLexWordsAllocateNothing(t *testing.T) {
+	const line = "find component of type Register executing STORAGE and LOAD order by cost desc"
+	allocs := testing.AllocsPerRun(100, func() {
+		lx := lexer{src: line}
+		for {
+			tok, err := lx.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.Kind == EOF {
+				return
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lexing %q allocated %v time(s), want 0", line, allocs)
+	}
+}

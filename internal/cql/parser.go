@@ -37,11 +37,20 @@ var (
 // names are validated by the compiler (CompileFind, Env.Exec), which
 // positions its errors the same way.
 func Parse(src string) (Stmt, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
+	// A lex error anywhere on the line wins over a parse error: lex it
+	// through once first, keeping nothing. The parser then pulls tokens
+	// from a second lexer, which cannot fail.
+	for lx := (lexer{src: src}); ; {
+		t, err := lx.next()
+		if err != nil {
+			return nil, err
+		}
+		if t.Kind == EOF {
+			break
+		}
 	}
-	p := &parser{toks: toks}
+	p := &parser{lx: lexer{src: src}}
+	p.tok, _ = p.lx.next()
 	stmt, err := p.command()
 	if err != nil {
 		return nil, err
@@ -52,17 +61,19 @@ func Parse(src string) (Stmt, error) {
 	return stmt, nil
 }
 
+// parser is a recursive-descent parser with one token of lookahead, tok,
+// pulled from lx as it is consumed.
 type parser struct {
-	toks []Token
-	i    int
+	lx  lexer
+	tok Token
 }
 
-func (p *parser) cur() Token { return p.toks[p.i] }
+func (p *parser) cur() Token { return p.tok }
 
 func (p *parser) advance() Token {
-	t := p.toks[p.i]
+	t := p.tok
 	if t.Kind != EOF {
-		p.i++
+		p.tok, _ = p.lx.next() // Parse lexed the whole line once already
 	}
 	return t
 }

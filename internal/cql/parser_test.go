@@ -449,3 +449,23 @@ func TestSuggest(t *testing.T) {
 		t.Errorf("editDistance(\"\", abc) = %d, want 3", d)
 	}
 }
+
+// TestParseLexErrorWins: the parser pulls tokens one at a time, yet a lex
+// error later on the line still wins over the parse error that comes
+// before it, as when the whole line was lexed first.
+func TestParseLexErrorWins(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"find foo !", "cql: unexpected '!' (the only '!' operator is '!=') at col 10"},
+		{`bogus "open`, "cql: unterminated string at col 7"},
+		{"find component executing ? STORAGE", `cql: unexpected character "?" at col 26`},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %q", c.src, err, c.want)
+		}
+	}
+	// Without the lex error the same prefix fails to parse.
+	if _, err := Parse("find foo"); err == nil || strings.Contains(err.Error(), "'!'") {
+		t.Errorf("Parse(%q) = %v, want a parse error", "find foo", err)
+	}
+}

@@ -34,11 +34,17 @@ import (
 //     holds wmu from before its upsert until its delta is in, and applies
 //     the delta only when its part's stamp equals the upsert's Before. It
 //     replaces its own part and no other, cloning the value first when a
-//     reader holds it. Any other write — SetToolParam, or one made
-//     directly through Store() — leaves the stamp behind: a part can be
-//     stale, never wrong.
+//     reader holds it. A clone copies spines, not contents: the
+//     implementations part's clone shares every posting list, and
+//     RegisterImpl's delta then copies only the lists it touches. Any
+//     other write — SetToolParam, or one made directly through Store() —
+//     leaves the stamp behind: a part can be stale, never wrong.
 //   - Parts are lazy: a width-free query never reads (or, under a lazy
-//     open, decodes) the estimators relation.
+//     open, decodes) the estimators relation. A width query joins each
+//     posting list it walks to the estimators part it pinned, once per
+//     (list, part), and caches the join on the list (DB.join): a pinned
+//     part never changes and a delta always installs a new one, so the
+//     join needs no stamp of its own.
 //
 // wmu also runs cold builds one at a time rather than racing several
 // scans for the same cores and memory (on a 100k-implementation catalog,
@@ -215,6 +221,9 @@ func (db *DB) rebuild(r *reading) error {
 	if err := db.store.ScanTables(scans); err != nil || berr != nil {
 		return cmp.Or(err, berr)
 	}
+	if d, ok := vals[partImpls].(*derived); ok {
+		d.seal() // the posting lists, from one sort by name
+	}
 	k := 0
 	for p := range numParts {
 		if r.need&(1<<p) == 0 {
@@ -249,7 +258,7 @@ func (db *DB) builder(p partID, val *any, err *error) (relstore.Pred, func(relst
 		*val = d
 		return nil, func(r relstore.Row) bool {
 			im := rowImpl(r)
-			d.index(&im)
+			d.add(&im)
 			return true
 		}
 	case partEsts:

@@ -204,6 +204,9 @@ type DB struct {
 	cat      catalog
 	wmu      sync.Mutex
 	rebuilds [numParts]atomic.Uint64
+	// joins counts the estimator joins built (DB.join), joinLookups the
+	// by-name estimator lookups they made: the only ones on Find's path.
+	joins, joinLookups atomic.Uint64
 	// afterPin, when set, runs in every read between its pin and its
 	// checks: the seam the one-version tests write through.
 	afterPin func()
@@ -233,52 +236,50 @@ type DB struct {
 
 // derived is one snapshot of the DB's read-path state over the
 // implementations relation: the decoded-implementation cache and the two
-// inverted indexes. Cached *Impl values are shared between snapshots and
-// treated as immutable; RegisterImpl's delta swaps in fresh values
-// instead of editing in place, on a clone once a reader has pinned the
-// snapshot (see catalog).
+// inverted indexes, whose posting lists are name-sorted entry slices
+// (postList). Cached *Impl values and published lists are shared between
+// snapshots and immutable: RegisterImpl's delta files a fresh *Impl into
+// fresh copies of the lists it touches, on a clone of the spines once a
+// reader has pinned the snapshot (see catalog). A list's estimator join
+// is the one thing a reader adds to a published snapshot.
 type derived struct {
-	impls map[string]*Impl                         // name -> decoded implementation
-	byFn  map[genus.Function]map[string]*Impl      // function -> posting map
-	byCt  map[genus.ComponentType]map[string]*Impl // component type -> posting map
+	impls map[string]*Impl                  // name -> decoded implementation
+	byFn  map[genus.Function]*postList      // function -> posting list
+	byCt  map[genus.ComponentType]*postList // component type -> posting list
 	// order lists the cached implementations in the implementations
 	// relation's insertion order (a re-registered name keeps its place,
-	// like the row it upserts), so whole-catalog walks need neither the
-	// store's rows nor a sort.
+	// like the row it upserts), so ImplsScan needs neither the store's
+	// rows nor a sort.
 	order []*Impl
 }
 
 func newDerived() *derived {
 	return &derived{
 		impls: make(map[string]*Impl),
-		byFn:  make(map[genus.Function]map[string]*Impl),
-		byCt:  make(map[genus.ComponentType]map[string]*Impl),
+		byFn:  make(map[genus.Function]*postList),
+		byCt:  make(map[genus.ComponentType]*postList),
 	}
 }
 
-// clone deep-copies the snapshot's spines — outer maps, posting maps
-// and the order slice — sharing the *Impl values, which are immutable.
-// The clone starts unshared: the writer owns it until the next reader
-// pins it.
+// clone copies the snapshot's spines — the name map, the two outer maps
+// and the order slice — sharing the posting lists and the *Impl values,
+// which are immutable. The clone starts unshared: the writer owns it
+// until the next reader pins it.
 func (d *derived) clone() *derived {
-	nd := &derived{order: slices.Clone(d.order), impls: maps.Clone(d.impls), byFn: maps.Clone(d.byFn), byCt: maps.Clone(d.byCt)}
-	for f, post := range nd.byFn {
-		nd.byFn[f] = maps.Clone(post)
-	}
-	for ct, post := range nd.byCt {
-		nd.byCt[ct] = maps.Clone(post)
-	}
-	return nd
+	return &derived{order: slices.Clone(d.order), impls: maps.Clone(d.impls), byFn: maps.Clone(d.byFn), byCt: maps.Clone(d.byCt)}
 }
 
-// estMap is the estimator half of the derived state: which compiled
-// program predicts each implementation's area and delay, by
-// implementation name. It is built from a scan of only the estimators
-// relation — independently of the implementation indexes, so width-free
-// queries and sessions that never evaluate a width point leave the
-// estimators relation untouched (and, under a lazy open, undecoded). The entries are by-value pointer pairs into
-// DB.progs: a catalog of 100k implementations sharing three expressions
-// holds three programs, not 200k syntax trees.
+// estMap is the estimators part: which compiled program predicts each
+// implementation's area and delay, by implementation name. It is built
+// from a scan of only the estimators relation — independently of the
+// implementation indexes, so width-free queries and sessions that never
+// evaluate a width point leave the estimators relation untouched (and,
+// under a lazy open, undecoded). A width query does not look candidates
+// up in it: each posting list it walks is joined to it by position once
+// (DB.join), and the join is read per candidate. The entries are
+// by-value pointer pairs into DB.progs: a catalog of 100k
+// implementations sharing three expressions holds three programs, not
+// 200k syntax trees.
 type estMap map[string]estPair
 
 // estPair holds one implementation's estimator programs; a nil program
@@ -420,50 +421,61 @@ func (db *DB) intern(src string) (*estProg, error) {
 	return p, nil
 }
 
-// index files im under its name, functions, and component type. An
-// implementation replacing one of the same name takes over its place in
-// order; a new name goes to the end.
-func (d *derived) index(im *Impl) {
-	if old, ok := d.impls[im.Name]; ok {
-		d.unindex(old)
+// add files im during a rebuild, under its name and at the end of order;
+// seal builds the posting lists once the scan is done. The relation's
+// key makes every name new.
+func (d *derived) add(im *Impl) {
+	d.impls[im.Name] = im
+	d.order = append(d.order, im)
+}
+
+// seal builds the posting lists of the implementations add filed: it
+// sorts them by name once and appends each to its lists in that order,
+// every list allocated at its final length — no insertion into a sorted
+// slice per row, no sort per list.
+func (d *derived) seal() {
+	sorted := slices.SortedFunc(slices.Values(d.order), func(a, b *Impl) int { return strings.Compare(a.Name, b.Name) })
+	nFn, nCt := map[genus.Function]int{}, map[genus.ComponentType]int{}
+	for _, im := range sorted {
+		for _, f := range im.Functions {
+			nFn[f]++
+		}
+		nCt[im.Component]++
+	}
+	for _, im := range sorted {
+		e := entryOf(im)
+		for _, f := range im.Functions {
+			appendTo(d.byFn, f, nFn[f], e)
+		}
+		appendTo(d.byCt, im.Component, nCt[im.Component], e)
+	}
+}
+
+// put files im, decoded from the row a registration just stored, in place
+// of any implementation of its name: im takes over that one's place in
+// order (a new name goes to the end), and each posting list either of
+// them is on is replaced by a copy, once. d is the writer's (unshared);
+// the lists it shares with other snapshots are never written.
+func (d *derived) put(im *Impl) {
+	if old := d.impls[im.Name]; old != nil {
 		d.order[slices.Index(d.order, old)] = im
+		for _, f := range old.Functions {
+			if !slices.Contains(im.Functions, f) {
+				repost(d.byFn, f, im.Name, nil)
+			}
+		}
+		if old.Component != im.Component {
+			repost(d.byCt, old.Component, im.Name, nil)
+		}
 	} else {
 		d.order = append(d.order, im)
 	}
 	d.impls[im.Name] = im
+	e := entryOf(im)
 	for _, f := range im.Functions {
-		post := d.byFn[f]
-		if post == nil {
-			post = make(map[string]*Impl)
-			d.byFn[f] = post
-		}
-		post[im.Name] = im
+		repost(d.byFn, f, im.Name, &e)
 	}
-	post := d.byCt[im.Component]
-	if post == nil {
-		post = make(map[string]*Impl)
-		d.byCt[im.Component] = post
-	}
-	post[im.Name] = im
-}
-
-// unindex drops im's posting-list entries (its order slot is index's to
-// reassign).
-func (d *derived) unindex(im *Impl) {
-	for _, f := range im.Functions {
-		if post := d.byFn[f]; post != nil {
-			delete(post, im.Name)
-			if len(post) == 0 {
-				delete(d.byFn, f)
-			}
-		}
-	}
-	if post := d.byCt[im.Component]; post != nil {
-		delete(post, im.Name)
-		if len(post) == 0 {
-			delete(d.byCt, im.Component)
-		}
-	}
+	repost(d.byCt, im.Component, im.Name, &e)
 }
 
 // RegisterImpl validates and upserts an implementation row. The IIF
@@ -505,14 +517,15 @@ func (db *DB) RegisterImpl(im Impl) error {
 	// entries under its name, and keeps its place in order. It is cached
 	// as decoded from the row just stored (function set in canonical
 	// order, caller-independent slices), exactly what a cache rebuilt
-	// from the relation would hold.
+	// from the relation would hold. The delta copies the lists it touches
+	// and shares the rest.
 	return db.upsert(partImpls, row, func(v any, shared bool) any {
 		d := v.(*derived)
 		if shared {
 			d = d.clone()
 		}
 		im := rowImpl(row)
-		d.index(&im)
+		d.put(&im)
 		return d
 	})
 }
@@ -645,15 +658,19 @@ func (db *DB) Impls() ([]Impl, error) {
 // insertion order — the order Impls returns — straight from the
 // decoded-implementation cache: no row is re-decoded and nothing is
 // allocated per implementation. visit returning false stops the stream.
-// The visitor contract is a streamed Find's: the *Impl is the cache's
-// own value (read-only; Clone to retain), and visit may call back into
-// the DB (see Find).
+// The visitor contract is Find's: the *Impl is the cache's own value
+// (read-only; Clone to retain), and visit may call back into the DB.
 func (db *DB) ImplsScan(visit func(*Impl) bool) error {
 	r, err := db.read(needImpls, nil)
 	if err != nil {
 		return err
 	}
-	return (&Query{}).each(r.impls(), visit) // the zero Query walks the cache in insertion order
+	for _, im := range r.impls().order {
+		if !visit(im) {
+			break
+		}
+	}
+	return nil
 }
 
 // ComponentFunctions reads the components relation: the function set

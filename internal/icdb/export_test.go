@@ -49,3 +49,10 @@ func (db *DB) FindAll(q Query) ([]Candidate, error) {
 // tree-walking evaluator (evalAttr), for the full-scan reference the
 // external tests hold the compiled engine to.
 func EvalAttr(e iif.Expr, a Attrs) (float64, error) { return evalAttr(e, a) }
+
+// EstimatorJoins reports how many estimator joins (a posting list's
+// estimator pairs read from one estimators part) have been built, and
+// the by-name estimator lookups they made: the only ones on Find's path.
+func (db *DB) EstimatorJoins() (builds, lookups uint64) {
+	return db.joins.Load(), db.joinLookups.Load()
+}

@@ -438,8 +438,9 @@ func (db *DB) EstimateImpl(name string, width int) (area, delay, cost float64, e
 		return 0, 0, 0, fmt.Errorf("icdb: estimate %s: width %d outside implementation width range [%d,%d]",
 			name, width, im.WidthMin, im.WidthMax)
 	}
-	ev := newAttrEval(&r, nil, width, nil, nil)
-	area, delay, err = ev.fill(im)
+	ev := db.newAttrEval(&r, nil, width, nil, nil)
+	e := entryOf(im)
+	area, delay, err = ev.fill(&e, r.ests()[name])
 	if err != nil {
 		return 0, 0, 0, err
 	}

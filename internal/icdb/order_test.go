@@ -38,8 +38,9 @@ func TestQueryOrderedByAttr(t *testing.T) {
 				t.Fatalf("resolve(%+v): %v", order, err)
 			}
 			if !sort.SliceIsSorted(cands, func(i, j int) bool {
-				ri := key.rank(&cands[i].Impl, cands[i].Area, cands[i].Delay, cands[i].Cost)
-				rj := key.rank(&cands[j].Impl, cands[j].Area, cands[j].Delay, cands[j].Cost)
+				ei, ej := entryOf(&cands[i].Impl), entryOf(&cands[j].Impl)
+				ri := key.rank(&ei, cands[i].Area, cands[i].Delay, cands[i].Cost)
+				rj := key.rank(&ej, cands[j].Area, cands[j].Delay, cands[j].Cost)
 				if ri != rj {
 					return ri < rj
 				}

@@ -216,9 +216,9 @@ type Query struct {
 	// (§4.1's merged-component query: COUNTER+STORAGE finds counters but
 	// not pure incrementers), served by intersecting posting lists.
 	Functions []genus.Function
-	// Type, when set, keeps the implementations of one component type. It
-	// is served from the component inverted index when Functions is empty
-	// and filtered inline otherwise.
+	// Type, when set, keeps the implementations of one component type,
+	// served from the component inverted index (intersected with the
+	// function lists when Functions is set too).
 	Type genus.ComponentType
 	// Constraints must all accept a candidate.
 	Constraints []Constraint
@@ -243,9 +243,8 @@ type Query struct {
 // Candidate is one query answer. The implementation's component type is
 // available as Impl.Component.
 type Candidate struct {
-	// Impl is the matching implementation: a caller-owned copy on a
-	// ranked query, the cache's shared backing on a streamed one (see
-	// DB.Find).
+	// Impl is the matching implementation, sharing the cache's backing
+	// slices: read-only, Clone to retain it past the visit (see DB.Find).
 	Impl Impl
 	// Area and Delay are the cost estimates the query evaluated for this
 	// candidate: at a width point (Query.Width) they are the estimator
@@ -303,23 +302,20 @@ func (o Order) resolve() (sortKey, error) {
 	return sortKey{}, fmt.Errorf("icdb: unknown order key %q (have %s)", o.Attr, strings.Join(OrderKeys(), ", "))
 }
 
-// rank computes im's sort key: the value candidates are compared by,
+// rank computes e's sort key: the value candidates are compared by,
 // negated for descending orders so ranking logic is always ascending.
 // area and delay are the query-evaluated estimates (see Candidate.Area),
 // so ordering by them is width-aware at a width point.
-func (k sortKey) rank(im *Impl, area, delay, cost float64) float64 {
+func (k sortKey) rank(e *implEntry, area, delay, cost float64) float64 {
 	v := cost
 	switch k.slot {
+	case slotCost: // v holds it
 	case slotArea:
 		v = area
 	case slotDelay:
 		v = delay
-	case slotStages:
-		v = float64(im.Stages)
-	case slotWidthMin:
-		v = float64(im.WidthMin)
-	case slotWidthMax:
-		v = float64(im.WidthMax)
+	default:
+		v = e.a[k.slot]
 	}
 	if k.desc {
 		return -v
@@ -348,12 +344,12 @@ func (db *DB) RankWeights() (area, delay float64, err error) {
 // the delivery.
 //
 // A ranked query (Order.Attr set, or Limit > 0) ranks before it yields —
-// bounded by a Limit-sized heap, so a bounded query clones O(Limit)
-// implementations — and visit receives caller-owned candidates, best
+// bounded by a Limit-sized heap — and visit receives candidates best
 // first. An unranked query streams: candidates arrive as they are found,
-// in unspecified order, without being materialized or copied, and the
-// yielded Impl shares the cache's backing slices — treat it as read-only
-// and call Impl.Clone before retaining it past the visit.
+// in unspecified order, without being materialized. Neither copies
+// anything for the visitor: the yielded Impl shares the cache's backing
+// slices — treat it as read-only and call Impl.Clone before retaining it
+// past the visit.
 //
 // Either way the query reads one state of the store (see catalog) and
 // holds no lock while visit runs, so visit may take arbitrarily long and
@@ -376,25 +372,24 @@ func (db *DB) Find(q Query, visit func(Candidate) bool) error {
 	if err != nil {
 		return err
 	}
-	ev := newAttrEval(&r, q.Constraints, q.Width, q.AreaWeight, q.DelayWeight)
+	ev := db.newAttrEval(&r, q.Constraints, q.Width, q.AreaWeight, q.DelayWeight)
 	d := r.impls()
 	if q.Order.Attr == "" && q.Limit <= 0 {
-		return ev.scan(d, &q, func(im *Impl, area, delay, cost float64) bool {
-			return visit(Candidate{Impl: *im, Area: area, Delay: delay, Cost: cost})
+		return ev.scan(d, &q, func(e *implEntry, area, delay, cost float64) bool {
+			return visit(Candidate{Impl: *e.im, Area: area, Delay: delay, Cost: cost})
 		})
 	}
 	// The usual limits (5 to 20) fit the first allocation; a larger one
 	// grows like any slice, so an enormous limit costs nothing until used.
 	h := candHeap{limit: q.Limit, items: make([]heapItem, 0, min(q.Limit, 32))}
-	err = ev.scan(d, &q, func(im *Impl, area, delay, cost float64) bool {
-		h.offer(heapItem{im: im, area: area, delay: delay, cost: cost, rank: key.rank(im, area, delay, cost)})
+	err = ev.scan(d, &q, func(e *implEntry, area, delay, cost float64) bool {
+		h.offer(heapItem{im: e.im, area: area, delay: delay, cost: cost, rank: key.rank(e, area, delay, cost)})
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	// a sorts before b exactly when b ranks strictly after a. Cloning waits
-	// until here: cached *Impl values are immutable and outlive the stream.
+	// a sorts before b exactly when b ranks strictly after a.
 	slices.SortStableFunc(h.items, func(a, b heapItem) int {
 		switch {
 		case worse(b, a):
@@ -405,81 +400,7 @@ func (db *DB) Find(q Query, visit func(Candidate) bool) error {
 		return 0
 	})
 	for _, it := range h.items {
-		if !visit(Candidate{Impl: it.im.Clone(), Area: it.area, Delay: it.delay, Cost: it.cost}) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// each streams the cached implementations q selects from snapshot d to
-// visit, stopping early when visit returns false. The source is the
-// narrowest index the selectors allow: the function posting lists'
-// intersection with Type filtered inline, else Type's posting map, else
-// the whole cache in insertion order. The snapshot is copy-on-write and
-// its *Impl values are never mutated in place (re-registration swaps
-// pointers), so the stream holds no lock and may outlive a writer.
-func (q *Query) each(d *derived, visit func(*Impl) bool) error {
-	var ct genus.ComponentType
-	if q.Type != "" {
-		nct, ok := genus.NormalizeComponentType(string(q.Type))
-		if !ok {
-			return fmt.Errorf("icdb: unknown component type %q", q.Type)
-		}
-		ct = nct
-	}
-	switch {
-	case len(q.Functions) > 0:
-		return forEachByFunctions(d, q.Functions, func(im *Impl) bool {
-			return (ct != "" && im.Component != ct) || visit(im)
-		})
-	case ct != "":
-		for _, im := range d.byCt[ct] {
-			if !visit(im) {
-				return nil
-			}
-		}
-	default:
-		for _, im := range d.order {
-			if !visit(im) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// forEachByFunctions intersects the function inverted index's posting
-// lists smallest-first: it iterates the rarest function's postings and
-// yields implementations present in all others. fns must be non-empty.
-func forEachByFunctions(d *derived, fns []genus.Function, visit func(*Impl) bool) error {
-	want := make([]genus.Function, 0, len(fns))
-	for _, f := range fns {
-		nf, err := genus.NormalizeFunction(string(f))
-		if err != nil {
-			return err
-		}
-		want = append(want, nf)
-	}
-	posts := make([]map[string]*Impl, len(want))
-	smallest := 0
-	for i, f := range want {
-		posts[i] = d.byFn[f]
-		if len(posts[i]) < len(posts[smallest]) {
-			smallest = i
-		}
-	}
-outer:
-	for name, im := range posts[smallest] {
-		for i, post := range posts {
-			if i == smallest {
-				continue
-			}
-			if _, ok := post[name]; !ok {
-				continue outer
-			}
-		}
-		if !visit(im) {
+		if !visit(Candidate{Impl: *it.im, Area: it.area, Delay: it.delay, Cost: it.cost}) {
 			return nil
 		}
 	}
@@ -495,49 +416,54 @@ outer:
 // it evaluates, so one query sees one consistent (implementation,
 // estimator, weights) state end to end.
 type attrEval struct {
+	db     *DB
 	cs     []Constraint
 	wa, wd float64
 	width  int
-	ests   map[string]estPair
-	s      slots
+	// ests is the estimators part r pinned, at a width point; pairs is
+	// the join of list, the posting list the scan is on, to it.
+	ests  *part
+	list  *postList
+	pairs []estPair
+	s     slots
 }
 
 // newAttrEval resolves what every evaluating path needs before its first
 // candidate from r: the ranking weights (the overrides where set) and, at
 // a width point, the estimators r pinned.
-func newAttrEval(r *reading, cs []Constraint, width int, wArea, wDelay *float64) *attrEval {
-	ev := &attrEval{cs: cs, width: width}
+func (db *DB) newAttrEval(r *reading, cs []Constraint, width int, wArea, wDelay *float64) *attrEval {
+	ev := &attrEval{db: db, cs: cs, width: width}
 	ev.wa, ev.wd = r.weights().with(wArea, wDelay)
 	if width != 0 {
-		ev.ests = r.ests()
+		ev.ests = r.cat[partEsts]
 	}
 	return ev
 }
 
-// fill loads im into the slot vector and returns the evaluated area and
-// delay estimates. At a width point the vector gains width and, once
-// both estimators have run, its area/delay slots are replaced by the
-// evaluated values, so constraints filter on exactly what ranking
-// scores. Estimator expressions themselves see the scalar attributes
-// (area and delay are the per-bit estimates while both expressions
-// evaluate). A result that is not a finite number is an error: it cannot
-// be ranked (NaN has no order) or recorded.
-func (ev *attrEval) fill(im *Impl) (area, delay float64, err error) {
+// fill loads e into the slot vector and returns the evaluated area and
+// delay estimates, est holding e's estimator programs. At a width point
+// the vector gains width and, once both estimators have run, its
+// area/delay slots are replaced by the evaluated values, so constraints
+// filter on exactly what ranking scores. Estimator expressions
+// themselves see the scalar attributes (area and delay are the per-bit
+// estimates while both expressions evaluate). A result that is not a
+// finite number is an error: it cannot be ranked (NaN has no order) or
+// recorded.
+func (ev *attrEval) fill(e *implEntry, est estPair) (area, delay float64, err error) {
 	s := &ev.s
-	s.fillImpl(im)
-	area, delay = im.Area, im.Delay
+	s.fillEntry(e)
+	area, delay = e.a[slotArea], e.a[slotDelay]
 	if ev.width == 0 {
 		return area, delay, nil
 	}
 	s.setWidth(ev.width)
-	est := ev.ests[im.Name]
 	if est.area != nil {
-		if area, err = ev.estimate(est.area, "area", im); err != nil {
+		if area, err = ev.estimate(est.area, "area", e.im); err != nil {
 			return 0, 0, err
 		}
 	}
 	if est.delay != nil {
-		if delay, err = ev.estimate(est.delay, "delay", im); err != nil {
+		if delay, err = ev.estimate(est.delay, "delay", e.im); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -557,16 +483,16 @@ func (ev *attrEval) estimate(p *estProg, attr string, im *Impl) (float64, error)
 	return v, nil
 }
 
-// evalAccept evaluates im at ev's width point and runs the constraints
+// evalAccept evaluates e at ev's width point and runs the constraints
 // over the slot vector, then the width point's coverage filter. Nothing
 // is allocated per candidate: the vector lives in ev and the constraints
 // are compiled (slot comparisons and closure trees), so a constrained
 // stream costs O(1) allocations in all.
-func (ev *attrEval) evalAccept(im *Impl) (area, delay float64, ok bool, err error) {
+func (ev *attrEval) evalAccept(e *implEntry, est estPair) (area, delay float64, ok bool, err error) {
 	if len(ev.cs) == 0 && ev.width == 0 {
-		return im.Area, im.Delay, true, nil
+		return e.a[slotArea], e.a[slotDelay], true, nil
 	}
-	area, delay, err = ev.fill(im)
+	area, delay, err = ev.fill(e, est)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -576,25 +502,34 @@ func (ev *attrEval) evalAccept(im *Impl) (area, delay float64, ok bool, err erro
 			return 0, 0, false, err
 		}
 	}
-	if ev.width != 0 && (im.WidthMin > ev.width || im.WidthMax < ev.width) {
+	if w := float64(ev.width); ev.width != 0 && (e.a[slotWidthMin] > w || e.a[slotWidthMax] < w) {
 		return 0, 0, false, nil
 	}
 	return area, delay, true, nil
 }
 
 // scan drives one query's stream end to end: constraint filtering,
-// costing, and delivery of each survivor (the cache's own *Impl and its
+// costing, and delivery of each survivor (its posting-list entry and its
 // evaluated estimates) to visit, allocating O(1) total beyond what the
-// visitor itself does.
-func (ev *attrEval) scan(d *derived, q *Query, visit func(im *Impl, area, delay, cost float64) bool) error {
+// visitor itself does. At a width point a candidate's estimators are
+// read by its position in the list, from the list's join.
+func (ev *attrEval) scan(d *derived, q *Query, visit func(e *implEntry, area, delay, cost float64) bool) error {
 	var cerr error
-	err := q.each(d, func(im *Impl) bool {
-		area, delay, ok, err := ev.evalAccept(im)
+	err := q.each(d, func(pl *postList, i int) bool {
+		var est estPair
+		if ev.width != 0 {
+			if pl != ev.list {
+				ev.list, ev.pairs = pl, ev.db.join(pl, ev.ests)
+			}
+			est = ev.pairs[i]
+		}
+		e := &pl.ents[i]
+		area, delay, ok, err := ev.evalAccept(e, est)
 		if err != nil {
 			cerr = err
 			return false
 		}
-		return !ok || visit(im, area, delay, area*ev.wa+delay*ev.wd)
+		return !ok || visit(e, area, delay, area*ev.wa+delay*ev.wd)
 	})
 	if err != nil {
 		return err

@@ -208,12 +208,14 @@ func TestZeroConstraintAcceptsEverything(t *testing.T) {
 	}
 }
 
-// TestQueryResultsAreCallerOwned: mutating a ranked candidate's slices
-// must not corrupt the shared decoded cache.
+// TestQueryResultsAreCallerOwned: mutating a ranked answer retained the
+// way Find's contract asks (Impl.Clone, as FindAll does), or one
+// ImplByName returned, must not corrupt the shared decoded cache.
 func TestQueryResultsAreCallerOwned(t *testing.T) {
 	db := openDB(t)
 	var cands []Candidate
 	err := db.Find(byCost(genus.FuncSTORAGE), func(c Candidate) bool {
+		c.Impl = c.Impl.Clone()
 		cands = append(cands, c)
 		return true
 	})

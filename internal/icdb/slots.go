@@ -71,13 +71,10 @@ func slotsOf(a Attrs) slots {
 	return s
 }
 
-// fillImpl loads im's five attributes, leaving only those present.
-func (s *slots) fillImpl(im *Impl) {
-	s.v[slotWidthMin] = float64(im.WidthMin)
-	s.v[slotWidthMax] = float64(im.WidthMax)
-	s.v[slotStages] = float64(im.Stages)
-	s.v[slotArea] = im.Area
-	s.v[slotDelay] = im.Delay
+// fillEntry loads a posting-list entry's five attributes, leaving only
+// those present.
+func (s *slots) fillEntry(e *implEntry) {
+	*(*[slotWidth]float64)(s.v[:slotWidth]) = e.a
 	s.have = haveImpl
 }
 

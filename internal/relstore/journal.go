@@ -468,16 +468,29 @@ func OpenDurable(path string, opt DurableOptions) (*Durable, error) {
 
 	// 1. Snapshot, if present. Its covered LSN says which journal records
 	// it already folds in.
-	s := New()
+	// 2. Journal header: the LSN of the journal's first record.
+	//
+	// A journal beginning past the snapshot read just before it is what
+	// a compaction by another process on the same files (a second server
+	// opened on a live catalog) leaves between the two reads: Compact
+	// renames its snapshot first and its rebased journal second. Read
+	// the pair again; only a pair that stays mismatched is an error.
+	var s *Store
 	var snapLSN uint64
-	if data, err := fsys.ReadFile(path); err == nil {
-		if s, snapLSN, err = decodeSnapshot(data, SnapshotOptions{Mode: opt.Open}); err != nil {
-			return nil, fmt.Errorf("relstore: open durable: load snapshot %s: %w", path, err)
+	var jdata []byte
+	var base int64
+	for attempt := 1; ; attempt++ {
+		var err error
+		if s, snapLSN, jdata, base, err = d.readPair(path, jpath, opt.Open); err != nil {
+			return nil, err
 		}
-		d.recovery.SnapshotLoaded = true
-		d.haveSnap = true
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("relstore: open durable: %w", err)
+		if jdata == nil || uint64(base) <= snapLSN {
+			break
+		}
+		if attempt == 3 {
+			return nil, fmt.Errorf("relstore: open durable: journal %s begins at LSN %d but snapshot %s only covers %d — records in between are missing (mismatched snapshot/journal pair?)",
+				jpath, base, path, snapLSN)
+		}
 	}
 	for name, t := range s.tableMap() {
 		if t.pending != nil && t.pending.err != nil {
@@ -491,30 +504,12 @@ func OpenDurable(path string, opt DurableOptions) (*Durable, error) {
 		}
 	}
 
-	// 2. Journal scan: validate framing, split records, find the torn
-	// tail (if any) or reject mid-file corruption.
+	// Journal scan: validate framing, split records, find the torn tail
+	// (if any) or reject mid-file corruption.
 	var records [][]byte
-	base := int64(snapLSN) // a fresh journal starts where the snapshot left off
 	validEnd := int64(walHeaderLen)
 	torn := false
-	jdata, err := fsys.ReadFile(jpath)
-	switch {
-	case errors.Is(err, os.ErrNotExist) || (err == nil && len(jdata) == 0):
-		jdata = nil
-	case err != nil:
-		return nil, fmt.Errorf("relstore: open durable: journal %s: %w", jpath, err)
-	default:
-		if len(jdata) < walHeaderLen || string(jdata[:len(walMagic)]) != walMagic {
-			return nil, fmt.Errorf("relstore: open durable: journal %s: bad magic (not an ICDB journal)", jpath)
-		}
-		if v := binary.LittleEndian.Uint32(jdata[len(walMagic):]); v != walVersion {
-			return nil, fmt.Errorf("relstore: open durable: journal %s: unsupported version %d (this build reads version %d)", jpath, v, walVersion)
-		}
-		base = int64(binary.LittleEndian.Uint64(jdata[len(walMagic)+4 : walHeaderLen]))
-		if uint64(base) > snapLSN {
-			return nil, fmt.Errorf("relstore: open durable: journal %s begins at LSN %d but snapshot %s only covers %d — records in between are missing (mismatched snapshot/journal pair?)",
-				jpath, base, path, snapLSN)
-		}
+	if jdata != nil {
 		off := int64(walHeaderLen)
 		for off < int64(len(jdata)) {
 			rem := int64(len(jdata)) - off
@@ -618,6 +613,38 @@ func OpenDurable(path string, opt DurableOptions) (*Durable, error) {
 		go d.run(opt.Fsync == FsyncInterval, opt.FsyncInterval)
 	}
 	return d, nil
+}
+
+// readPair reads the snapshot at path (an empty store when there is
+// none) and the journal at jpath (nil when missing or empty), returning
+// the snapshot's covered LSN and the LSN of the journal's first record:
+// the snapshot's own for a journal still to be created.
+func (d *Durable) readPair(path, jpath string, mode OpenMode) (s *Store, snapLSN uint64, jdata []byte, base int64, err error) {
+	s = New()
+	d.recovery.SnapshotLoaded, d.haveSnap = false, false
+	if data, err := d.fs.ReadFile(path); err == nil {
+		if s, snapLSN, err = decodeSnapshot(data, SnapshotOptions{Mode: mode}); err != nil {
+			return nil, 0, nil, 0, fmt.Errorf("relstore: open durable: load snapshot %s: %w", path, err)
+		}
+		d.recovery.SnapshotLoaded = true
+		d.haveSnap = true
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, 0, nil, 0, fmt.Errorf("relstore: open durable: %w", err)
+	}
+	jdata, err = d.fs.ReadFile(jpath)
+	switch {
+	case errors.Is(err, os.ErrNotExist) || (err == nil && len(jdata) == 0):
+		return s, snapLSN, nil, int64(snapLSN), nil
+	case err != nil:
+		return nil, 0, nil, 0, fmt.Errorf("relstore: open durable: journal %s: %w", jpath, err)
+	}
+	if len(jdata) < walHeaderLen || string(jdata[:len(walMagic)]) != walMagic {
+		return nil, 0, nil, 0, fmt.Errorf("relstore: open durable: journal %s: bad magic (not an ICDB journal)", jpath)
+	}
+	if v := binary.LittleEndian.Uint32(jdata[len(walMagic):]); v != walVersion {
+		return nil, 0, nil, 0, fmt.Errorf("relstore: open durable: journal %s: unsupported version %d (this build reads version %d)", jpath, v, walVersion)
+	}
+	return s, snapLSN, jdata, int64(binary.LittleEndian.Uint64(jdata[len(walMagic)+4 : walHeaderLen])), nil
 }
 
 // run is the background loop: auto-compaction on the size-threshold

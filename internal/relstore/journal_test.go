@@ -391,6 +391,70 @@ func TestJournalSnapshotPairMismatchRejected(t *testing.T) {
 	}
 }
 
+// readHookFS is the OS filesystem with a hook run once, right after the
+// first read of one path.
+type readHookFS struct {
+	osFS
+	path string
+	once sync.Once
+	hook func()
+}
+
+func (f *readHookFS) ReadFile(path string) ([]byte, error) {
+	data, err := f.osFS.ReadFile(path)
+	if path == f.path {
+		f.once.Do(f.hook)
+	}
+	return data, err
+}
+
+// TestJournalOpenBesideCompactingOwner: a second process opening a live
+// catalog reads the snapshot, then the journal; when the owner compacts
+// between the two reads (new snapshot renamed, then a journal rebased
+// past the snapshot just read), the open reads the pair again instead of
+// refusing it as mismatched, and sees every acknowledged row.
+func TestJournalOpenBesideCompactingOwner(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cat.snap")
+	owner := openDurable(t, dir, DurableOptions{Fsync: FsyncAlways, CompactAt: -1})
+	defer owner.Close()
+	if err := owner.CreateTable(durableSchema()); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	insert := func(k int) {
+		for range k {
+			n++
+			if err := owner.Insert("impls", Row{"name": fmt.Sprintf("r%03d", n), "comp": "adder", "size": n, "area": 1.0, "param": true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(10)
+	if err := owner.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	insert(10)
+	fsys := &readHookFS{path: path, hook: func() {
+		insert(5)
+		if err := owner.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		insert(3)
+	}}
+	reader, err := OpenDurable(path, DurableOptions{FS: fsys, Fsync: FsyncAlways, CompactAt: -1})
+	if err != nil {
+		t.Fatalf("open beside a compaction: %v", err)
+	}
+	defer reader.Close()
+	if got, err := reader.Count("impls", nil); err != nil || got != n {
+		t.Fatalf("reader sees %d row(s) (%v), owner acknowledged %d", got, err, n)
+	}
+	if !bytes.Equal(stateOf(t, reader.Store), stateOf(t, owner.Store)) {
+		t.Fatal("reader's state differs from the owner's")
+	}
+}
+
 func TestJournalRequiresKeyedTables(t *testing.T) {
 	keyless := Schema{Table: "log", Columns: []Column{{Name: "msg", Type: TString}}}
 	dir := t.TempDir()
