@@ -15,7 +15,7 @@ import (
 // callerCheckedPackages are the directories (under internal/) whose
 // exported names must each have a non-test caller somewhere in the tree,
 // or a reason in uncalled.txt.
-var callerCheckedPackages = []string{"icdb", "cql"}
+var callerCheckedPackages = []string{"icdb", "cql", "relstore"}
 
 // deletedNames were folded into icdb.Query and DB.Find (the fourteen
 // Query* variants and the pseudo-constraints) or removed as dead surface.

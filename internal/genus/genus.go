@@ -11,7 +11,7 @@ package genus
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -441,22 +441,23 @@ func InputName(i int) string { return fmt.Sprintf("I%d", i) }
 func OutputName(i int) string { return fmt.Sprintf("O%d", i) }
 
 // FunctionSetKey produces a canonical key for a set of functions, used to
-// index merged-function components (order- and case-insensitive).
+// index merged-function components: upper case, sorted, each function
+// once (order-, case- and repeat-insensitive).
 func FunctionSetKey(fns []Function) string {
 	ss := make([]string, len(fns))
 	for i, f := range fns {
 		ss[i] = strings.ToUpper(string(f))
 	}
-	sort.Strings(ss)
-	return strings.Join(ss, ",")
+	slices.Sort(ss)
+	return strings.Join(slices.Compact(ss), ",")
 }
 
 // AppendFunctionSetKey appends FunctionSetKey(fns) to b. A set already in
-// canonical form (upper case, sorted — what every stored implementation
-// row decodes to) is appended without allocating.
+// canonical form (upper case, strictly sorted — what every stored
+// implementation row decodes to) is appended without allocating.
 func AppendFunctionSetKey(b []byte, fns []Function) []byte {
 	for i, f := range fns {
-		if strings.ToUpper(string(f)) != string(f) || (i > 0 && fns[i-1] > f) {
+		if strings.ToUpper(string(f)) != string(f) || (i > 0 && fns[i-1] >= f) {
 			return append(b, FunctionSetKey(fns)...)
 		}
 	}

@@ -11,6 +11,7 @@ package icdb
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -493,10 +494,16 @@ func (db *DB) RegisterImpl(im Impl) error {
 	if len(im.Functions) == 0 {
 		return fmt.Errorf("icdb: %s: implementation executes no functions", im.Name)
 	}
-	for _, f := range im.Functions {
+	for i, f := range im.Functions {
 		if !slices.Contains(genus.Functions(ct), f) {
 			return fmt.Errorf("icdb: %s: function %s not executable by component type %s", im.Name, f, ct)
 		}
+		if slices.Contains(im.Functions[:i], f) {
+			return fmt.Errorf("icdb: %s: function %s is listed twice", im.Name, f)
+		}
+	}
+	if err := checkFinite(im.Name, im.Area, im.Delay); err != nil {
+		return err
 	}
 	if im.WidthMin < 1 || im.WidthMax < im.WidthMin {
 		return fmt.Errorf("icdb: %s: bad width range [%d,%d]", im.Name, im.WidthMin, im.WidthMax)
@@ -573,15 +580,39 @@ func rowImpl(r relstore.Row) Impl {
 		Delay:     asFloat(r["delay"]),
 		Source:    asString(r["source"]),
 	}
-	if fs := asString(r["functions"]); fs != "" {
-		for _, f := range strings.Split(fs, ",") {
-			im.Functions = append(im.Functions, genus.Function(f))
-		}
-	}
+	im.Functions = splitFunctions(asString(r["functions"]))
 	if ps := asString(r["params"]); ps != "" {
 		im.Params = strings.Split(ps, ",")
 	}
 	return im
+}
+
+// splitFunctions decodes a stored function set, listing each function
+// once: registration refuses a repeat, but a row stored before it did,
+// or by a direct Store() write, may still carry one.
+func splitFunctions(fs string) []genus.Function {
+	if fs == "" {
+		return nil
+	}
+	var fns []genus.Function
+	for _, f := range strings.Split(fs, ",") {
+		if fn := genus.Function(f); !slices.Contains(fns, fn) {
+			fns = append(fns, fn)
+		}
+	}
+	return fns
+}
+
+// checkFinite refuses a NaN or infinite area or delay: such a cost has
+// no order, so it can be neither ranked nor put on a frontier.
+func checkFinite(what string, area, delay float64) error {
+	if math.IsNaN(area) || math.IsInf(area, 0) {
+		return fmt.Errorf("icdb: %s: area %v is not a finite number", what, area)
+	}
+	if math.IsNaN(delay) || math.IsInf(delay, 0) {
+		return fmt.Errorf("icdb: %s: delay %v is not a finite number", what, delay)
+	}
+	return nil
 }
 
 func asString(v any) string {

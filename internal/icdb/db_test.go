@@ -1,7 +1,9 @@
 package icdb
 
 import (
+	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -137,6 +139,12 @@ func TestRegisterImplValidation(t *testing.T) {
 			im.Source = "NAME: other; PARAMETER: size; INORDER: d; OUTORDER: q; { q = d; }"
 		}, "must match"},
 		{"params mismatch", func(im *Impl) { im.Params = []string{"size", "stages"} }, "PARAMETER list"},
+		{"repeated function", func(im *Impl) {
+			im.Functions = []genus.Function{genus.FuncSTORAGE, genus.FuncSTORAGE}
+		}, "function STORAGE is listed twice"},
+		{"NaN area", func(im *Impl) { im.Area = math.NaN() }, "area NaN is not a finite number"},
+		{"-Inf area", func(im *Impl) { im.Area = math.Inf(-1) }, "area -Inf is not a finite number"},
+		{"+Inf delay", func(im *Impl) { im.Delay = math.Inf(1) }, "delay +Inf is not a finite number"},
 	} {
 		im := good
 		tc.mutate(&im)
@@ -144,6 +152,50 @@ func TestRegisterImplValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestRepeatedFunctionListedOnce: a function set names each function
+// once — in its canonical key, and in an implementation decoded from a
+// row that repeats one (stored by a direct Store() write, or before
+// registration refused repeats), which finds for that function yield
+// once.
+func TestRepeatedFunctionListedOnce(t *testing.T) {
+	fns := []genus.Function{"add", genus.FuncSUB, genus.FuncADD}
+	if got := genus.FunctionSetKey(fns); got != "ADD,SUB" {
+		t.Errorf("FunctionSetKey(%v) = %q, want \"ADD,SUB\"", fns, got)
+	}
+	if got := string(genus.AppendFunctionSetKey(nil, []genus.Function{genus.FuncADD, genus.FuncADD})); got != "ADD" {
+		t.Errorf("AppendFunctionSetKey of a repeat = %q, want \"ADD\"", got)
+	}
+	db := openDB(t)
+	row := implRow(Impl{
+		Name: "twice", Component: genus.CompAdderSubtractor, Style: "s",
+		WidthMin: 1, WidthMax: 8, Area: 1, Delay: 1,
+		Source: "NAME: twice; INORDER: a, b; OUTORDER: s; { s = a (+) b; }",
+	})
+	row["functions"] = "ADD,ADD,SUB,ADD"
+	if err := db.Store().Upsert(TableImplementations, row); err != nil {
+		t.Fatal(err)
+	}
+	im, err := db.ImplByName("twice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []genus.Function{genus.FuncADD, genus.FuncSUB}; !reflect.DeepEqual(im.Functions, want) {
+		t.Errorf("decoded functions %v, want %v", im.Functions, want)
+	}
+	n := 0
+	if err := db.Find(Query{Functions: []genus.Function{genus.FuncADD}}, func(c Candidate) bool {
+		if c.Impl.Name == "twice" {
+			n++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Errorf("a find for ADD yielded the implementation %d times, want once", n)
 	}
 }
 

@@ -152,3 +152,41 @@ func TestJournalDurableExplorations(t *testing.T) {
 		t.Errorf("re-running a recovered sweep grew the journal from %d to %d records", records, got)
 	}
 }
+
+// TestJournalBytesPerRecord pins what one design point costs the
+// journal. The record is the 8-byte frame, the opcode, the table name
+// and the row's values in schema column order — no column names, no
+// type tags: 8 + 1 + (4+12) + (4+7) + (4+7) + (4+7) + 3×8 = 82 bytes
+// for gen_cnt[size=16]. A fresh Generate still appends 4 records.
+func TestJournalBytesPerRecord(t *testing.T) {
+	d, err := relstore.OpenDurable("cat.snap", relstore.DurableOptions{FS: faultfile.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	db, err := icdb.Open(d.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.Info()
+	if _, _, err := db.Generate("gen_cnt", map[string]int{"size": 24}); err != nil {
+		t.Fatal(err)
+	}
+	after := d.Info()
+	if got := after.Records - before.Records; got != 4 {
+		t.Errorf("a fresh Generate appended %d journal records, want 4", got)
+	}
+	if err := db.RecordExploration(icdb.Exploration{
+		Generator: "gen_cnt", Bindings: "size=16", Component: genus.CompCounter,
+		Width: 16, Area: 160, Delay: 17,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	last := d.Info()
+	if got := last.Records - after.Records; got != 1 {
+		t.Fatalf("RecordExploration appended %d records, want 1", got)
+	}
+	if got := last.JournalBytes - after.JournalBytes; got != 82 {
+		t.Errorf("one explorations upsert cost %d journal bytes, want 82", got)
+	}
+}

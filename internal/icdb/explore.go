@@ -77,6 +77,9 @@ func (db *DB) RecordExploration(e Exploration) error {
 	if e.Width < 1 {
 		return fmt.Errorf("icdb: exploration %s[%s]: width %d must be at least 1", e.Generator, e.Bindings, e.Width)
 	}
+	if err := checkFinite("exploration "+e.PointID(), e.Area, e.Delay); err != nil {
+		return err
+	}
 	ct, ok := genus.NormalizeComponentType(string(e.Component))
 	if !ok {
 		return fmt.Errorf("icdb: exploration %s[%s]: unknown component type %q", e.Generator, e.Bindings, e.Component)

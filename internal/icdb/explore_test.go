@@ -1,6 +1,7 @@
 package icdb
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -261,6 +262,10 @@ func TestRecordExplorationValidation(t *testing.T) {
 		{Exploration{Generator: "g"}, "no bindings"},
 		{Exploration{Generator: "g", Bindings: "size=1"}, "width 0 must be at least 1"},
 		{Exploration{Generator: "g", Bindings: "size=1", Width: 1, Component: "gizmo"}, `unknown component type "gizmo"`},
+		{Exploration{Generator: "g", Bindings: "size=1", Width: 1, Component: "Counter", Area: math.NaN()},
+			"exploration g[size=1]: area NaN is not a finite number"},
+		{Exploration{Generator: "g", Bindings: "size=1", Width: 1, Component: "Counter", Area: math.Inf(-1)},
+			"exploration g[size=1]: area -Inf is not a finite number"},
 	}
 	for i, c := range cases {
 		err := db.RecordExploration(c.e)

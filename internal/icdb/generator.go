@@ -85,11 +85,7 @@ func rowGen(r relstore.Row) Generator {
 		DelayExpr: asString(r["delay_expr"]),
 		Source:    asString(r["source"]),
 	}
-	if fs := asString(r["functions"]); fs != "" {
-		for _, f := range strings.Split(fs, ",") {
-			g.Functions = append(g.Functions, genus.Function(f))
-		}
-	}
+	g.Functions = splitFunctions(asString(r["functions"]))
 	if ps := asString(r["params"]); ps != "" {
 		g.Params = strings.Split(ps, ",")
 	}
@@ -112,9 +108,12 @@ func (db *DB) RegisterGenerator(g Generator) error {
 	if len(g.Functions) == 0 {
 		return fmt.Errorf("icdb: generator %s: executes no functions", g.Name)
 	}
-	for _, f := range g.Functions {
+	for i, f := range g.Functions {
 		if !slices.Contains(genus.Functions(ct), f) {
 			return fmt.Errorf("icdb: generator %s: function %s not executable by component type %s", g.Name, f, ct)
+		}
+		if slices.Contains(g.Functions[:i], f) {
+			return fmt.Errorf("icdb: generator %s: function %s is listed twice", g.Name, f)
 		}
 	}
 	if g.WidthMin < 1 || g.WidthMax < g.WidthMin {

@@ -280,6 +280,8 @@ func TestRegisterGeneratorValidation(t *testing.T) {
 		{"bad estimator", func(g *Generator) { g.DelayExpr = "width +" }, "bad delay estimator"},
 		{"name mismatch", func(g *Generator) { g.Name = "other" }, "must match"},
 		{"param mismatch", func(g *Generator) { g.Params = []string{"size", "extra"} }, "does not match"},
+		{"repeated function", func(g *Generator) { g.Functions = append(g.Functions, g.Functions[0]) },
+			"function " + string(ok.Functions[0]) + " is listed twice"},
 	}
 	for _, c := range cases {
 		g := ok.Clone()

@@ -58,18 +58,14 @@ type estJoin struct {
 }
 
 // appendTo adds e at the end of m[k]'s list while seal builds it,
-// allocating a new list at its final size n. An implementation naming a
-// function twice (RegisterImpl stores the set as given) is listed under
-// it once.
+// allocating a new list at its final size n.
 func appendTo[K comparable](m map[K]*postList, k K, n int, e implEntry) {
 	pl := m[k]
 	if pl == nil {
 		pl = &postList{ents: make([]implEntry, 0, n)}
 		m[k] = pl
 	}
-	if last := len(pl.ents) - 1; last < 0 || pl.ents[last].im != e.im {
-		pl.ents = append(pl.ents, e)
-	}
+	pl.ents = append(pl.ents, e)
 }
 
 // repost replaces m[k] with a copy in which name's entry is dropped

@@ -40,7 +40,8 @@ func workload() []step {
 			{Name: "price", Type: relstore.TFloat},
 			{Name: "active", Type: relstore.TBool},
 		},
-		Key: []string{"name"},
+		Key:     []string{"name"},
+		Indexes: []relstore.Index{{Columns: []string{"qty"}}},
 	}
 	ins := func(name string, qty int, price float64, active bool) func(*relstore.Store) error {
 		return func(s *relstore.Store) error {
@@ -51,7 +52,6 @@ func workload() []step {
 		{name: "create-table", mut: func(s *relstore.Store) error { return s.CreateTable(sc) }},
 		{name: "insert-alu", mut: ins("alu", 4, 12.5, true)},
 		{name: "insert-mux", mut: ins("mux", 9, 1.25, false)},
-		{name: "create-index", mut: func(s *relstore.Store) error { return s.CreateIndex("parts", "qty") }},
 		{name: "insert-reg", mut: ins("reg", 2, 3.5, true)},
 		{name: "upsert-mux", mut: func(s *relstore.Store) error {
 			return s.Upsert("parts", relstore.Row{"name": "mux", "qty": 16, "price": 1.0, "active": true})

@@ -226,11 +226,16 @@ func fuzzJournalSeed(f *testing.F) (snap, wal []byte) {
 			return err
 		},
 		func() error { _, err := d.Delete("impls", Eq("name", "i0")); return err },
-		func() error { return d.CreateIndex("impls", "size") },
 		func() error {
-			return d.CreateTable(Schema{Table: "t", Columns: []Column{{Name: "k", Type: TString}}, Key: []string{"k"}})
+			return d.CreateTable(Schema{
+				Table:   "t",
+				Columns: []Column{{Name: "k", Type: TString}, {Name: "n", Type: TInt}},
+				Key:     []string{"k"},
+				Indexes: []Index{{Columns: []string{"n"}}},
+			})
 		},
-		func() error { return d.Insert("t", Row{"k": "v"}) },
+		func() error { return d.Insert("t", Row{"k": "v", "n": 3}) },
+		func() error { return d.Upsert("t", Row{"k": "v", "n": 4}) }, // moves the row between index postings
 		func() error { return d.DropTable("t") },
 	}
 	for _, step := range steps {

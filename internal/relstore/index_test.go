@@ -13,12 +13,9 @@ import (
 func indexedStore(t *testing.T) *Store {
 	t.Helper()
 	sc := implSchema()
-	sc.Indexes = []Index{{Columns: []string{"component"}}}
+	sc.Indexes = []Index{{Columns: []string{"component"}}, {Columns: []string{"component", "size"}}}
 	s := New()
 	if err := s.CreateTable(sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateIndex("implementations", "component", "size"); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -364,44 +361,27 @@ func TestScanZeroCopyAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestCreateIndexValidationAndBackfill(t *testing.T) {
-	s := newImplStore(t)
-	for i := 0; i < 6; i++ {
-		if err := s.Insert("implementations", implRowN(i, "Counter")); err != nil {
-			t.Fatal(err)
+// TestCreateTableIndexValidation: a malformed secondary-index
+// declaration refuses the whole table.
+func TestCreateTableIndexValidation(t *testing.T) {
+	for _, tc := range []struct {
+		what    string
+		indexes []Index
+	}{
+		{"duplicate index", []Index{{Columns: []string{"size"}}, {Columns: []string{"size"}}}},
+		{"index on undeclared column", []Index{{Columns: []string{"bogus"}}}},
+		{"index over no columns", []Index{{}}},
+		{"index repeating a column", []Index{{Columns: []string{"size", "size"}}}},
+	} {
+		s := New()
+		sc := implSchema()
+		sc.Indexes = tc.indexes
+		if err := s.CreateTable(sc); err == nil {
+			t.Errorf("%s accepted", tc.what)
 		}
-	}
-	// Backfill: index created on a live table serves existing rows.
-	if err := s.CreateIndex("implementations", "size"); err != nil {
-		t.Fatal(err)
-	}
-	checkIndexConsistency(t, s, "implementations")
-	n, err := s.Count("implementations", Eq("size", 1))
-	if err != nil || n != 2 {
-		t.Fatalf("count via backfilled index = %d (%v), want 2", n, err)
-	}
-	if err := s.CreateIndex("implementations", "size"); err == nil {
-		t.Error("duplicate index accepted")
-	}
-	if err := s.CreateIndex("implementations", "bogus"); err == nil {
-		t.Error("index on undeclared column accepted")
-	}
-	if err := s.CreateIndex("implementations"); err == nil {
-		t.Error("index over no columns accepted")
-	}
-	if err := s.CreateIndex("implementations", "size", "size"); err == nil {
-		t.Error("index repeating a column accepted")
-	}
-	if err := s.CreateIndex("nope", "size"); err == nil {
-		t.Error("index on missing table accepted")
-	}
-	// Bad index declarations are rejected at CreateTable too.
-	if err := s.CreateTable(Schema{
-		Table:   "bad",
-		Columns: []Column{{Name: "a", Type: TInt}},
-		Indexes: []Index{{Columns: []string{"zzz"}}},
-	}); err == nil {
-		t.Error("CreateTable with bad index accepted")
+		if len(s.Tables()) != 0 {
+			t.Errorf("%s: a refused table was created", tc.what)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@
 // JOURNAL.md; the short version:
 //
 //   - A Durable store appends one CRC-32C-checksummed record per
-//     mutation (Insert/Upsert/Update/Delete, CreateTable/CreateIndex/
-//     DropTable) to an append-only journal file *before* applying the
-//     mutation in memory, under the store's write lock, with a
+//     mutation (Insert/Upsert/Update/Delete, CreateTable/DropTable) to
+//     an append-only journal file *before* applying the mutation in
+//     memory, under the store's write lock, with a
 //     configurable fsync policy. A mutation is acknowledged only after
 //     its record is in the journal.
 //   - OpenDurable recovers by loading the snapshot (if any) and
@@ -39,9 +39,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
-	"math"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +49,9 @@ const (
 	// walMagic opens every journal file, followed by a u32 version and a
 	// u64 base LSN.
 	walMagic = "ICDBJRNL"
-	// walVersion is the current journal format version.
-	walVersion = 1
+	// walVersion is the current journal format version: 2 writes rows
+	// and keys positionally, with the snapshot's row codec (codec.go).
+	walVersion = 2
 	// walHeaderLen is magic + version + base LSN. The base LSN is the
 	// sequence number of the file's first record: record i carries LSN
 	// base+i implicitly, and compaction bumps the base as it drops the
@@ -70,23 +69,15 @@ const (
 	walMaxRecord = 64 << 20
 )
 
-// Journal record opcodes (first payload byte).
+// Journal record opcodes (first payload byte). 2 was create-index,
+// retired with version 2.
 const (
 	walOpCreateTable = 1
-	walOpCreateIndex = 2
 	walOpDropTable   = 3
 	walOpInsert      = 4
 	walOpUpsert      = 5
 	walOpUpdate      = 6
 	walOpDelete      = 7
-)
-
-// Journal value tags (self-describing scalar encoding).
-const (
-	walValString = 0
-	walValInt    = 1
-	walValFloat  = 2
-	walValBool   = 3
 )
 
 // FsyncPolicy says when the journal flushes appended records to stable
@@ -766,8 +757,9 @@ func (d *Durable) Close() error {
 // logWAL builds one record payload and appends it to the journal; a
 // Store without a journal attached skips it for free. Callers hold the
 // store write lock and call logWAL after validating the mutation and
-// before applying it (write-ahead ordering).
-func (s *Store) logWAL(build func(w *snapWriter)) error {
+// before applying it (write-ahead ordering), so a row the codec cannot
+// encode fails the mutation before anything applies.
+func (s *Store) logWAL(build func(w *snapWriter) error) error {
 	if s.wal == nil || s.replaying {
 		// replaying: hydration is re-applying records that are already in
 		// the journal — appending them again would double them on the
@@ -775,161 +767,22 @@ func (s *Store) logWAL(build func(w *snapWriter)) error {
 		return nil
 	}
 	var buf bytes.Buffer
-	w := &snapWriter{buf: &buf}
-	build(w)
+	if err := build(&snapWriter{buf: &buf}); err != nil {
+		return fmt.Errorf("relstore: journal: %w", err)
+	}
 	return s.wal.append(buf.Bytes())
-}
-
-// walValue writes one canonical scalar with its type tag.
-func walValue(w *snapWriter, v any) {
-	switch v := v.(type) {
-	case string:
-		w.u8(walValString)
-		w.str(v)
-	case int:
-		w.u8(walValInt)
-		w.u64(uint64(int64(v)))
-	case float64:
-		w.u8(walValFloat)
-		w.u64(math.Float64bits(v))
-	case bool:
-		w.u8(walValBool)
-		b := uint8(0)
-		if v {
-			b = 1
-		}
-		w.u8(b)
-	default:
-		// Unreachable: rows are canonicalized before encoding. Encode a
-		// rendered string so the record stays parseable either way.
-		w.u8(walValString)
-		w.str(fmt.Sprintf("%v", v))
-	}
-}
-
-// walRow writes a canonical row in schema column order.
-func walRow(w *snapWriter, t *table, r Row) {
-	w.u32(uint32(len(t.schema.Columns)))
-	for _, c := range t.schema.Columns {
-		w.str(c.Name)
-		walValue(w, r[c.Name])
-	}
-}
-
-// walKey writes a row's primary-key values in Schema.Key order.
-func walKey(w *snapWriter, t *table, r Row) {
-	w.u32(uint32(len(t.schema.Key)))
-	for _, k := range t.schema.Key {
-		walValue(w, r[k])
-	}
-}
-
-// walSchema writes a Schema, mirroring the snapshot section header.
-func walSchema(w *snapWriter, sc Schema) {
-	w.str(sc.Table)
-	w.u32(uint32(len(sc.Columns)))
-	for _, c := range sc.Columns {
-		w.str(c.Name)
-		w.u8(uint8(c.Type))
-	}
-	w.u32(uint32(len(sc.Key)))
-	for _, k := range sc.Key {
-		w.str(k)
-	}
-	w.u32(uint32(len(sc.Indexes)))
-	for _, ix := range sc.Indexes {
-		w.u32(uint32(len(ix.Columns)))
-		for _, c := range ix.Columns {
-			w.str(c)
-		}
-	}
 }
 
 // --- record decoding and replay --------------------------------------
 
-func readWALValue(r *snapReader) any {
-	switch tag := r.u8(); tag {
-	case walValString:
-		return r.str()
-	case walValInt:
-		return int(int64(r.u64()))
-	case walValFloat:
-		return math.Float64frombits(r.u64())
-	case walValBool:
-		return r.u8() != 0
-	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("unknown value tag %d at offset %d", tag, r.off-1)
-		}
-		return nil
-	}
-}
-
-func readWALRow(r *snapReader) Row {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
-		return nil
-	}
-	row := make(Row, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		name := r.str()
-		row[name] = readWALValue(r)
-	}
-	return row
-}
-
-func readWALKey(r *snapReader) []any {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
-		return nil
-	}
-	vals := make([]any, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		vals[i] = readWALValue(r)
-	}
-	return vals
-}
-
-func readWALSchema(r *snapReader) Schema {
-	sc := Schema{Table: r.str()}
-	nCols := int(r.u32())
-	for i := 0; i < nCols && r.err == nil; i++ {
-		sc.Columns = append(sc.Columns, Column{Name: r.str(), Type: ColType(r.u8())})
-	}
-	nKey := int(r.u32())
-	for i := 0; i < nKey && r.err == nil; i++ {
-		sc.Key = append(sc.Key, r.str())
-	}
-	nIdx := int(r.u32())
-	for i := 0; i < nIdx && r.err == nil; i++ {
-		nc := int(r.u32())
-		var cols []string
-		for j := 0; j < nc && r.err == nil; j++ {
-			cols = append(cols, r.str())
-		}
-		sc.Indexes = append(sc.Indexes, Index{Columns: cols})
-	}
-	return sc
-}
-
-// keyOfVals renders decoded key values into the key-index string,
-// matching keyOf on a stored row.
-func keyOfVals(vals []any) string {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = renderKeyPart(v)
-	}
-	return strings.Join(parts, "\x00")
-}
-
 // walRecordTarget peeks the table a journal record addresses, without
-// decoding the record body. Only row/index records have a single target
-// table that may be cold; structural records (create/drop table) return
+// decoding the record body. Only row records have a single target table
+// that may be cold; structural records (create/drop table) return
 // ok=false and always apply at open.
 func walRecordTarget(payload []byte) (name string, ok bool) {
 	r := &snapReader{b: payload} // no aliased string: the name is copied out
 	switch r.u8() {
-	case walOpInsert, walOpUpsert, walOpUpdate, walOpDelete, walOpCreateIndex:
+	case walOpInsert, walOpUpsert, walOpUpdate, walOpDelete:
 		n := r.str()
 		return n, r.err == nil && n != ""
 	}
@@ -953,85 +806,65 @@ func (s *Store) applyWALRecord(payload []byte) error {
 func (s *Store) applyWALRecordLocked(payload []byte) error {
 	r := &snapReader{b: payload, s: string(payload)}
 	op := r.u8()
-	switch op {
-	case walOpCreateTable:
-		sc := readWALSchema(r)
-		if r.err != nil {
-			return r.err
+	if op == walOpCreateTable {
+		sc := r.schema()
+		if err := r.done(); err != nil {
+			return err
 		}
 		return s.createTableLocked(sc)
-	case walOpCreateIndex:
-		name := r.str()
-		nc := int(r.u32())
-		var cols []string
-		for i := 0; i < nc && r.err == nil; i++ {
-			cols = append(cols, r.str())
-		}
-		if r.err != nil {
-			return r.err
-		}
-		return s.createIndexLocked(name, cols)
-	case walOpDropTable:
-		name := r.str()
-		if r.err != nil {
-			return r.err
+	}
+	name := r.str()
+	if r.err != nil {
+		return r.err
+	}
+	if op == walOpDropTable {
+		if err := r.done(); err != nil {
+			return err
 		}
 		return s.dropTableLocked(name)
-	case walOpInsert:
-		name := r.str()
-		row := readWALRow(r)
-		if r.err != nil {
-			return r.err
+	}
+	// A row record is decoded against its table's schema, which is the
+	// schema it was written with: replay is exactly-once, so the table
+	// is in the state that preceded the record.
+	t, err := s.tableLocked(name)
+	if err != nil {
+		return err
+	}
+	switch op {
+	case walOpInsert, walOpUpsert:
+		row := r.row(t.schema.Columns)
+		if err := r.done(); err != nil {
+			return err
 		}
-		return s.insertLocked(name, row)
-	case walOpUpsert:
-		name := r.str()
-		row := readWALRow(r)
-		if r.err != nil {
-			return r.err
+		if op == walOpInsert {
+			return s.insertLocked(name, row)
 		}
 		_, err := s.upsertLocked(name, row)
 		return err
 	case walOpUpdate:
-		name := r.str()
-		n := int(r.u32())
-		if r.err != nil || n < 0 || n > len(payload) {
-			return fmt.Errorf("malformed update batch")
-		}
-		type pair struct {
-			oldKey []any
-			row    Row
-		}
-		pairs := make([]pair, 0, n)
+		// Counts are not trusted for allocation: every pair costs input
+		// bytes, and the loop stops at the first short read.
+		n, keyCols := int(r.u32()), t.keyColumns()
+		var oldKeys []string
+		var rows []Row
 		for i := 0; i < n && r.err == nil; i++ {
-			k := readWALKey(r)
-			row := readWALRow(r)
-			pairs = append(pairs, pair{oldKey: k, row: row})
+			oldKeys = append(oldKeys, joinRow(t.schema.Key, r.row(keyCols)))
+			rows = append(rows, r.row(t.schema.Columns))
 		}
-		if r.err != nil {
-			return r.err
+		if err := r.done(); err != nil {
+			return err
 		}
-		oldKeys := make([]string, len(pairs))
-		rows := make([]Row, len(pairs))
-		for i, p := range pairs {
-			oldKeys[i] = keyOfVals(p.oldKey)
-			rows[i] = p.row
-		}
-		return s.replayUpdateBatchLocked(name, oldKeys, rows)
+		return s.replayUpdateBatchLocked(t, oldKeys, rows)
 	case walOpDelete:
-		name := r.str()
-		n := int(r.u32())
-		if r.err != nil || n < 0 || n > len(payload) {
-			return fmt.Errorf("malformed delete batch")
-		}
-		keys := make([]string, 0, n)
+		n, keyCols := int(r.u32()), t.keyColumns()
+		var keys []string
 		for i := 0; i < n && r.err == nil; i++ {
-			keys = append(keys, keyOfVals(readWALKey(r)))
+			keys = append(keys, joinRow(t.schema.Key, r.row(keyCols)))
 		}
-		if r.err != nil {
-			return r.err
+		if err := r.done(); err != nil {
+			return err
 		}
-		return s.replayDeleteBatchLocked(name, keys)
+		return s.replayDeleteBatchLocked(t, keys)
 	default:
 		return fmt.Errorf("unknown opcode %d", op)
 	}
@@ -1043,11 +876,7 @@ func (s *Store) applyWALRecordLocked(payload []byte) error {
 // scan position, with the same two-phase key-index rebuild as Update
 // so key permutations replay. Replay is exactly-once, so every old
 // key must resolve.
-func (s *Store) replayUpdateBatchLocked(name string, oldKeys []string, rows []Row) error {
-	t, err := s.tableLocked(name)
-	if err != nil {
-		return err
-	}
+func (s *Store) replayUpdateBatchLocked(t *table, oldKeys []string, rows []Row) error {
 	d := t.data
 	type change struct {
 		id int64
@@ -1092,11 +921,7 @@ func (s *Store) replayUpdateBatchLocked(name string, oldKeys []string, rows []Ro
 
 // replayDeleteBatch re-applies one Delete record by key. Replay is
 // exactly-once, so every key must resolve.
-func (s *Store) replayDeleteBatchLocked(name string, keys []string) error {
-	t, err := s.tableLocked(name)
-	if err != nil {
-		return err
-	}
+func (s *Store) replayDeleteBatchLocked(t *table, keys []string) error {
 	var victims []int64
 	for _, k := range keys {
 		id, ok := t.data.keyIndex[k]

@@ -72,10 +72,9 @@ func stateOf(t *testing.T, s *Store) []byte {
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurable(t, dir, DurableOptions{})
-	if err := d.CreateTable(durableSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CreateIndex("impls", "size"); err != nil {
+	sc := durableSchema()
+	sc.Indexes = []Index{{Columns: []string{"size"}}}
+	if err := d.CreateTable(sc); err != nil {
 		t.Fatal(err)
 	}
 	rows := []Row{
@@ -113,8 +112,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Error("recovered state differs from pre-close state")
 	}
 	ri := d2.Recovery()
-	if ri.SnapshotLoaded || ri.Truncated || ri.Replayed != 7 {
-		t.Errorf("recovery = %+v, want no snapshot, no truncation, 7 records", ri)
+	if ri.SnapshotLoaded || ri.Truncated || ri.Replayed != 6 {
+		t.Errorf("recovery = %+v, want no snapshot, no truncation, 6 records", ri)
 	}
 	if got, err := d2.Get("impls", "mux\\esc", "a\x00b"); err != nil || got["size"] != 2 {
 		t.Errorf("escaped-key row after recovery: %v, %v", got, err)
@@ -308,6 +307,13 @@ func TestJournalRejectsBadMagicAndVersion(t *testing.T) {
 	os.WriteFile(jpath, bad, 0o644)
 	if err := open(); err == nil || !strings.Contains(err.Error(), "unsupported version 99") {
 		t.Errorf("bad version: %v", err)
+	}
+	// A version-1 journal (self-describing tagged values) is refused by
+	// the same check, before any of its records is read.
+	binary.LittleEndian.PutUint32(bad[len(walMagic):], 1)
+	os.WriteFile(jpath, bad, 0o644)
+	if err := open(); err == nil || !strings.Contains(err.Error(), "unsupported version 1 (this build reads version 2)") {
+		t.Errorf("version-1 journal: %v", err)
 	}
 	// Shorter than the header (but non-empty): not a journal either.
 	os.WriteFile(jpath, jdata[:walHeaderLen-3], 0o644)

@@ -458,13 +458,12 @@ func TestLazyDurableMissingTableRecordFailsAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Forge a create-index record naming a table that is not in the
-	// snapshot and append it with valid framing.
+	// Forge an insert record naming a table that is not in the snapshot
+	// and append it with valid framing.
 	w := snapWriter{buf: &bytes.Buffer{}}
-	w.u8(walOpCreateIndex)
+	w.u8(walOpInsert)
 	w.str("ghost")
-	w.u32(1)
-	w.str("nope")
+	w.str("row")
 	payload := w.buf.Bytes()
 	frame := make([]byte, 8)
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))

@@ -15,8 +15,8 @@
 //   - the primary-key index, a unique map from the key columns' values to
 //     a rowid, maintained for every table whose Schema declares a Key;
 //   - secondary indexes, non-unique posting lists from a column tuple to
-//     the rowids holding each value combination, declared up front via
-//     Schema.Indexes or added later with CreateIndex;
+//     the rowids holding each value combination, declared in
+//     Schema.Indexes when the table is created;
 //   - the full scan over the insertion-ordered rowid slice.
 //
 // Select, SelectOne, Count, Update, Delete, and Scan all consult the
@@ -132,7 +132,6 @@ type Schema struct {
 	// table has no uniqueness constraint (rows get hidden rowids).
 	Key []string
 	// Indexes declares secondary indexes to maintain from creation on.
-	// More can be added to a live table with Store.CreateIndex.
 	Indexes []Index `json:",omitempty"`
 }
 
@@ -361,9 +360,10 @@ func (s *Store) createTableLocked(sc Schema) error {
 	if s.wal != nil && len(sc.Key) == 0 {
 		return fmt.Errorf("relstore: table %q has no primary key; journaled stores require keyed tables", sc.Table)
 	}
-	if err := s.logWAL(func(w *snapWriter) {
+	if err := s.logWAL(func(w *snapWriter) error {
 		w.u8(walOpCreateTable)
-		walSchema(w, sc)
+		w.schema(sc)
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -412,16 +412,16 @@ func newTable(sc Schema) (*table, error) {
 		},
 	}
 	for _, ix := range sc.Indexes {
-		if err := t.addIndex(t.data, ix.Columns); err != nil {
+		if err := t.addIndex(ix.Columns); err != nil {
 			return nil, err
 		}
 	}
 	return t, nil
 }
 
-// checkIndex validates one secondary-index declaration against d
-// without attaching anything.
-func (t *table) checkIndex(d *tableData, cols []string) error {
+// addIndex validates one secondary-index declaration and attaches an
+// empty index for it to the new table's data.
+func (t *table) addIndex(cols []string) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("relstore: table %q: index over no columns", t.schema.Table)
 	}
@@ -435,68 +435,16 @@ func (t *table) checkIndex(d *tableData, cols []string) error {
 		}
 		seen[c] = true
 	}
+	d := t.data
 	for _, ix := range d.indexes {
 		if slices.Equal(ix.cols, cols) {
 			return fmt.Errorf("relstore: table %q already has an index on %v", t.schema.Table, cols)
 		}
 	}
-	return nil
-}
-
-// addIndex validates and attaches one secondary index to d (empty, the
-// caller backfills when the table already has rows).
-func (t *table) addIndex(d *tableData, cols []string) error {
-	if err := t.checkIndex(d, cols); err != nil {
-		return err
-	}
 	d.indexes = append(d.indexes, &secIndex{
-		cols:     append([]string(nil), cols...),
+		cols:     slices.Clone(cols),
 		postings: make(map[string][]int64),
 	})
-	return nil
-}
-
-// CreateIndex adds a secondary index over cols to a live table, indexing
-// every existing row. The planner uses it for any predicate whose Eq
-// conjuncts cover all of cols.
-func (s *Store) CreateIndex(tableName string, cols ...string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.createIndexLocked(tableName, cols)
-}
-
-func (s *Store) createIndexLocked(tableName string, cols []string) error {
-	t, err := s.tableLocked(tableName)
-	if err != nil {
-		return err
-	}
-	// Validate before journaling or touching live data: a journaled
-	// record must always be appliable.
-	if err := t.checkIndex(t.data, cols); err != nil {
-		return err
-	}
-	if err := s.logWAL(func(w *snapWriter) {
-		w.u8(walOpCreateIndex)
-		w.str(tableName)
-		w.u32(uint32(len(cols)))
-		for _, c := range cols {
-			w.str(c)
-		}
-	}); err != nil {
-		return err
-	}
-	d := t.writable()
-	if err := t.addIndex(d, cols); err != nil {
-		return err
-	}
-	ix := d.indexes[len(d.indexes)-1]
-	for _, id := range d.ids {
-		k := joinRow(ix.cols, d.rows[id])
-		ix.postings[k] = append(ix.postings[k], id)
-	}
-	// Record the index in the schema so a snapshot round-trip rebuilds it.
-	t.schema.Indexes = append(t.schema.Indexes, Index{Columns: append([]string(nil), cols...)})
-	s.touch(t)
 	return nil
 }
 
@@ -513,9 +461,10 @@ func (s *Store) dropTableLocked(name string) error {
 	if !ok {
 		return fmt.Errorf("relstore: no table %q", name)
 	}
-	if err := s.logWAL(func(w *snapWriter) {
+	if err := s.logWAL(func(w *snapWriter) error {
 		w.u8(walOpDropTable)
 		w.str(name)
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -661,6 +610,16 @@ func (t *table) joinVals(cols []string, vals map[string]any) (key string, sat bo
 	return strings.Join(parts, "\x00"), true
 }
 
+// keyColumns returns the Schema.Key columns, typed, in key order: the
+// column list the journal writes and reads a key with.
+func (t *table) keyColumns() []Column {
+	cs := make([]Column, len(t.schema.Key))
+	for i, k := range t.schema.Key {
+		cs[i] = Column{Name: k, Type: t.cols[k]}
+	}
+	return cs
+}
+
 func (t *table) keyOf(r Row) string {
 	if len(t.schema.Key) == 0 {
 		return ""
@@ -731,10 +690,10 @@ func (s *Store) insertLocked(tableName string, r Row) error {
 			return fmt.Errorf("relstore: table %q duplicate key %v=%q", tableName, t.schema.Key, keyValues(k))
 		}
 	}
-	if err := s.logWAL(func(w *snapWriter) {
+	if err := s.logWAL(func(w *snapWriter) error {
 		w.u8(walOpInsert)
 		w.str(tableName)
-		walRow(w, t, cr)
+		return w.row(tableName, t.schema.Columns, cr)
 	}); err != nil {
 		return err
 	}
@@ -806,10 +765,10 @@ func (s *Store) upsertLocked(tableName string, r Row) (UpsertResult, error) {
 			return res, nil
 		}
 	}
-	if err := s.logWAL(func(w *snapWriter) {
+	if err := s.logWAL(func(w *snapWriter) error {
 		w.u8(walOpUpsert)
 		w.str(tableName)
-		walRow(w, t, cr)
+		return w.row(tableName, t.schema.Columns, cr)
 	}); err != nil {
 		return UpsertResult{}, err
 	}
@@ -1050,14 +1009,20 @@ func (s *Store) updateLocked(tableName string, p Pred, fn func(Row) Row) (int, e
 	// so it must be atomic in the journal (recovery never applies a
 	// partial transaction). Old keys address the rows; the new rows are
 	// absolute values, which is what makes replay idempotent.
-	if err := s.logWAL(func(w *snapWriter) {
+	if err := s.logWAL(func(w *snapWriter) error {
 		w.u8(walOpUpdate)
 		w.str(tableName)
 		w.u32(uint32(len(eff)))
+		keyCols := t.keyColumns()
 		for _, c := range eff {
-			walKey(w, t, d.rows[c.id])
-			walRow(w, t, c.nr)
+			if err := w.row(tableName, keyCols, d.rows[c.id]); err != nil {
+				return err
+			}
+			if err := w.row(tableName, t.schema.Columns, c.nr); err != nil {
+				return err
+			}
 		}
+		return nil
 	}); err != nil {
 		return 0, err
 	}
@@ -1110,13 +1075,17 @@ func (s *Store) deleteLocked(tableName string, p Pred) (int, error) {
 	}
 	// One record for the whole batch, addressed by primary key (rowids
 	// are not stable across a snapshot reload).
-	if err := s.logWAL(func(w *snapWriter) {
+	if err := s.logWAL(func(w *snapWriter) error {
 		w.u8(walOpDelete)
 		w.str(tableName)
 		w.u32(uint32(len(victims)))
+		keyCols := t.keyColumns()
 		for _, id := range victims {
-			walKey(w, t, d.rows[id])
+			if err := w.row(tableName, keyCols, d.rows[id]); err != nil {
+				return err
+			}
 		}
+		return nil
 	}); err != nil {
 		return 0, err
 	}

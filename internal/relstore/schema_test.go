@@ -49,7 +49,7 @@ func TestJournalReplayRejectsUnknownColumnType(t *testing.T) {
 	var payload bytes.Buffer
 	pw := &snapWriter{buf: &payload}
 	pw.u8(walOpCreateTable)
-	walSchema(pw, badTypeSchema())
+	pw.schema(badTypeSchema())
 	var j bytes.Buffer
 	w := &snapWriter{buf: &j}
 	w.raw([]byte(walMagic))
@@ -74,16 +74,7 @@ func TestJournalReplayRejectsUnknownColumnType(t *testing.T) {
 // stub so that hydration fails the same way.
 func TestSnapshotSectionRejectsUnknownColumnType(t *testing.T) {
 	data := buildForgedSnapshot(t, func(w *snapWriter) {
-		sc := badTypeSchema()
-		w.str(sc.Table)
-		w.u32(uint32(len(sc.Columns)))
-		for _, c := range sc.Columns {
-			w.str(c.Name)
-			w.u8(uint8(c.Type))
-		}
-		w.u32(1)
-		w.str("k")
-		w.u32(0) // no secondary index
+		w.schema(badTypeSchema())
 		w.u32(0) // no rows
 		w.u64(0) // empty payload
 	})

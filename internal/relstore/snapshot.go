@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -207,50 +206,30 @@ func (s *Store) encodeSnapshot() ([]byte, error) {
 }
 
 // sectionSize computes the exact byte size encodeSection will emit for
-// this table: the schema header from the schema alone, the rows from the
-// per-row fixed width plus every string cell's actual length. One pass
-// over the rows, no allocation — the price of never reallocating the
-// encode buffer.
+// this table: the schema header, then the rows from the per-row fixed
+// width plus every string cell's actual length. One pass over the rows,
+// no allocation per row — the price of never reallocating the encode
+// buffer.
 func (t *table) sectionSize() (int, error) {
 	sc := &t.schema
-	n := 4 + len(sc.Table) + 4
-	for _, c := range sc.Columns {
-		n += 4 + len(c.Name) + 1
-	}
-	n += 4
-	for _, k := range sc.Key {
-		n += 4 + len(k)
-	}
-	n += 4
-	for _, ix := range sc.Indexes {
-		n += 4
-		for _, c := range ix.Columns {
-			n += 4 + len(c)
-		}
-	}
-	n += 4 + 8 // row count + payload length
-	fixed := 0 // per-row bytes independent of cell values
+	// The header is measured by writing it: its widths are the codec's.
+	var hdr bytes.Buffer
+	(&snapWriter{buf: &hdr}).schema(*sc)
+	d := t.data
+	n := hdr.Len() + 4 + 8 + minRowSize(*sc)*len(d.ids) // + row count + payload length
 	var strCols []string
 	for _, c := range sc.Columns {
-		switch c.Type {
-		case TString:
+		if c.Type == TString {
 			strCols = append(strCols, c.Name)
-			fixed += 4
-		case TInt, TFloat:
-			fixed += 8
-		case TBool:
-			fixed++
 		}
 	}
-	d := t.data
-	n += fixed * len(d.ids)
 	if len(strCols) > 0 {
 		for _, id := range d.ids {
 			r := d.rows[id]
 			for _, cn := range strCols {
 				v, ok := r[cn].(string)
 				if !ok {
-					return 0, fmt.Errorf("table %q column %q: cannot snapshot %T value in string column",
+					return 0, fmt.Errorf("table %q column %q: cannot encode %T value in string column",
 						sc.Table, cn, r[cn])
 				}
 				n += len(v)
@@ -265,92 +244,19 @@ func (t *table) sectionSize() (int, error) {
 // rows are written, so every column value is fetched (and its canonical
 // Go type verified) exactly once.
 func (t *table) encodeSection(w *snapWriter) error {
-	w.str(t.schema.Table)
-	w.u32(uint32(len(t.schema.Columns)))
-	for _, c := range t.schema.Columns {
-		w.str(c.Name)
-		w.u8(uint8(c.Type))
-	}
-	w.u32(uint32(len(t.schema.Key)))
-	for _, k := range t.schema.Key {
-		w.str(k)
-	}
-	w.u32(uint32(len(t.schema.Indexes)))
-	for _, ix := range t.schema.Indexes {
-		w.u32(uint32(len(ix.Columns)))
-		for _, c := range ix.Columns {
-			w.str(c)
-		}
-	}
+	w.schema(t.schema)
 	d := t.data
 	w.u32(uint32(len(d.ids)))
 	lenAt := w.buf.Len()
 	w.u64(0) // payload length, backpatched below
 	start := w.buf.Len()
 	for _, id := range d.ids {
-		r := d.rows[id]
-		for _, c := range t.schema.Columns {
-			ok := true
-			switch c.Type {
-			case TString:
-				var v string
-				if v, ok = r[c.Name].(string); ok {
-					w.str(v)
-				}
-			case TInt:
-				var v int
-				if v, ok = r[c.Name].(int); ok {
-					w.u64(uint64(int64(v)))
-				}
-			case TFloat:
-				var v float64
-				if v, ok = r[c.Name].(float64); ok {
-					w.u64(math.Float64bits(v))
-				}
-			case TBool:
-				var v bool
-				if v, ok = r[c.Name].(bool); ok {
-					b := uint8(0)
-					if v {
-						b = 1
-					}
-					w.u8(b)
-				}
-			}
-			if !ok {
-				return fmt.Errorf("table %q column %q: cannot snapshot %T value in %s column",
-					t.schema.Table, c.Name, r[c.Name], c.Type)
-			}
+		if err := w.row(t.schema.Table, t.schema.Columns, d.rows[id]); err != nil {
+			return err
 		}
 	}
 	binary.LittleEndian.PutUint64(w.buf.Bytes()[lenAt:], uint64(w.buf.Len()-start))
 	return nil
-}
-
-// snapWriter writes little-endian primitives into a bytes.Buffer (which
-// never fails, so the writer carries no error state).
-type snapWriter struct {
-	buf *bytes.Buffer
-	tmp [8]byte
-}
-
-func (w *snapWriter) raw(b []byte) { w.buf.Write(b) }
-
-func (w *snapWriter) u8(v uint8) { w.buf.WriteByte(v) }
-
-func (w *snapWriter) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.tmp[:4], v)
-	w.buf.Write(w.tmp[:4])
-}
-
-func (w *snapWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.tmp[:8], v)
-	w.buf.Write(w.tmp[:8])
-}
-
-func (w *snapWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf.WriteString(s)
 }
 
 // OpenSnapshot reads a store previously written by SaveSnapshot. It is
@@ -604,24 +510,7 @@ func lazyStub(e snapDirEntry, section []byte) *table {
 // and minimum-row-size sanity checks run here, before any per-row
 // allocation.
 func decodeSectionSchema(r *snapReader) (Schema, int, int, error) {
-	sc := Schema{Table: r.str()}
-	nCols := int(r.u32())
-	for i := 0; i < nCols && r.err == nil; i++ {
-		sc.Columns = append(sc.Columns, Column{Name: r.str(), Type: ColType(r.u8())})
-	}
-	nKey := int(r.u32())
-	for i := 0; i < nKey && r.err == nil; i++ {
-		sc.Key = append(sc.Key, r.str())
-	}
-	nIdx := int(r.u32())
-	for i := 0; i < nIdx && r.err == nil; i++ {
-		nc := int(r.u32())
-		var cols []string
-		for j := 0; j < nc && r.err == nil; j++ {
-			cols = append(cols, r.str())
-		}
-		sc.Indexes = append(sc.Indexes, Index{Columns: cols})
-	}
+	sc := r.schema()
 	nRows := int(r.u32())
 	payload := int(r.u64())
 	if r.err != nil {
@@ -663,27 +552,15 @@ func (t *table) decodeSectionRows(r *snapReader, nRows, payload int, boxes *boxC
 	for i := 0; i < nRows; i++ {
 		row := make(Row, len(sc.Columns))
 		for ci, c := range sc.Columns {
-			switch c.Type {
-			case TString:
-				v := r.str()
-				if strOff[ci] {
-					row[c.Name] = v
-					continue
-				}
-				if b, ok := boxes.strs[v]; ok {
-					strHits[ci]++
-					row[c.Name] = b
-				} else {
-					b := any(v)
-					boxes.strs[v] = b
-					row[c.Name] = b
-				}
-			case TInt:
-				row[c.Name] = boxes.intv(int(int64(r.u64())))
-			case TFloat:
-				row[c.Name] = boxes.float(math.Float64frombits(r.u64()))
-			case TBool:
-				row[c.Name] = r.u8() != 0
+			if strOff[ci] {
+				row[c.Name] = r.value(c.Type, nil)
+				continue
+			}
+			// Only a hit leaves the string cache its size.
+			n := len(boxes.strs)
+			row[c.Name] = r.value(c.Type, boxes)
+			if len(boxes.strs) == n {
+				strHits[ci]++
 			}
 		}
 		if i == internSample-1 {
@@ -727,87 +604,9 @@ func (t *table) decodeSectionRows(r *snapReader, nRows, payload int, boxes *boxC
 func minRowSize(sc Schema) int {
 	n := 0
 	for _, c := range sc.Columns {
-		switch c.Type {
-		case TString:
-			n += 4
-		case TInt, TFloat:
-			n += 8
-		case TBool:
-			n++
-		}
+		n += valueWidth(c.Type)
 	}
 	return n
-}
-
-// snapReader is a bounds-checked little-endian cursor. When s is the
-// string aliasing b (same bytes), string reads slice s and never copy;
-// when s is empty (schema-only parses over a raw section, journal-record
-// peeks), string reads copy out of b instead — small strings, no pinned
-// backing.
-type snapReader struct {
-	b   []byte
-	s   string
-	off int
-	err error
-}
-
-func (r *snapReader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.b)-r.off < n {
-		r.err = fmt.Errorf("unexpected end of snapshot at offset %d (truncated file?)", r.off)
-		return false
-	}
-	return true
-}
-
-func (r *snapReader) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *snapReader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *snapReader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *snapReader) str() string {
-	n := int(r.u32())
-	// int(u32) can wrap negative on 32-bit platforms; a negative length
-	// would slip past need's remaining-bytes comparison and panic below.
-	if n < 0 {
-		r.err = fmt.Errorf("impossible string length at offset %d (corrupted snapshot?)", r.off)
-		return ""
-	}
-	if r.err != nil || !r.need(n) {
-		return ""
-	}
-	var v string
-	if len(r.s) == len(r.b) {
-		v = r.s[r.off : r.off+n] // zero-copy slice of the aliased string
-	} else {
-		v = string(r.b[r.off : r.off+n])
-	}
-	r.off += n
-	return v
 }
 
 // boxCache dedups the interface boxes materialized while decoding.
@@ -829,6 +628,15 @@ func newBoxCache() *boxCache {
 		ints:   make(map[int]any),
 		floats: make(map[float64]any),
 	}
+}
+
+func (bc *boxCache) str(v string) any {
+	if b, ok := bc.strs[v]; ok {
+		return b
+	}
+	b := any(v)
+	bc.strs[v] = b
+	return b
 }
 
 func (bc *boxCache) intv(v int) any {

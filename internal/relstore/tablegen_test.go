@@ -25,7 +25,7 @@ func tableGen(t *testing.T, s *Store, name string) uint64 {
 // stamp alone; each effective mutation raises it.
 func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
 	s := concStore(t, 4)
-	other := Schema{Table: "o", Columns: []Column{{Name: "k", Type: TString}}, Key: []string{"k"}}
+	other := Schema{Table: "o", Columns: []Column{{Name: "k", Type: TString}}, Key: []string{"k"}, Indexes: []Index{{Columns: []string{"k"}}}}
 	if err := s.CreateTable(other); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
 	if n, err := s.Update("t", Eq("grp", 2), func(r Row) Row { return r }); err != nil || n != 1 {
 		t.Fatalf("no-op Update = %d, %v", n, err)
 	}
-	// Another table: insert, upsert, update, delete, index, drop.
+	// Another table: insert, upsert, update, delete, drop.
 	for _, step := range []func() error{
 		func() error { return s.Insert("o", Row{"k": "a"}) },
 		func() error { return s.Upsert("o", Row{"k": "b"}) },
@@ -47,7 +47,6 @@ func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
 			return err
 		},
 		func() error { _, err := s.Delete("o", Eq("k", "b")); return err },
-		func() error { return s.CreateIndex("o", "k") },
 		func() error { return s.DropTable("o") },
 	} {
 		if err := step(); err != nil {
@@ -70,7 +69,6 @@ func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
 			return err
 		},
 		func() error { _, err := s.Delete("t", Eq("name", "r0003")); return err },
-		func() error { return s.CreateIndex("t", "val") },
 	} {
 		if err := step(); err != nil {
 			t.Fatal(err)
