@@ -113,9 +113,6 @@ func Schemas() []relstore.Schema {
 				{Name: "expr", Type: relstore.TString},
 			},
 			Key: []string{"impl", "attr"},
-			// Serves Estimators(impl) — all of one implementation's
-			// estimator rows — from a posting list.
-			Indexes: []relstore.Index{{Columns: []string{"impl"}}},
 		},
 		{
 			Table: TableExplorations,
@@ -414,7 +411,7 @@ func (db *DB) intern(src string) (*estProg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p = &estProg{expr: e, eval: compileExpr(e)}
+	p = &estProg{src: src, expr: e, eval: compileExpr(e)}
 	if db.progs == nil {
 		db.progs = make(map[string]*estProg)
 	}

@@ -190,3 +190,65 @@ func TestJournalBytesPerRecord(t *testing.T) {
 		t.Errorf("one explorations upsert cost %d journal bytes, want 82", got)
 	}
 }
+
+// TestJournalInstantiateReuse pins what reusing an instance costs the
+// journal, and that the bumped use count survives a crash-style reopen,
+// eager and lazy. A reuse rewrites the instance row with one upsert
+// record: 8 frame + 1 opcode + (4+9) table name + the row's values,
+// id 8 + (4+5) "reg_d" + (4+6) "size=4" + (4+7) "designA" + uses 8 =
+// 68 bytes.
+func TestJournalInstantiateReuse(t *testing.T) {
+	const reuses = 3
+	for _, mode := range []relstore.OpenMode{relstore.OpenEager, relstore.OpenLazy} {
+		path := filepath.Join(t.TempDir(), "cat.snap")
+		d, err := relstore.OpenDurable(path, relstore.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := icdb.Open(d.Store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A snapshot holding the instances relation, so the lazy reopen
+		// defers the instance records to that table's hydration.
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		binds := map[string]int{"size": 4}
+		if _, _, err := db.Instantiate("designA", "reg_d", binds); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < reuses; i++ {
+			before := d.Info()
+			inst, reused, err := db.Instantiate("designB", "reg_d", binds)
+			if err != nil || !reused || inst.Uses != i+2 {
+				t.Fatalf("reuse %d: %+v reused=%v err=%v, want uses %d", i, inst, reused, err, i+2)
+			}
+			after := d.Info()
+			if got := after.Records - before.Records; got != 1 {
+				t.Errorf("a reuse appended %d journal records, want 1", got)
+			}
+			if got := after.JournalBytes - before.JournalBytes; got != 68 {
+				t.Errorf("a reuse cost %d journal bytes, want 68", got)
+			}
+		}
+		// Crash-style reopen: no Close, no Compact.
+		d2, err := relstore.OpenDurable(path, relstore.DurableOptions{Open: mode})
+		if err != nil {
+			t.Fatalf("%v recovery: %v", mode, err)
+		}
+		db2, err := icdb.Open(d2.Store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts, err := db2.Instances()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(insts) != 1 || insts[0].Uses != reuses+1 || insts[0].Design != "designA" {
+			t.Errorf("%v recovery: instances = %+v, want one designA instance used %d times", mode, insts, reuses+1)
+		}
+		d2.Close()
+		d.Close()
+	}
+}

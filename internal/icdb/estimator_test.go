@@ -7,7 +7,10 @@ package icdb
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,5 +244,68 @@ func TestEstimatorCacheInternsPrograms(t *testing.T) {
 	// The pinned snapshot kept the pair it had.
 	if es["syn_000000"].delay != db.progs[sources[1]] {
 		t.Fatal("a delta wrote through a pinned snapshot")
+	}
+}
+
+// TestEstimatorsMatchTheRelation: Estimators(name), answered from the
+// catalog's estimators part, equals a scan of the estimators relation
+// after each step of a seeded stream of RegisterEstimator calls and
+// direct Store() upserts and deletes, for registered implementations and
+// for a name only direct rows carry.
+func TestEstimatorsMatchTheRelation(t *testing.T) {
+	db := openDB(t)
+	rng := rand.New(rand.NewSource(52))
+	impls := []string{"add_ripple", "cnt_up", "reg_d"}
+	names := append(slices.Clone(impls), "ghost")
+	srcs := []string{"area", "area * width", "delay + width / 4", "3"}
+	for step := 0; step < 400; step++ {
+		attr := EstimatorAttrs()[rng.Intn(2)]
+		src := srcs[rng.Intn(len(srcs))]
+		switch rng.Intn(3) {
+		case 0:
+			if err := db.RegisterEstimator(impls[rng.Intn(len(impls))], attr, src); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			row := relstore.Row{"impl": names[rng.Intn(len(names))], "attr": attr, "expr": src}
+			if err := db.Store().Upsert(TableEstimators, row); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			p := relstore.And(relstore.Eq("impl", names[rng.Intn(len(names))]), relstore.Eq("attr", attr))
+			if _, err := db.Store().Delete(TableEstimators, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range names {
+			got, err := db.Estimators(name)
+			if err != nil {
+				t.Fatalf("step %d: Estimators(%s): %v", step, name, err)
+			}
+			rows, err := db.Store().Select(TableEstimators, relstore.Func(func(r relstore.Row) bool { return r["impl"] == name }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]string{}
+			for _, r := range rows {
+				want[r["attr"].(string)] = r["expr"].(string)
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("step %d: Estimators(%s) = %v, the relation holds %v", step, name, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimatorsRelationDeclaresNoIndex: Estimators reads the catalog
+// part, so a fresh catalog's estimators relation declares no secondary
+// index for RegisterEstimator to maintain.
+func TestEstimatorsRelationDeclaresNoIndex(t *testing.T) {
+	sc, err := openDB(t).Store().SchemaOf(TableEstimators)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Indexes) != 0 {
+		t.Errorf("the estimators relation declares %d index(es) %v, want 0", len(sc.Indexes), sc.Indexes)
 	}
 }

@@ -400,17 +400,21 @@ func (db *DB) RegisterEstimator(implName, attr, expr string) error {
 	})
 }
 
-// Estimators returns the estimator expressions registered for one
-// implementation, as attr -> expression source. The lookup is served
-// from the estimators relation's secondary index on the impl column.
+// Estimators returns implName's estimator expressions (attr -> source)
+// from the catalog part EstimateImpl reads: area and delay only, and a
+// direct Store() row whose expression does not parse makes both fail.
 func (db *DB) Estimators(implName string) (map[string]string, error) {
-	rows, err := db.store.Select(TableEstimators, relstore.Eq("impl", implName))
+	r, err := db.read(needEsts, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]string, len(rows))
-	for _, r := range rows {
-		out[asString(r["attr"])] = asString(r["expr"])
+	ep := r.ests()[implName]
+	out := make(map[string]string, 2)
+	if ep.area != nil {
+		out["area"] = ep.area.src
+	}
+	if ep.delay != nil {
+		out["delay"] = ep.delay.src
 	}
 	return out, nil
 }

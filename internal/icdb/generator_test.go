@@ -406,22 +406,41 @@ func TestGeneratorsByComponentUsesIndex(t *testing.T) {
 }
 
 // TestOpenCreatesNewRelationsOnOldStores: a store persisted before the
-// generator/estimator relations existed (simulated by dropping them)
-// reopens cleanly, with the new tables bootstrapped and re-seeded.
+// generator/estimator relations existed (built here as a copy of a
+// seeded catalog without them) reopens cleanly, with the new tables
+// bootstrapped and re-seeded and the old rows kept.
 func TestOpenCreatesNewRelationsOnOldStores(t *testing.T) {
-	db := openTestDB(t)
-	for _, table := range []string{TableGenerators, TableEstimators} {
-		if err := db.Store().DropTable(table); err != nil {
+	src := openTestDB(t).Store()
+	old := relstore.New()
+	for _, sc := range Schemas() {
+		if sc.Table == TableGenerators || sc.Table == TableEstimators {
+			continue
+		}
+		if err := old.CreateTable(sc); err != nil {
 			t.Fatal(err)
 		}
+		rows, err := src.Select(sc.Table, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if err := old.Insert(sc.Table, r); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	db.InvalidateCaches()
-	re, err := Open(db.Store())
+	re, err := Open(old)
 	if err != nil {
 		t.Fatalf("reopen without new relations: %v", err)
 	}
 	if _, err := re.GeneratorByName("gen_cnt"); err != nil {
 		t.Errorf("generators not re-seeded: %v", err)
+	}
+	if ests, err := re.Estimators("add_ripple"); err != nil || len(ests) == 0 {
+		t.Errorf("estimators not re-seeded: %v, %v", ests, err)
+	}
+	if _, err := re.ImplByName("add_ripple"); err != nil {
+		t.Errorf("implementation lost: %v", err)
 	}
 }
 

@@ -77,14 +77,11 @@ func (db *DB) Instantiate(design, implName string, bindings map[string]int) (ins
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// (impl, bindings) is the instances primary key, so both the reuse
-	// probe and the use-count bump are index point operations.
+	// (impl, bindings) is the instances primary key: the reuse probe is a
+	// point lookup, the use-count bump one upsert of the row it read.
 	if r, err := db.store.Get(TableInstances, implName, key); err == nil {
-		pred := relstore.And(relstore.Eq("impl", implName), relstore.Eq("bindings", key))
-		if _, err := db.store.Update(TableInstances, pred, func(r relstore.Row) relstore.Row {
-			r["uses"] = asInt(r["uses"]) + 1
-			return r
-		}); err != nil {
+		r["uses"] = asInt(r["uses"]) + 1
+		if err := db.store.Upsert(TableInstances, r); err != nil {
 			return Instance{}, false, err
 		}
 		return Instance{
@@ -92,7 +89,7 @@ func (db *DB) Instantiate(design, implName string, bindings map[string]int) (ins
 			Impl:     implName,
 			Bindings: bindings,
 			Design:   asString(r["design"]),
-			Uses:     asInt(r["uses"]) + 1,
+			Uses:     asInt(r["uses"]),
 		}, true, nil
 	}
 	// IDs are allocated monotonically from the stored maximum (computed

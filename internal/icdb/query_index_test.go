@@ -101,17 +101,15 @@ func TestInvalidateCachesSeesDirectStoreWrites(t *testing.T) {
 	if a := rogueArea(); a != 0.5 {
 		t.Fatalf("after a direct upsert rogue_add has area %g, want 0.5", a)
 	}
-	if _, err := db.Store().Update(TableImplementations, relstore.Eq("name", "rogue_add"), func(r relstore.Row) relstore.Row {
-		r["area"] = 7.0
-		return r
-	}); err != nil {
+	rogue.Area = 7
+	if err := db.Store().Upsert(TableImplementations, implRow(rogue)); err != nil {
 		t.Fatal(err)
 	}
 	if a := rogueArea(); a != 7 {
-		t.Fatalf("after a direct update rogue_add has area %g, want 7", a)
+		t.Fatalf("after a direct rewrite rogue_add has area %g, want 7", a)
 	}
 	if im, err := db.ImplByName("rogue_add"); err != nil || im.Area != 7 {
-		t.Fatalf("ImplByName after a direct update = %+v, %v", im, err)
+		t.Fatalf("ImplByName after a direct rewrite = %+v, %v", im, err)
 	}
 	if _, err := db.Store().Delete(TableImplementations, relstore.Eq("name", "rogue_add")); err != nil {
 		t.Fatal(err)

@@ -256,6 +256,7 @@ func b2f(b bool) float64 {
 // estProg is one estimator expression, parsed and compiled: the unit the
 // DB interns by source text (see DB.progs). Immutable once published.
 type estProg struct {
+	src string // the source text, which the DB interns it by
 	// expr is the parsed form, for GeneratorCost: a generator's
 	// expressions range over its own parameter names, an open vocabulary
 	// the slot vector cannot hold, so they stay on the interpreter.

@@ -248,8 +248,15 @@ rows:
 // of the implementations relation for one name (decoding the row is
 // negligible next to the scan, so the reference stops at the raw row).
 func fullScanImplRow(db *icdb.DB, name string) (relstore.Row, error) {
-	return db.Store().SelectOne(icdb.TableImplementations,
+	rows, err := db.Store().Select(icdb.TableImplementations,
 		relstore.Func(func(r relstore.Row) bool { return r["name"] == name }))
+	switch {
+	case err != nil:
+		return nil, err
+	case len(rows) != 1:
+		return nil, fmt.Errorf("full scan: %d implementations named %q, want 1", len(rows), name)
+	}
+	return rows[0], nil
 }
 
 // TestIndexedQueryMatchesFullScanReference cross-validates the engine

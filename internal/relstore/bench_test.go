@@ -40,27 +40,27 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-func BenchmarkSelectOneByKey(b *testing.B) {
+func BenchmarkSelectByKey(b *testing.B) {
 	s := benchStore(b, benchRows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SelectOne("implementations", Eq("name", fmt.Sprintf("impl%03d", i%benchRows))); err != nil {
-			b.Fatal(err)
+		if rows, err := s.Select("implementations", Eq("name", fmt.Sprintf("impl%03d", i%benchRows))); err != nil || len(rows) != 1 {
+			b.Fatal(err, len(rows))
 		}
 	}
 }
 
-// BenchmarkSelectOneFullScan forces the scan fallback with an opaque
+// BenchmarkSelectFullScan forces the scan fallback with an opaque
 // Func predicate — the shape every keyed lookup had before the planner.
-func BenchmarkSelectOneFullScan(b *testing.B) {
+func BenchmarkSelectFullScan(b *testing.B) {
 	s := benchStore(b, benchRows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("impl%03d", i%benchRows)
-		if _, err := s.SelectOne("implementations", Func(func(r Row) bool { return r["name"] == name })); err != nil {
-			b.Fatal(err)
+		if rows, err := s.Select("implementations", Func(func(r Row) bool { return r["name"] == name })); err != nil || len(rows) != 1 {
+			b.Fatal(err, len(rows))
 		}
 	}
 }

@@ -147,8 +147,8 @@ func TestWriterProgressDuringSlowScan(t *testing.T) {
 }
 
 // TestScanSnapshotIsolation mutates the table heavily mid-scan (delete
-// everything, insert replacements, update in place) and requires the
-// scan to keep yielding exactly its pinned rows.
+// everything, insert replacements) and requires the scan to keep
+// yielding exactly its pinned rows.
 func TestScanSnapshotIsolation(t *testing.T) {
 	s := concStore(t, 6)
 
@@ -271,10 +271,7 @@ func TestConcurrentScansAndWritersStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Update("t", Eq("name", name), func(r Row) Row {
-					r["val"] = r["val"].(float64) + 0.5
-					return r
-				}); err != nil {
+				if err := s.Upsert("t", Row{"name": name, "grp": i % 4, "val": float64(i) + 0.5}); err != nil {
 					t.Error(err)
 					return
 				}

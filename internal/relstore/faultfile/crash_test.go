@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,24 +58,20 @@ func workload() []step {
 			return s.Upsert("parts", relstore.Row{"name": "mux", "qty": 16, "price": 1.0, "active": true})
 		}},
 		{name: "compact-1", compact: true},
-		{name: "update-qty", mut: func(s *relstore.Store) error {
-			_, err := s.Update("parts", relstore.Eq("active", true), func(r relstore.Row) relstore.Row {
-				r["qty"] = r["qty"].(int) + 100
-				return r
-			})
-			return err
+		{name: "upsert-alu", mut: func(s *relstore.Store) error {
+			return s.Upsert("parts", relstore.Row{"name": "alu", "qty": 104, "price": 12.5, "active": true})
 		}},
 		{name: "insert-shift", mut: ins("shift", 7, 0.75, false)},
 		{name: "delete-reg", mut: func(s *relstore.Store) error {
 			_, err := s.Delete("parts", relstore.Eq("name", "reg"))
 			return err
 		}},
-		{name: "rename-alu", mut: func(s *relstore.Store) error {
-			// Key change: exercises the two-phase key-index replay.
-			_, err := s.Update("parts", relstore.Eq("name", "alu"), func(r relstore.Row) relstore.Row {
-				r["name"] = "alu2"
-				return r
-			})
+		{name: "delete-active", mut: func(s *relstore.Store) error {
+			// alu and mux: a multi-row record, all or nothing at recovery.
+			n, err := s.Delete("parts", relstore.Eq("active", true))
+			if err == nil && n != 2 {
+				err = fmt.Errorf("delete-active removed %d rows, want 2", n)
+			}
 			return err
 		}},
 		{name: "compact-2", compact: true},

@@ -99,12 +99,16 @@ func TestSecondaryIndexConsistencyAcrossMutations(t *testing.T) {
 		t.Fatalf("after upsert: %v %v", rows, err)
 	}
 
-	// Update rewrites indexed columns in bulk.
-	if _, err := s.Update("implementations", Eq("component", "Register"), func(r Row) Row {
-		r["component"] = "Memory"
-		return r
-	}); err != nil {
+	// Upserts rewrite the indexed columns of every Register row.
+	regs, err := s.Select("implementations", Eq("component", "Register"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range regs {
+		r["component"] = "Memory"
+		if err := s.Upsert("implementations", r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	checkIndexConsistency(t, s, "implementations")
 	if n, _ := s.Count("implementations", Eq("component", "Register")); n != 0 {
@@ -125,34 +129,6 @@ func TestSecondaryIndexConsistencyAcrossMutations(t *testing.T) {
 	checkIndexConsistency(t, s, "implementations")
 	if n, _ := s.Count("implementations", nil); n != 0 {
 		t.Errorf("count after delete-all = %d", n)
-	}
-}
-
-// TestSecondaryIndexKeySwap: the two-phase primary-key swap must leave
-// secondary indexes consistent too.
-func TestSecondaryIndexKeySwap(t *testing.T) {
-	s := indexedStore(t)
-	for i, n := range []string{"a", "b"} {
-		if err := s.Insert("implementations", Row{
-			"name": n, "component": fmt.Sprintf("C%d", i), "size": i, "area": 1.0, "parameterized": false,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Update("implementations", nil, func(r Row) Row {
-		if r["name"] == "a" {
-			r["name"] = "b"
-		} else {
-			r["name"] = "a"
-		}
-		return r
-	}); err != nil {
-		t.Fatalf("key swap rejected: %v", err)
-	}
-	checkIndexConsistency(t, s, "implementations")
-	r, err := s.Get("implementations", "a")
-	if err != nil || r["component"] != "C1" {
-		t.Fatalf("after swap Get(a) = %v, %v", r, err)
 	}
 }
 
@@ -414,7 +390,7 @@ func TestIndexesSurviveSaveLoad(t *testing.T) {
 }
 
 // TestConcurrentScanAndWriters is the -race stress test: readers on the
-// no-copy Scan path race with Insert/Upsert/Update/Delete writers; the
+// no-copy Scan path race with Insert/Upsert/Delete writers; the
 // store must stay consistent and race-free.
 func TestConcurrentScanAndWriters(t *testing.T) {
 	s := indexedStore(t)
@@ -455,10 +431,12 @@ func TestConcurrentScanAndWriters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if _, err := s.Update("implementations", Eq("name", fmt.Sprintf("impl%03d", i%50)), func(r Row) Row {
+			r, err := s.Get("implementations", fmt.Sprintf("impl%03d", i%50))
+			if err == nil {
 				r["area"] = r["area"].(float64) + 1
-				return r
-			}); err != nil {
+				err = s.Upsert("implementations", r)
+			}
+			if err != nil {
 				report(err)
 				return
 			}

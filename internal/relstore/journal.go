@@ -3,11 +3,10 @@
 // JOURNAL.md; the short version:
 //
 //   - A Durable store appends one CRC-32C-checksummed record per
-//     mutation (Insert/Upsert/Update/Delete, CreateTable/DropTable) to
-//     an append-only journal file *before* applying the mutation in
-//     memory, under the store's write lock, with a
-//     configurable fsync policy. A mutation is acknowledged only after
-//     its record is in the journal.
+//     mutation (CreateTable, Insert, Upsert, Delete) to an append-only
+//     journal file *before* applying the mutation in memory, under the
+//     store's write lock, with a configurable fsync policy. A mutation
+//     is acknowledged only after its record is in the journal.
 //   - OpenDurable recovers by loading the snapshot (if any) and
 //     replaying the journal. A torn or partially-written tail —
 //     the expected shape of a crash mid-append — is truncated at the
@@ -29,6 +28,9 @@
 //     every subsequent mutation errors until the store is reopened.
 //     Recovery then truncates the torn record — nothing after it was
 //     ever acknowledged.
+//   - Replay applies each record through the code that applied it live
+//     (createTableLocked, insertLocked, upsertLocked, removeLocked), so
+//     a record replays exactly as its mutation applied.
 
 package relstore
 
@@ -38,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -49,9 +50,10 @@ const (
 	// walMagic opens every journal file, followed by a u32 version and a
 	// u64 base LSN.
 	walMagic = "ICDBJRNL"
-	// walVersion is the current journal format version: 2 writes rows
-	// and keys positionally, with the snapshot's row codec (codec.go).
-	walVersion = 2
+	// walVersion is the current journal format version: 2 wrote rows
+	// and keys positionally, with the snapshot's row codec (codec.go);
+	// 3 retired the drop-table and update records.
+	walVersion = 3
 	// walHeaderLen is magic + version + base LSN. The base LSN is the
 	// sequence number of the file's first record: record i carries LSN
 	// base+i implicitly, and compaction bumps the base as it drops the
@@ -63,20 +65,19 @@ const (
 	// walFrameLen is the per-record frame: u32 payload length + u32
 	// CRC-32C of the payload.
 	walFrameLen = 8
-	// walMaxRecord bounds one record's payload (a multi-row Update or
-	// Delete batch is one record); larger declared lengths are treated
-	// as garbage framing.
+	// walMaxRecord bounds one record's payload (a multi-row Delete is
+	// one record); larger declared lengths are treated as garbage
+	// framing.
 	walMaxRecord = 64 << 20
 )
 
 // Journal record opcodes (first payload byte). 2 was create-index,
-// retired with version 2.
+// retired with version 2; 3 (drop-table) and 6 (update) were retired
+// with version 3.
 const (
 	walOpCreateTable = 1
-	walOpDropTable   = 3
 	walOpInsert      = 4
 	walOpUpsert      = 5
-	walOpUpdate      = 6
 	walOpDelete      = 7
 )
 
@@ -395,11 +396,10 @@ func rewriteJournal(fsys FS, path string, base int64, tail []byte) (File, int64,
 }
 
 // Durable is a Store whose mutations are write-ahead journaled: every
-// Insert/Upsert/Update/Delete (and schema change) on the embedded
-// Store appends a checksummed record to the journal before it applies,
-// so a crash at any instant recovers, via OpenDurable, to exactly a
-// prefix of the acknowledged mutations — all of them under
-// FsyncAlways. Compact folds the journal into a fresh snapshot. All
+// CreateTable, Insert, Upsert and Delete on the embedded Store appends
+// a checksummed record to the journal before it applies, so a crash at
+// any instant recovers, via OpenDurable, to exactly a prefix of the
+// acknowledged mutations — all of them under FsyncAlways. Compact folds the journal into a fresh snapshot. All
 // methods are safe for concurrent use alongside the Store's own.
 type Durable struct {
 	*Store
@@ -548,9 +548,9 @@ func OpenDurable(path string, opt DurableOptions) (*Durable, error) {
 		// deferred — appended, in order, to the stub's replay list, which
 		// hydration applies strictly exactly-once right after the row
 		// decode. Records touch exactly one table each, so partitioning
-		// them by table commutes with replay order. Structural records
-		// (create/drop table) and records for live tables apply now; a
-		// record naming a missing table still fails loudly here.
+		// them by table commutes with replay order. Create-table records
+		// and records for live tables apply now; a record naming a
+		// missing table still fails loudly here.
 		if name, ok := walRecordTarget(payload); ok {
 			if t, exists := s.tableMap()[name]; exists && t.pending != nil {
 				t.pending.deferred = append(t.pending.deferred, payload)
@@ -632,10 +632,17 @@ func (d *Durable) readPair(path, jpath string, mode OpenMode) (s *Store, snapLSN
 	if len(jdata) < walHeaderLen || string(jdata[:len(walMagic)]) != walMagic {
 		return nil, 0, nil, 0, fmt.Errorf("relstore: open durable: journal %s: bad magic (not an ICDB journal)", jpath)
 	}
+	base = int64(binary.LittleEndian.Uint64(jdata[len(walMagic)+4 : walHeaderLen]))
 	if v := binary.LittleEndian.Uint32(jdata[len(walMagic):]); v != walVersion {
+		// What an older build's compaction leaves — a bare header at the
+		// snapshot's covered LSN — holds nothing to misread: it is
+		// rewritten as a fresh journal, like a missing one.
+		if len(jdata) == walHeaderLen && uint64(base) == snapLSN {
+			return s, snapLSN, nil, base, nil
+		}
 		return nil, 0, nil, 0, fmt.Errorf("relstore: open durable: journal %s: unsupported version %d (this build reads version %d)", jpath, v, walVersion)
 	}
-	return s, snapLSN, jdata, int64(binary.LittleEndian.Uint64(jdata[len(walMagic)+4 : walHeaderLen])), nil
+	return s, snapLSN, jdata, base, nil
 }
 
 // run is the background loop: auto-compaction on the size-threshold
@@ -776,13 +783,13 @@ func (s *Store) logWAL(build func(w *snapWriter) error) error {
 // --- record decoding and replay --------------------------------------
 
 // walRecordTarget peeks the table a journal record addresses, without
-// decoding the record body. Only row records have a single target table
-// that may be cold; structural records (create/drop table) return
-// ok=false and always apply at open.
+// decoding the record body. Only row records have a target table that
+// may be cold; a create-table record returns ok=false and always
+// applies at open.
 func walRecordTarget(payload []byte) (name string, ok bool) {
 	r := &snapReader{b: payload} // no aliased string: the name is copied out
 	switch r.u8() {
-	case walOpInsert, walOpUpsert, walOpUpdate, walOpDelete:
+	case walOpInsert, walOpUpsert, walOpDelete:
 		n := r.str()
 		return n, r.err == nil && n != ""
 	}
@@ -817,12 +824,6 @@ func (s *Store) applyWALRecordLocked(payload []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	if op == walOpDropTable {
-		if err := r.done(); err != nil {
-			return err
-		}
-		return s.dropTableLocked(name)
-	}
 	// A row record is decoded against its table's schema, which is the
 	// schema it was written with: replay is exactly-once, so the table
 	// is in the state that preceded the record.
@@ -841,20 +842,6 @@ func (s *Store) applyWALRecordLocked(payload []byte) error {
 		}
 		_, err := s.upsertLocked(name, row)
 		return err
-	case walOpUpdate:
-		// Counts are not trusted for allocation: every pair costs input
-		// bytes, and the loop stops at the first short read.
-		n, keyCols := int(r.u32()), t.keyColumns()
-		var oldKeys []string
-		var rows []Row
-		for i := 0; i < n && r.err == nil; i++ {
-			oldKeys = append(oldKeys, joinRow(t.schema.Key, r.row(keyCols)))
-			rows = append(rows, r.row(t.schema.Columns))
-		}
-		if err := r.done(); err != nil {
-			return err
-		}
-		return s.replayUpdateBatchLocked(t, oldKeys, rows)
 	case walOpDelete:
 		n, keyCols := int(r.u32()), t.keyColumns()
 		var keys []string
@@ -864,64 +851,16 @@ func (s *Store) applyWALRecordLocked(payload []byte) error {
 		if err := r.done(); err != nil {
 			return err
 		}
-		return s.replayDeleteBatchLocked(t, keys)
+		return s.replayDeleteLocked(t, keys)
 	default:
 		return fmt.Errorf("unknown opcode %d", op)
 	}
 }
 
-// replayUpdateBatch re-applies one Update record: every row is
-// addressed by its old primary key (rowids are not stable across a
-// snapshot reload) and updated in place, keeping its rowid and so its
-// scan position, with the same two-phase key-index rebuild as Update
-// so key permutations replay. Replay is exactly-once, so every old
-// key must resolve.
-func (s *Store) replayUpdateBatchLocked(t *table, oldKeys []string, rows []Row) error {
-	d := t.data
-	type change struct {
-		id int64
-		nr Row
-	}
-	var changes []change
-	for i, row := range rows {
-		if err := t.checkRow(row); err != nil {
-			return err
-		}
-		nr := t.canon(row)
-		id, ok := d.keyIndex[oldKeys[i]]
-		if !ok {
-			return fmt.Errorf("update record references missing row (key %q)", keyValues(oldKeys[i]))
-		}
-		changes = append(changes, change{id: id, nr: nr})
-	}
-	if len(changes) == 0 {
-		return nil
-	}
-	wd := t.writable()
-	newKeys := maps.Clone(wd.keyIndex)
-	for _, c := range changes {
-		delete(newKeys, t.keyOf(wd.rows[c.id]))
-	}
-	for _, c := range changes {
-		k := t.keyOf(c.nr)
-		if _, conflict := newKeys[k]; conflict {
-			return fmt.Errorf("update record creates duplicate key %v", keyValues(k))
-		}
-		newKeys[k] = c.id
-	}
-	for _, c := range changes {
-		wd.indexRemove(c.id, wd.rows[c.id])
-		wd.rows[c.id] = c.nr
-		wd.indexAdd(c.id, c.nr)
-	}
-	wd.keyIndex = newKeys
-	s.touch(t)
-	return nil
-}
-
-// replayDeleteBatch re-applies one Delete record by key. Replay is
-// exactly-once, so every key must resolve.
-func (s *Store) replayDeleteBatchLocked(t *table, keys []string) error {
+// replayDeleteLocked re-applies one Delete record: it resolves each
+// primary key to its rowid and removes them through removeLocked, as
+// Delete did. Replay is exactly-once, so every key must resolve.
+func (s *Store) replayDeleteLocked(t *table, keys []string) error {
 	var victims []int64
 	for _, k := range keys {
 		id, ok := t.data.keyIndex[k]
@@ -930,25 +869,8 @@ func (s *Store) replayDeleteBatchLocked(t *table, keys []string) error {
 		}
 		victims = append(victims, id)
 	}
-	if len(victims) == 0 {
-		return nil
+	if len(victims) > 0 {
+		s.removeLocked(t, victims)
 	}
-	wd := t.writable()
-	removed := make(map[int64]bool, len(victims))
-	for _, id := range victims {
-		r := wd.rows[id]
-		delete(wd.keyIndex, t.keyOf(r))
-		wd.indexRemove(id, r)
-		delete(wd.rows, id)
-		removed[id] = true
-	}
-	live := wd.ids[:0]
-	for _, id := range wd.ids {
-		if !removed[id] {
-			live = append(live, id)
-		}
-	}
-	wd.ids = live
-	s.touch(t)
 	return nil
 }

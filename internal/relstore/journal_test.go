@@ -88,10 +88,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := d.Update("impls", Eq("name", "add16"), func(r Row) Row {
-		r["area"] = 999.0
-		return r
-	}); err != nil {
+	if err := d.Upsert("impls", Row{"name": "add16", "comp": "adder", "size": 16, "area": 999.0, "param": true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Delete("impls", Eq("name", "add8")); err != nil {
@@ -308,17 +305,112 @@ func TestJournalRejectsBadMagicAndVersion(t *testing.T) {
 	if err := open(); err == nil || !strings.Contains(err.Error(), "unsupported version 99") {
 		t.Errorf("bad version: %v", err)
 	}
-	// A version-1 journal (self-describing tagged values) is refused by
-	// the same check, before any of its records is read.
-	binary.LittleEndian.PutUint32(bad[len(walMagic):], 1)
-	os.WriteFile(jpath, bad, 0o644)
-	if err := open(); err == nil || !strings.Contains(err.Error(), "unsupported version 1 (this build reads version 2)") {
-		t.Errorf("version-1 journal: %v", err)
+	// A version-1 journal (self-describing tagged values) and a
+	// version-2 one (which may hold drop-table and update records) are
+	// refused by the same check, before any of their records is read.
+	for _, v := range []uint32{1, 2} {
+		binary.LittleEndian.PutUint32(bad[len(walMagic):], v)
+		os.WriteFile(jpath, bad, 0o644)
+		if err := open(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d (this build reads version 3)", v)) {
+			t.Errorf("version-%d journal: %v", v, err)
+		}
 	}
 	// Shorter than the header (but non-empty): not a journal either.
 	os.WriteFile(jpath, jdata[:walHeaderLen-3], 0o644)
 	if err := open(); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("short header: %v", err)
+	}
+}
+
+// TestJournalAdoptsCompactedOldVersionJournal: compacting with an older
+// build leaves its journal a bare header at the snapshot's covered LSN.
+// That journal holds no record, so an open adopts it and rewrites it at
+// the current version; a bare old header at any other LSN is refused.
+func TestJournalAdoptsCompactedOldVersionJournal(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, DurableOptions{})
+	if err := d.CreateTable(durableSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Insert("impls", Row{"name": "a", "comp": "alu", "size": 1, "area": 1.0, "param": true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(dir, "cat.snap.wal")
+	hdr, err := os.ReadFile(jpath)
+	if err != nil || len(hdr) != walHeaderLen {
+		t.Fatalf("compacted journal: %d bytes, %v; want the bare header", len(hdr), err)
+	}
+	old := append([]byte(nil), hdr...)
+	binary.LittleEndian.PutUint32(old[len(walMagic):], walVersion-1)
+	elsewhere := append([]byte(nil), old...)
+	binary.LittleEndian.PutUint64(elsewhere[len(walMagic)+4:], binary.LittleEndian.Uint64(old[len(walMagic)+4:])+1)
+	os.WriteFile(jpath, elsewhere, 0o644)
+	if _, err := OpenDurable(filepath.Join(dir, "cat.snap"), DurableOptions{}); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Errorf("bare old-version header past the snapshot: %v, want the version refusal", err)
+	}
+
+	os.WriteFile(jpath, old, 0o644)
+	d = openDurable(t, dir, DurableOptions{})
+	if err := d.Insert("impls", Row{"name": "b", "comp": "alu", "size": 2, "area": 2.0, "param": false}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	now, err := os.ReadFile(jpath)
+	if err != nil || !bytes.Equal(now[:walHeaderLen], hdr) {
+		t.Fatalf("adopted journal header = %x (%v), want the current one %x", now[:min(len(now), walHeaderLen)], err, hdr)
+	}
+	d = openDurable(t, dir, DurableOptions{})
+	defer d.Close()
+	if n, err := d.Count("impls", nil); err != nil || n != 2 {
+		t.Errorf("after adopting the old journal: %d rows (%v), want 2", n, err)
+	}
+}
+
+// TestJournalDeleteRecordNamingARowTwice: a forged delete record that
+// names one key twice removes that row once and leaves every other row
+// reachable by key — including one whose key values render like a
+// missing row's.
+func TestJournalDeleteRecordNamingARowTwice(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, DurableOptions{})
+	if err := d.CreateTable(durableSchema()); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Row{
+		{"name": "a", "comp": "alu", "size": 1, "area": 1.0, "param": true},
+		{"name": "<nil>", "comp": "<nil>", "size": 2, "area": 2.0, "param": false},
+	} {
+		if err := d.Insert("impls", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendRecord(t, filepath.Join(dir, "cat.snap.wal"), func(w *snapWriter) {
+		w.u8(walOpDelete)
+		w.str("impls")
+		w.u32(2)
+		for range 2 {
+			w.str("alu")
+			w.str("a")
+		}
+	})
+	d = openDurable(t, dir, DurableOptions{})
+	defer d.Close()
+	if n, err := d.Count("impls", nil); err != nil || n != 1 {
+		t.Errorf("after the record: %d rows (%v), want 1", n, err)
+	}
+	if _, err := d.Get("impls", "<nil>", "<nil>"); err != nil {
+		t.Errorf("the surviving row is not reachable by key: %v", err)
 	}
 }
 
@@ -496,13 +588,14 @@ func TestJournalNoOpMutationsStaySilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen, recs := d.Generation(), d.Info().Records
-	// Value-equal upsert and update: no journal record, no generation
-	// bump — re-seeding an already-seeded catalog must be free.
+	// A value-equal upsert and a delete that matches nothing: no journal
+	// record, no generation bump — re-seeding an already-seeded catalog
+	// must be free.
 	if err := d.Upsert("impls", r); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := d.Update("impls", Eq("name", "x"), func(r Row) Row { return r }); err != nil || n != 1 {
-		t.Fatalf("no-op update: n=%d err=%v", n, err)
+	if n, err := d.Delete("impls", Eq("name", "absent")); err != nil || n != 0 {
+		t.Fatalf("no-op delete: n=%d err=%v", n, err)
 	}
 	if d.Generation() != gen || d.Info().Records != recs {
 		t.Errorf("no-op mutations moved generation %d->%d, records %d->%d",
@@ -699,24 +792,29 @@ func TestJournalRecoverDeterministicProperty(t *testing.T) {
 				name := keys[rng.IntN(len(keys))]
 				area := float64(rng.IntN(1000))
 				both(func(s *Store) error {
-					_, err := s.Update("impls", And(Eq("comp", "c"), Eq("name", name)), func(r Row) Row {
-						r["area"] = area
-						return r
-					})
-					return err
+					r, err := s.Get("impls", "c", name)
+					if err != nil {
+						return err
+					}
+					r["area"] = area
+					return s.Upsert("impls", r)
 				})
-			case k < 8: // re-key
+			case k < 8: // re-key: delete, then insert under the new key
 				i := rng.IntN(len(keys))
 				old, next := keys[i], fmt.Sprintf("renamed%04d", rng.IntN(10000))
 				if _, err := shadow.Get("impls", "c", next); err == nil {
 					continue // target key taken; skip
 				}
 				both(func(s *Store) error {
-					_, err := s.Update("impls", And(Eq("comp", "c"), Eq("name", old)), func(r Row) Row {
-						r["name"] = next
-						return r
-					})
-					return err
+					r, err := s.Get("impls", "c", old)
+					if err != nil {
+						return err
+					}
+					if _, err := s.Delete("impls", And(Eq("comp", "c"), Eq("name", old))); err != nil {
+						return err
+					}
+					r["name"] = next
+					return s.Insert("impls", r)
 				})
 				keys[i] = next
 			default: // delete

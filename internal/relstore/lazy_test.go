@@ -460,28 +460,84 @@ func TestLazyDurableMissingTableRecordFailsAtOpen(t *testing.T) {
 
 	// Forge an insert record naming a table that is not in the snapshot
 	// and append it with valid framing.
-	w := snapWriter{buf: &bytes.Buffer{}}
-	w.u8(walOpInsert)
-	w.str("ghost")
-	w.str("row")
-	payload := w.buf.Bytes()
-	frame := make([]byte, 8)
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, snapCRC))
-	jpath := filepath.Join(dir, "cat.snap.wal")
-	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(append(frame, payload...)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendRecord(t, filepath.Join(dir, "cat.snap.wal"), func(w *snapWriter) {
+		w.u8(walOpInsert)
+		w.str("ghost")
+		w.str("row")
+	})
 
 	for _, mode := range []OpenMode{OpenLazy, OpenEager} {
 		_, err := OpenDurable(filepath.Join(dir, "cat.snap"), DurableOptions{Open: mode})
 		if err == nil || !strings.Contains(err.Error(), `no table "ghost"`) {
 			t.Errorf("%v open with a ghost-table record: err = %v, want a loud missing-table failure", mode, err)
+		}
+	}
+}
+
+// appendRecord appends one forged record, built by build, to the
+// journal at jpath with valid framing.
+func appendRecord(t *testing.T, jpath string, build func(w *snapWriter)) {
+	t.Helper()
+	w := snapWriter{buf: &bytes.Buffer{}}
+	build(&w)
+	payload := w.buf.Bytes()
+	frame := make([]byte, 8)
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, snapCRC))
+	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryEagerLazyAgree: a journal that eager recovery refuses is
+// refused by a lazy open plus HydrateAll too. The forged journal holds
+// two CRC-valid records over a compacted snapshot: an insert of a key
+// the snapshot already holds, then a record with opcode 3 (a drop of
+// that table in journal versions before 3). Eager replay fails on the
+// duplicate key. Lazy recovery defers the insert to the table's
+// hydration, so nothing may discard it unchecked.
+func TestRecoveryEagerLazyAgree(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, DurableOptions{})
+	if err := d.CreateTable(durableSchema()); err != nil {
+		t.Fatal(err)
+	}
+	dup := Row{"name": "a", "comp": "alu", "size": 1, "area": 1.0, "param": true}
+	if err := d.Insert("impls", dup); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(dir, "cat.snap.wal")
+	appendRecord(t, jpath, func(w *snapWriter) {
+		w.u8(walOpInsert)
+		w.str("impls")
+		if err := w.row("impls", durableSchema().Columns, dup); err != nil {
+			t.Fatal(err)
+		}
+	})
+	appendRecord(t, jpath, func(w *snapWriter) {
+		w.u8(3)
+		w.str("impls")
+	})
+
+	for _, mode := range []OpenMode{OpenEager, OpenLazy} {
+		d, err := OpenDurable(filepath.Join(dir, "cat.snap"), DurableOptions{Open: mode, CompactAt: -1})
+		if err == nil {
+			err = d.HydrateAll()
+			d.Close()
+		}
+		if err == nil {
+			t.Errorf("%v recovery accepted an insert of a key the snapshot holds", mode)
 		}
 	}
 }

@@ -3,9 +3,9 @@
 // definitions, implementations, generators, instances, tool parameters).
 //
 // ICDB only needs typed tables with exact-match selection, ordered scans,
-// insert/update/delete, and persistence; this package provides exactly
-// that with no external dependencies. Rows are schemaful: every value must
-// match the declared column type.
+// keyed insert/upsert, delete, and persistence; this package provides
+// exactly that with no external dependencies. Rows are schemaful: every
+// value must match the declared column type.
 //
 // # Indexes and the query planner
 //
@@ -19,17 +19,17 @@
 //     Schema.Indexes when the table is created;
 //   - the full scan over the insertion-ordered rowid slice.
 //
-// Select, SelectOne, Count, Update, Delete, and Scan all consult the
-// planner: a predicate whose Eq conjuncts cover the key or an index is
-// answered from that index (plus residual verification when the
-// predicate has planner-opaque parts), and Get is a direct point lookup
-// that never scans. Scan visits rows without copying them, for read-only
+// Select, Count, Delete, and Scan all consult the planner: a predicate
+// whose Eq conjuncts cover the key or an index is answered from that
+// index (plus residual verification when the predicate has
+// planner-opaque parts), and Get is a direct point lookup that never
+// scans. Scan visits rows without copying them, for read-only
 // consumers that decode rather than retain.
 //
 // # Concurrency and snapshot isolation
 //
 // All methods are safe for concurrent use. Iterating reads (Select,
-// SelectOne, Count, Scan, Rows) do not run under the store lock: each
+// Count, Scan, Rows) do not run under the store lock: each
 // pins the table's current read state — an immutable copy-on-write
 // snapshot (tableData) — under a brief read lock and then plans and
 // iterates lock-free. The first write after a snapshot is pinned clones
@@ -65,7 +65,7 @@
 //     slice, which is strictly ascending — rowids are allocated
 //     monotonically, so ascending order IS insertion order, and no
 //     operation ever re-sorts it;
-//   - a row replaced by Upsert or Update keeps its rowid, and therefore
+//   - a row replaced by Upsert keeps its rowid, and therefore
 //     its position in scan order;
 //   - each secondary-index posting list holds exactly the live rowids
 //     whose rows currently carry the indexed values, ascending, with no
@@ -185,8 +185,8 @@ type tableData struct {
 // clone deep-copies everything writers mutate in place: the ids slice
 // (spliced by Delete), the rows map, the key index, and every posting
 // list (spliced by insertSorted/removeSorted). The Row values themselves
-// are shared: a stored row is never mutated, only replaced (Upsert,
-// Update), so old snapshots keep seeing the rows they pinned.
+// are shared: a stored row is never mutated, only replaced (Upsert), so
+// old snapshots keep seeing the rows they pinned.
 func (d *tableData) clone() *tableData {
 	nd := &tableData{rows: maps.Clone(d.rows), ids: slices.Clone(d.ids), keyIndex: maps.Clone(d.keyIndex), gen: d.gen}
 	nd.indexes = make([]*secIndex, len(d.indexes))
@@ -234,8 +234,8 @@ type Store struct {
 	tables atomic.Pointer[map[string]*table] // see tableMap
 
 	// gen counts effective mutations (see Generation). It is bumped
-	// under the write lock, after a mutation applies; every bump but
-	// DropTable's also becomes the mutated table's own generation (touch).
+	// under the write lock, after a mutation applies, and becomes the
+	// mutated table's own generation (touch).
 	gen atomic.Uint64
 	// wal, when non-nil, is the write-ahead journal a Durable store
 	// attached (journal.go): every mutator appends its record — under
@@ -256,23 +256,23 @@ type Store struct {
 }
 
 // Generation returns a counter that increments on every effective
-// mutation (insert, delete, schema change, or a row actually changing
-// value — an Upsert or Update that rewrites a row with identical
-// values does not count). Callers use it to skip no-op saves: an
-// unchanged Generation since the last durable point means the on-disk
-// state is already current.
+// mutation (table creation, insert, delete, or a row actually changing
+// value — an Upsert that rewrites a row with identical values does not
+// count). Callers use it to skip no-op saves: an unchanged Generation
+// since the last durable point means the on-disk state is already
+// current.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // TableGeneration returns tableName's own generation: the value
 // Generation reached with the last effective mutation of that table
 // (its creation included). Writes to other tables and value-equal
 // rewrites leave it alone, and because every stamp is a fresh draw from
-// the one store-wide counter, a table dropped and created again under
-// the same name reads strictly higher than its predecessor ever did —
-// so a cache of one relation's contents stamped with this value is
-// current exactly while the value still reads the same. A lazily opened
-// table that nothing has touched reports its stamp without hydrating.
-// It takes no lock (see the package comment, Generations).
+// the one store-wide counter, a table never returns to a generation it
+// has left — so a cache of one relation's contents stamped with this
+// value is current exactly while the value still reads the same. A
+// lazily opened table that nothing has touched reports its stamp
+// without hydrating. It takes no lock (see the package comment,
+// Generations).
 func (s *Store) TableGeneration(tableName string) (uint64, error) {
 	t, ok := s.tableMap()[tableName]
 	if !ok {
@@ -289,21 +289,9 @@ func (s *Store) touch(t *table) {
 }
 
 // tableMap returns the published name -> table map. It is never mutated
-// once published — create, drop and the snapshot decoders install a
-// copy — so it may be read with or without the store lock.
+// once published — CreateTable and the snapshot decoders install a copy
+// — so it may be read with or without the store lock.
 func (s *Store) tableMap() map[string]*table { return *s.tables.Load() }
-
-// setTable publishes a copy of the table map with name bound to t, or
-// unbound when t is nil. The caller holds the write lock.
-func (s *Store) setTable(name string, t *table) {
-	m := maps.Clone(s.tableMap())
-	if t == nil {
-		delete(m, name)
-	} else {
-		m[name] = t
-	}
-	s.tables.Store(&m)
-}
 
 // New creates an empty store.
 func New() *Store {
@@ -368,9 +356,11 @@ func (s *Store) createTableLocked(sc Schema) error {
 		return err
 	}
 	// Stamp before publishing: a lock-free TableGeneration must never see
-	// the new table before its stamp exceeds its predecessor's.
+	// the new table unstamped.
 	s.touch(t)
-	s.setTable(sc.Table, t)
+	m := maps.Clone(s.tableMap())
+	m[sc.Table] = t
+	s.tables.Store(&m)
 	return nil
 }
 
@@ -445,37 +435,6 @@ func (t *table) addIndex(cols []string) error {
 		cols:     slices.Clone(cols),
 		postings: make(map[string][]int64),
 	})
-	return nil
-}
-
-// DropTable removes a table and all its rows. Scans already in flight
-// continue over their pinned snapshot.
-func (s *Store) DropTable(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropTableLocked(name)
-}
-
-func (s *Store) dropTableLocked(name string) error {
-	t, ok := s.tableMap()[name]
-	if !ok {
-		return fmt.Errorf("relstore: no table %q", name)
-	}
-	if err := s.logWAL(func(w *snapWriter) error {
-		w.u8(walOpDropTable)
-		w.str(name)
-		return nil
-	}); err != nil {
-		return err
-	}
-	// Dropping a cold table never hydrates it: the section is simply
-	// discarded, along with any journal records whose replay was
-	// deferred to its hydration.
-	if t.pending != nil {
-		s.deferredPending -= int64(len(t.pending.deferred))
-	}
-	s.setTable(name, nil)
-	s.gen.Add(1)
 	return nil
 }
 
@@ -801,30 +760,6 @@ func (s *Store) Select(tableName string, p Pred) ([]Row, error) {
 	return out, err
 }
 
-// SelectOne returns the single row matching p. It fails if zero or more
-// than one row matches.
-func (s *Store) SelectOne(tableName string, p Pred) (Row, error) {
-	var match Row
-	n := 0
-	err := s.Scan(tableName, p, func(r Row) bool {
-		if n == 0 {
-			match = r
-		}
-		n++
-		return true
-	})
-	switch {
-	case err != nil:
-		return nil, err
-	case n == 0:
-		return nil, fmt.Errorf("relstore: table %q: no matching row", tableName)
-	case n == 1:
-		return match.clone(), nil
-	default:
-		return nil, fmt.Errorf("relstore: table %q: %d rows match, want 1", tableName, n)
-	}
-}
-
 // Get is the point-lookup fast path: it returns a copy of the single row
 // of a keyed table whose primary-key columns equal keyVals (in Schema.Key
 // order), without scanning. Numeric key values are matched canonically,
@@ -939,106 +874,6 @@ func (s *Store) ScanTables(scans []TableScan) error {
 	return nil
 }
 
-// Update applies fn to every row matching p (in insertion order) and
-// returns the number of rows changed. fn receives a copy and returns the
-// replacement row. Update is atomic: a schema violation or key conflict
-// leaves the table unmodified. Updated rows keep their rowids (and scan
-// positions); all indexes are maintained.
-func (s *Store) Update(tableName string, p Pred, fn func(Row) Row) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.updateLocked(tableName, p, fn)
-}
-
-func (s *Store) updateLocked(tableName string, p Pred, fn func(Row) Row) (int, error) {
-	t, err := s.tableLocked(tableName)
-	if err != nil {
-		return 0, err
-	}
-	d := t.data
-	ids, verify := t.plan(d, p)
-	// Validate every change against a scratch key index before applying
-	// (or journaling) anything, so a mid-scan conflict cannot leave
-	// partial updates or an unappliable journal record.
-	type change struct {
-		id int64
-		nr Row
-	}
-	var changes, eff []change
-	for _, id := range ids {
-		r := d.rows[id]
-		if verify && !p.Match(r) {
-			continue
-		}
-		nr := fn(r.clone())
-		if err := t.checkRow(nr); err != nil {
-			return 0, err
-		}
-		c := change{id: id, nr: t.canon(nr)}
-		changes = append(changes, c)
-		// Value-identical rewrites are no-ops: not journaled, not
-		// applied, no generation bump — but still counted in the
-		// return value, which reports rows matched and processed.
-		if !maps.Equal(r, c.nr) {
-			eff = append(eff, c)
-		}
-	}
-	// Rebuild the key index in two phases — drop every changed row's old
-	// key, then claim the new ones — so key permutations (a<->b swaps)
-	// are legal and any genuine conflict is detected before mutation.
-	// Only effective changes can move keys (a no-op keeps its row, and
-	// so its key, verbatim).
-	newKeys := d.keyIndex
-	if len(t.schema.Key) > 0 && len(eff) > 0 {
-		newKeys = maps.Clone(d.keyIndex)
-		for _, c := range eff {
-			delete(newKeys, t.keyOf(d.rows[c.id]))
-		}
-		for _, c := range eff {
-			k := t.keyOf(c.nr)
-			if _, conflict := newKeys[k]; conflict {
-				return 0, fmt.Errorf("relstore: table %q update creates duplicate key %v", tableName, keyValues(k))
-			}
-			newKeys[k] = c.id
-		}
-	}
-	if len(eff) == 0 {
-		return len(changes), nil
-	}
-	// One record for the whole batch: the update is atomic in memory,
-	// so it must be atomic in the journal (recovery never applies a
-	// partial transaction). Old keys address the rows; the new rows are
-	// absolute values, which is what makes replay idempotent.
-	if err := s.logWAL(func(w *snapWriter) error {
-		w.u8(walOpUpdate)
-		w.str(tableName)
-		w.u32(uint32(len(eff)))
-		keyCols := t.keyColumns()
-		for _, c := range eff {
-			if err := w.row(tableName, keyCols, d.rows[c.id]); err != nil {
-				return err
-			}
-			if err := w.row(tableName, t.schema.Columns, c.nr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	wd := t.writable()
-	for _, c := range eff {
-		wd.indexRemove(c.id, wd.rows[c.id])
-		wd.rows[c.id] = c.nr
-		wd.indexAdd(c.id, c.nr)
-	}
-	if len(t.schema.Key) > 0 {
-		wd.keyIndex = newKeys
-	}
-	s.touch(t)
-	return len(changes), nil
-}
-
 // keyValues renders a key-index string for error messages.
 func keyValues(k string) string {
 	return strings.ReplaceAll(k, "\x00", ",")
@@ -1060,11 +895,10 @@ func (s *Store) deleteLocked(tableName string, p Pred) (int, error) {
 	}
 	d := t.data
 	ids, verify := t.plan(d, p)
-	// The plan may alias internal index state; copy before iterating
-	// while mutating.
-	candidates := append([]int64(nil), ids...)
+	// victims is a fresh slice: the plan may alias index state that the
+	// removal mutates.
 	var victims []int64
-	for _, id := range candidates {
+	for _, id := range ids {
 		if verify && !p.Match(d.rows[id]) {
 			continue
 		}
@@ -1089,24 +923,31 @@ func (s *Store) deleteLocked(tableName string, p Pred) (int, error) {
 	}); err != nil {
 		return 0, err
 	}
+	return s.removeLocked(t, victims), nil
+}
+
+// removeLocked removes the rows victims (rowids) from t — key index,
+// secondary postings, rows and the ordered id slice — stamps the table
+// and returns how many rows went. It is the one removal routine: Delete
+// applies it live and its journal record replays through it. A rowid
+// named twice is removed once. The caller holds the write lock and has
+// journaled the removal.
+func (s *Store) removeLocked(t *table, victims []int64) int {
 	wd := t.writable()
 	removed := make(map[int64]bool, len(victims))
 	for _, id := range victims {
+		if removed[id] {
+			continue
+		}
 		r := wd.rows[id]
 		delete(wd.keyIndex, t.keyOf(r))
 		wd.indexRemove(id, r)
 		delete(wd.rows, id)
 		removed[id] = true
 	}
-	live := wd.ids[:0]
-	for _, id := range wd.ids {
-		if !removed[id] {
-			live = append(live, id)
-		}
-	}
-	wd.ids = live
+	wd.ids = slices.DeleteFunc(wd.ids, func(id int64) bool { return removed[id] })
 	s.touch(t)
-	return len(removed), nil
+	return len(removed)
 }
 
 // Count returns the number of rows matching p. It plans and verifies like

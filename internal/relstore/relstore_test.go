@@ -81,7 +81,7 @@ func TestInsertSelect(t *testing.T) {
 	if got[0]["name"] != "ripple_counter" {
 		t.Errorf("insertion order not preserved: first = %v", got[0]["name"])
 	}
-	one, err := s.SelectOne("implementations", Eq("name", "adder4"))
+	one, err := s.Get("implementations", "adder4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPrimaryKeyConflict(t *testing.T) {
 	if err := s.Upsert("implementations", r2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SelectOne("implementations", Eq("name", "x"))
+	got, err := s.Get("implementations", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +141,9 @@ func TestPrimaryKeyConflict(t *testing.T) {
 	}
 }
 
+// TestUpdateDelete: a row updated in place by Upsert keeps its scan
+// position, and a predicate Delete removes every match and frees their
+// keys.
 func TestUpdateDelete(t *testing.T) {
 	s := newImplStore(t)
 	for i := 0; i < 5; i++ {
@@ -149,59 +152,24 @@ func TestUpdateDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := s.Update("implementations", Eq("size", 2), func(r Row) Row {
-		r["area"] = 99.0
-		return r
-	})
-	if err != nil || n != 1 {
-		t.Fatalf("update n=%d err=%v", n, err)
+	if err := s.Upsert("implementations", Row{"name": "c2", "component": "Counter", "size": 2, "area": 99.0, "parameterized": false}); err != nil {
+		t.Fatal(err)
 	}
-	got, _ := s.SelectOne("implementations", Eq("name", "c2"))
-	if got["area"] != 99.0 {
-		t.Errorf("update not applied: %v", got["area"])
+	rows, err := s.Select("implementations", nil)
+	if err != nil || len(rows) != 5 || rows[2]["name"] != "c2" || rows[2]["area"] != 99.0 {
+		t.Fatalf("after update: %v, %v", rows, err)
 	}
 	d, err := s.Delete("implementations", Eq("component", "Counter"))
 	if err != nil || d != 5 {
 		t.Fatalf("delete n=%d err=%v", d, err)
 	}
-	n, _ = s.Count("implementations", nil)
+	n, _ := s.Count("implementations", nil)
 	if n != 0 {
 		t.Errorf("count after delete = %d", n)
 	}
 	// Key slot must be reusable after delete.
 	if err := s.Insert("implementations", Row{"name": "c0", "component": "Counter", "size": 0, "area": 1.0, "parameterized": false}); err != nil {
 		t.Errorf("reinsert after delete: %v", err)
-	}
-}
-
-func TestUpdateKeyChangeConflict(t *testing.T) {
-	s := newImplStore(t)
-	for _, n := range []string{"a", "b"} {
-		if err := s.Insert("implementations", Row{"name": n, "component": "Counter", "size": 0, "area": 1.0, "parameterized": false}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := s.Update("implementations", Eq("name", "a"), func(r Row) Row {
-		r["name"] = "b"
-		return r
-	})
-	if err == nil {
-		t.Error("key-conflicting update accepted")
-	}
-}
-
-func TestSelectOneErrors(t *testing.T) {
-	s := newImplStore(t)
-	if _, err := s.SelectOne("implementations", nil); err == nil {
-		t.Error("SelectOne on empty table: want error")
-	}
-	for _, n := range []string{"a", "b"} {
-		if err := s.Insert("implementations", Row{"name": n, "component": "Counter", "size": 0, "area": 1.0, "parameterized": false}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.SelectOne("implementations", Eq("component", "Counter")); err == nil {
-		t.Error("SelectOne with 2 matches: want error")
 	}
 }
 
@@ -290,12 +258,6 @@ func TestTablesAndSchemaOf(t *testing.T) {
 	if _, err := s.SchemaOf("nope"); err == nil {
 		t.Error("SchemaOf missing table: want error")
 	}
-	if err := s.DropTable("aaa"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DropTable("aaa"); err == nil {
-		t.Error("double drop accepted")
-	}
 }
 
 func TestSelectReturnsCopies(t *testing.T) {
@@ -318,7 +280,7 @@ func TestInsertCopiesCallerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	r["size"] = 42
-	got, _ := s.SelectOne("implementations", Eq("name", "a"))
+	got, _ := s.Get("implementations", "a")
 	if got["size"] != 1 {
 		t.Error("Insert aliased caller row")
 	}
@@ -346,7 +308,7 @@ func TestPropertyInsertThenSelectByKey(t *testing.T) {
 			}
 		}
 		for k, v := range uniq {
-			r, err := s.SelectOne("t", Eq("k", k))
+			r, err := s.Get("t", k)
 			if err != nil || r["v"] != v {
 				return false
 			}
@@ -383,7 +345,7 @@ func TestCanonicalColumnTypes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	row, err := s.SelectOne("implementations", Eq("name", "a"))
+	row, err := s.Get("implementations", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,56 +355,21 @@ func TestCanonicalColumnTypes(t *testing.T) {
 	if _, ok := row["area"].(float64); !ok {
 		t.Errorf("area stored as %T, want float64", row["area"])
 	}
-	// Update keeps canonical types too.
-	if _, err := s.Update("implementations", Eq("name", "a"), func(r Row) Row {
-		r["size"] = 8
-		return r
+	// Upsert keeps canonical types too.
+	if err := s.Upsert("implementations", Row{
+		"name": "a", "component": "c", "size": int64(8), "area": float32(2), "parameterized": true,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	row, err = s.SelectOne("implementations", Eq("name", "a"))
+	row, err = s.Get("implementations", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := row["size"].(int); !ok || v != 8 {
-		t.Errorf("after update: size = %v (%T)", row["size"], row["size"])
+		t.Errorf("after upsert: size = %v (%T)", row["size"], row["size"])
 	}
-}
-
-func TestUpdateAtomicOnKeyConflict(t *testing.T) {
-	s := newImplStore(t)
-	for _, n := range []string{"a", "b"} {
-		if err := s.Insert("implementations", Row{"name": n, "component": "Counter", "size": 0, "area": 1.0, "parameterized": false}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Renaming every row to "c" must conflict — and leave BOTH rows
-	// untouched, not just roll back the second.
-	n, err := s.Update("implementations", nil, func(r Row) Row {
-		r["name"] = "c"
-		return r
-	})
-	if err == nil {
-		t.Fatal("conflicting update accepted")
-	}
-	if n != 0 {
-		t.Errorf("partial update: n = %d, want 0", n)
-	}
-	for _, name := range []string{"a", "b"} {
-		if _, err := s.SelectOne("implementations", Eq("name", name)); err != nil {
-			t.Errorf("row %q damaged by aborted update: %v", name, err)
-		}
-	}
-	// A key swap is a legal permutation and must succeed atomically.
-	if _, err := s.Update("implementations", nil, func(r Row) Row {
-		if r["name"] == "a" {
-			r["name"] = "b"
-		} else {
-			r["name"] = "a"
-		}
-		return r
-	}); err != nil {
-		t.Errorf("key swap rejected: %v", err)
+	if v, ok := row["area"].(float64); !ok || v != 2 {
+		t.Errorf("after upsert: area = %v (%T)", row["area"], row["area"])
 	}
 }
 
@@ -460,10 +387,11 @@ func TestFloatKeyCanonicalizedBeforeIndexing(t *testing.T) {
 	}
 	// Upserting the stored (canonical float64) form must replace, not
 	// duplicate, the row.
-	row, err := s.SelectOne("f", nil)
-	if err != nil {
-		t.Fatal(err)
+	rows, err := s.Select("f", nil)
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("select = %v, %v", rows, err)
 	}
+	row := rows[0]
 	row["v"] = 2
 	if err := s.Upsert("f", row); err != nil {
 		t.Fatal(err)

@@ -20,9 +20,10 @@ func tableGen(t *testing.T, s *Store, name string) uint64 {
 	return g
 }
 
-// TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable: value-equal
-// Upsert/Update and every kind of write to another table leave the
-// stamp alone; each effective mutation raises it.
+// TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable: a
+// value-equal Upsert, a Delete that matches nothing and every kind of
+// write to another table leave the stamp alone; each effective mutation
+// raises it.
 func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
 	s := concStore(t, 4)
 	other := Schema{Table: "o", Columns: []Column{{Name: "k", Type: TString}}, Key: []string{"k"}, Indexes: []Index{{Columns: []string{"k"}}}}
@@ -31,23 +32,21 @@ func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
 	}
 	g := tableGen(t, s, "t")
 
-	// Value-equal rewrites.
+	// A value-equal rewrite and a delete of nothing.
 	if err := s.Upsert("t", Row{"name": "r0001", "grp": 1, "val": 1.0}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.Update("t", Eq("grp", 2), func(r Row) Row { return r }); err != nil || n != 1 {
-		t.Fatalf("no-op Update = %d, %v", n, err)
+	if n, err := s.Delete("t", Eq("grp", 9)); err != nil || n != 0 {
+		t.Fatalf("no-op Delete = %d, %v", n, err)
 	}
-	// Another table: insert, upsert, update, delete, drop.
+	// Another table: create, insert, upsert, delete.
 	for _, step := range []func() error{
+		func() error {
+			return s.CreateTable(Schema{Table: "p", Columns: []Column{{Name: "k", Type: TString}}, Key: []string{"k"}})
+		},
 		func() error { return s.Insert("o", Row{"k": "a"}) },
 		func() error { return s.Upsert("o", Row{"k": "b"}) },
-		func() error {
-			_, err := s.Update("o", Eq("k", "a"), func(r Row) Row { r["k"] = "c"; return r })
-			return err
-		},
-		func() error { _, err := s.Delete("o", Eq("k", "b")); return err },
-		func() error { return s.DropTable("o") },
+		func() error { _, err := s.Delete("o", nil); return err },
 	} {
 		if err := step(); err != nil {
 			t.Fatal(err)
@@ -56,19 +55,13 @@ func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
 	if got := tableGen(t, s, "t"); got != g {
 		t.Fatalf("generation of t moved %d -> %d without an effective write to t", g, got)
 	}
-	if _, err := s.TableGeneration("o"); err == nil {
-		t.Error("TableGeneration of a dropped table did not fail")
-	}
 
 	// Each effective mutation of t raises it.
 	for i, step := range []func() error{
 		func() error { return s.Insert("t", Row{"name": "new", "grp": 0, "val": 0.5}) },
 		func() error { return s.Upsert("t", Row{"name": "r0001", "grp": 1, "val": 99.0}) },
-		func() error {
-			_, err := s.Update("t", Eq("name", "r0002"), func(r Row) Row { r["val"] = 7.0; return r })
-			return err
-		},
 		func() error { _, err := s.Delete("t", Eq("name", "r0003")); return err },
+		func() error { _, err := s.Delete("t", Eq("grp", 2)); return err }, // r0002 and "new"
 	} {
 		if err := step(); err != nil {
 			t.Fatal(err)
@@ -81,40 +74,11 @@ func TestTableGenerationMovesOnlyOnEffectiveWritesToThatTable(t *testing.T) {
 	}
 }
 
-// TestTableGenerationMonotonicAcrossDropRecreate: a table recreated
-// under the same name never reuses a stamp its predecessor had, however
-// few writes the new one has seen.
-func TestTableGenerationMonotonicAcrossDropRecreate(t *testing.T) {
-	s := concStore(t, 16)
-	sc, err := s.SchemaOf("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := tableGen(t, s, "t")
-	for round := 0; round < 3; round++ {
-		if err := s.DropTable("t"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CreateTable(sc); err != nil {
-			t.Fatal(err)
-		}
-		g := tableGen(t, s, "t")
-		if g <= last {
-			t.Fatalf("round %d: recreated table reads %d, predecessor reached %d", round, g, last)
-		}
-		last = g
-	}
-}
-
-// TestTableGenerationStampMonotoneUnderCreateDrop reads stamps with no
-// lock while a writer drops, re-creates and fills a table: every read of
-// a live table is at least the last one, across re-creations too.
-func TestTableGenerationStampMonotoneUnderCreateDrop(t *testing.T) {
+// TestTableGenerationStampMonotoneUnderWrites reads stamps with no lock
+// while a writer fills and empties the table and creates others: every
+// read is at least the last one.
+func TestTableGenerationStampMonotoneUnderWrites(t *testing.T) {
 	s := concStore(t, 4)
-	sc, err := s.SchemaOf("t")
-	if err != nil {
-		t.Fatal(err)
-	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -130,7 +94,8 @@ func TestTableGenerationStampMonotoneUnderCreateDrop(t *testing.T) {
 				}
 				g, err := s.TableGeneration("t")
 				if err != nil {
-					continue // between drop and create
+					t.Error(err)
+					return
 				}
 				if g < last {
 					t.Errorf("stamp went back from %d to %d", last, g)
@@ -141,13 +106,16 @@ func TestTableGenerationStampMonotoneUnderCreateDrop(t *testing.T) {
 		}()
 	}
 	for round := 0; round < 200; round++ {
-		if err := s.DropTable("t"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CreateTable(sc); err != nil {
+		if err := s.CreateTable(Schema{Table: fmt.Sprintf("o%d", round), Columns: []Column{{Name: "k", Type: TString}}, Key: []string{"k"}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Insert("t", Row{"name": "x", "grp": round, "val": 1.0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Upsert("t", Row{"name": "x", "grp": round, "val": 2.0}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Delete("t", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +242,7 @@ func TestTableGenerationOfPendingLazyTable(t *testing.T) {
 // applies them, so the stamp read while the table was cold must not
 // survive its first touch — whichever record kind was deferred.
 func TestTableGenerationMovesOnDeferredReplay(t *testing.T) {
-	for _, kind := range []string{"upsert", "update", "delete"} {
+	for _, kind := range []string{"insert", "upsert", "delete"} {
 		dir := t.TempDir()
 		d := openDurable(t, dir, DurableOptions{})
 		if err := d.CreateTable(durableSchema()); err != nil {
@@ -290,8 +258,8 @@ func TestTableGenerationMovesOnDeferredReplay(t *testing.T) {
 		switch kind {
 		case "upsert":
 			err = d.Upsert("impls", Row{"name": "a", "comp": "alu", "size": 2, "area": 1.0, "param": true})
-		case "update":
-			_, err = d.Update("impls", Eq("name", "a"), func(r Row) Row { r["size"] = 3; return r })
+		case "insert":
+			err = d.Insert("impls", Row{"name": "b", "comp": "alu", "size": 3, "area": 1.0, "param": true})
 		case "delete":
 			_, err = d.Delete("impls", Eq("name", "a"))
 		}
